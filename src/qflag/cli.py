@@ -1,8 +1,9 @@
 """Command-line front end: decompositions, verification suites, CSV profiles.
 
 Exit codes: 0 success, 1 usage/parse error, 2 mathematical failure
-(singular input or failed assertion).  Every command is deterministic given
-its input and seed; QFLAG_SEED is the only environment fallback.
+(singular input, a point at a chart boundary, or a failed assertion).  Every
+command is deterministic given its input and seed; QFLAG_SEED is the only
+environment fallback.
 """
 
 from __future__ import annotations
@@ -348,10 +349,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
+    except (SingularMatrixError, hp1geom.ChartBoundaryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH
     except (json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
-        if isinstance(exc, SingularMatrixError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MATH
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

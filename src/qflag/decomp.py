@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hmat import Permutation, QMatrix, SingularMatrixError, is_symplectic
-from .quat import Quaternion, qnorm2, qprod
+from .hmat import (Permutation, QMatrix, SingularMatrixError, chi, is_symplectic,
+                   require_square_finite, unchi)
+from .quat import Quaternion, qinv, qnorm2, qprod
 
 __all__ = [
     "BruhatForm",
@@ -29,9 +30,11 @@ __all__ = [
     "leaf_signature",
 ]
 
-# Relative pivot threshold: entries below 1e-10 * ||G||_F count as zero.  The
-# permutation type is stable for generic inputs; near-degenerate inputs are
-# the caller's risk.
+# Relative pivot threshold.  In ``bruhat``, entries at most PIVOT_RTOL * ||G||_F
+# count as zero, so an input that close to a neighbouring cell is given that
+# cell's permutation type, and U D P_w V misses G by about the entries dropped;
+# ``iwasawa`` raises SingularMatrixError when a diagonal entry of R is at most
+# PIVOT_RTOL * ||G||_F.
 PIVOT_RTOL = 1e-10
 
 
@@ -82,53 +85,52 @@ def bruhat(g: QMatrix) -> BruhatForm:
     operations that add earlier columns to column j (building V), entries
     above the pivot by row operations that add the pivot row to higher rows
     (building U).  The V so produced automatically satisfies the strictness
-    condition that P_w V P_w^{-1} is lower unit triangular.
+    condition that P_w V P_w^{-1} is lower unit triangular.  Within a
+    column, every row operation uses the same pivot row and every column
+    operation a different earlier column, so each side is one batched update.
+
+    Raises ``ValueError`` on a non-finite entry and
+    :class:`SingularMatrixError` when a column has no pivot above the
+    threshold.
     """
+    require_square_finite(g, "bruhat")
     n = g.n_rows
-    if n != g.n_cols:
-        raise ValueError("bruhat requires a square matrix")
     thresh = PIVOT_RTOL * max(g.frobenius(), 1e-300)
 
     a = g.data.copy()
     u_acc = QMatrix.identity(n).data
     v_acc = QMatrix.identity(n).data
-    w_of = [-1] * n       # w_of[j] = pivot row of column j
-    pivot_col = [-1] * n  # pivot_col[r] = column whose pivot sits in row r
+    w_of = np.empty(n, dtype=int)  # w_of[j] = pivot row of column j
+    pivot_col = np.full(n, -1)     # pivot_col[r] = column whose pivot sits in row r
 
     for j in range(n):
-        mags = np.sqrt(qnorm2(a[:, j]))
-        piv = -1
-        for r in range(n - 1, -1, -1):
-            if pivot_col[r] < 0 and mags[r] > thresh:
-                piv = r
-                break
-        if piv < 0:
+        live = np.sqrt(qnorm2(a[:, j])) > thresh
+        free = np.flatnonzero(live & (pivot_col < 0))
+        if free.size == 0:
             raise SingularMatrixError("matrix is singular: no Bruhat pivot in column")
+        piv = free[-1]
         w_of[j] = piv
         pivot_col[piv] = j
-        p_inv = Quaternion.from_array(a[piv, j]).inverse().to_array()
 
-        for r in range(n):
-            if r == piv or mags[r] <= thresh:
-                continue
-            if r > piv:
-                # assigned row below the pivot: clear with a column operation
-                jp = pivot_col[r]
-                q_inv = Quaternion.from_array(a[r, jp]).inverse().to_array()
-                c = qprod(q_inv, a[r, j])
-                a[:, j] -= qprod(a[:, jp], c)
-                # V <- (I + e_{jp} c e_j^T) V
-                v_acc[jp] += qprod(c, v_acc[j])
-            else:
-                # row above the pivot: clear with a row operation
-                c = qprod(a[r, j], p_inv)
-                a[r] -= qprod(c, a[piv])
-                # U <- U (I + e_r c e_piv^T): column piv of U gains U[:,r] c
-                u_acc[:, piv] += qprod(u_acc[:, r], c)
+        above = np.flatnonzero(live[:piv])
+        if above.size:
+            # rows above the pivot: row operations adding multiples of the
+            # pivot row; U <- U (I + e_r c_r e_piv^T) for each such row r
+            c = qprod(a[above, j], qinv(a[piv, j]))
+            a[above] -= qprod(c[:, None], a[piv])
+            u_acc[:, piv] += qprod(u_acc[:, above], c).sum(axis=1)
+        below = piv + 1 + np.flatnonzero(live[piv + 1:])
+        if below.size:
+            # assigned rows below the pivot: column operations adding the
+            # columns jp of their pivots to column j; V <- (I + e_jp c e_j^T) V,
+            # and row j of V is still e_j, so each c lands at V[jp, j]
+            jp = pivot_col[below]
+            c = qprod(qinv(a[below, jp]), a[below, j])
+            a[:, j] -= qprod(a[:, jp], c).sum(axis=1)
+            v_acc[jp, j] = c
 
     d = QMatrix.zeros(n, n)
-    for j in range(n):
-        d.data[w_of[j], w_of[j]] = a[w_of[j], j]
+    d.data[w_of, w_of] = a[w_of, np.arange(n)]
     return BruhatForm(U=QMatrix(u_acc), D=d, w=Permutation(w_of), V=QMatrix(v_acc))
 
 
@@ -139,54 +141,33 @@ def dieudonne_det(g: QMatrix) -> float:
     det(diag(r)) = r for positive real r); the sign sgn(w) is absorbed
     because -1 is a commutator in H*.
     """
-    form = bruhat(g)
-    out = 1.0
-    for q in form.diagonal():
-        out *= q.norm()
-    return out
+    return float(np.prod([q.norm() for q in bruhat(g).diagonal()]))
 
 
 def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     """G = K R Uu with K symplectic, R positive real diagonal, Uu unit upper.
 
-    Modified Gram-Schmidt on columns with right-side coefficients
-    (column j of G = sum_i column i of K times T[i, j], inner product
-    <x, y> = sum conj(x_l) y_l), with a second re-orthogonalization pass.
+    LAPACK's QR of the complex adjoint ``chi(G) = Q T``, with the phases of
+    T's diagonal moved from T's rows into Q's columns so that T's diagonal is
+    positive; by uniqueness of that QR, ``Q = chi(K)`` and ``T = chi(R Uu)``
+    (Bunse-Gerstner, Byers and Mehrmann, Numer. Math. 55, 1989).  Raises
+    ``ValueError`` on a non-finite entry and :class:`SingularMatrixError`
+    when a diagonal entry of T is at most ``PIVOT_RTOL * ||G||_F``.
     """
+    require_square_finite(g, "iwasawa")
     n = g.n_rows
-    if n != g.n_cols:
-        raise ValueError("iwasawa requires a square matrix")
-    thresh = PIVOT_RTOL * max(g.frobenius(), 1e-300)
-
-    k = g.data.copy()
-    t = QMatrix.zeros(n, n).data
-    for j in range(n):
-        for _ in range(2):  # twice is enough
-            for i in range(j):
-                coef = _inner(k[:, i], k[:, j])
-                k[:, j] -= qprod(k[:, i], coef)
-                t[i, j] = (Quaternion.from_array(t[i, j]) + Quaternion.from_array(coef)).to_array()
-        r = float(np.sqrt(np.sum(k[:, j] * k[:, j])))
-        if r <= thresh:
-            raise SingularMatrixError("matrix is singular: Gram-Schmidt breakdown")
-        k[:, j] /= r
-        t[j, j, 0] = r
-
+    q, t = np.linalg.qr(chi(g.data))
+    d = np.diagonal(t)
+    mag = np.abs(d)
+    if mag.min() <= PIVOT_RTOL * g.frobenius():
+        raise SingularMatrixError("matrix is singular: QR breakdown")
+    phase = d / mag
+    r = mag[0::2]
+    uu = unchi(phase.conj()[:, None] * t) / r[:, None, None]
+    uu[np.arange(n), np.arange(n)] = (1.0, 0.0, 0.0, 0.0)
     rr = QMatrix.zeros(n, n)
-    uu = QMatrix.identity(n)
-    for i in range(n):
-        ri = t[i, i, 0]
-        rr.data[i, i, 0] = ri
-        for j in range(i + 1, n):
-            uu.data[i, j] = t[i, j] / ri
-    return QMatrix(k), rr, uu
-
-
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x, y> = sum_l conj(x_l) y_l for columns of shape (n, 4)."""
-    xc = x.copy()
-    xc[:, 1:] *= -1.0
-    return qprod(xc, y).sum(axis=0)
+    rr.data[np.arange(n), np.arange(n), 0] = r
+    return QMatrix(unchi(q * phase)), rr, QMatrix(uu)
 
 
 def dress(g: QMatrix, k: QMatrix, tol: float = 1e-10) -> QMatrix:
@@ -197,6 +178,8 @@ def dress(g: QMatrix, k: QMatrix, tol: float = 1e-10) -> QMatrix:
     decomposition of the product, which re-projects onto the group manifold
     and keeps iterated orbits from drifting.
     """
+    require_square_finite(g, "dress")
+    require_square_finite(k, "dress")
     _require_ru(g, tol)
     if not is_symplectic(k, tol=max(tol, 1e-8)):
         raise ValueError("dress requires a symplectic K")
@@ -206,24 +189,19 @@ def dress(g: QMatrix, k: QMatrix, tol: float = 1e-10) -> QMatrix:
 
 def _require_ru(g: QMatrix, tol: float) -> None:
     n = g.n_rows
-    if n != g.n_cols:
-        raise ValueError("dress requires a square G")
-    scale = max(g.frobenius(), 1e-300)
-    for i in range(n):
-        d = g[i, i]
-        if d.re <= 0 or Quaternion(0, d.i, d.j, d.k).norm() > tol * scale:
-            raise ValueError("G must have positive real diagonal")
-        for j in range(i):
-            if g[i, j].norm() > tol * scale:
-                raise ValueError("G must be upper triangular")
+    lim = tol * max(g.frobenius(), 1e-300)
+    diag = g.data[np.arange(n), np.arange(n)]
+    if np.any(diag[:, 0] <= 0) or np.any(np.sqrt(qnorm2(diag[:, 1:])) > lim):
+        raise ValueError("G must have positive real diagonal")
+    if np.any(np.sqrt(qnorm2(g.data[np.tril_indices(n, -1)])) > lim):
+        raise ValueError("G must be upper triangular")
 
 
 def leaf_signature(k: QMatrix, tol: float = 1e-8) -> LeafSignature:
     """(w, phases) of a symplectic matrix, via its strict Bruhat form."""
+    require_square_finite(k, "leaf_signature")
     if not is_symplectic(k, tol=tol):
         raise ValueError("leaf_signature requires a symplectic matrix")
     form = bruhat(k)
-    phases = []
-    for q in form.diagonal():
-        phases.append(q * (1.0 / q.norm()))
+    phases = [q * (1.0 / q.norm()) for q in form.diagonal()]
     return LeafSignature(w=form.w, phases=phases)

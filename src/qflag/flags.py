@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import LeafSignature, bruhat, dress, leaf_signature
-from .hmat import Permutation, QMatrix, embed_sp2, is_symplectic, word_to_permutation
+from .hmat import (Permutation, QMatrix, embed_sp2, is_symplectic, require_square_finite,
+                   word_to_permutation)
 from .hp1geom import ChartPoint, coset_rep, south_coord
 from .liealg import sp_basis
 from .quat import Quaternion
@@ -60,6 +61,7 @@ def leaf_point(word, params, n: int) -> LeafPoint:
 
 def cell_of(k: QMatrix, tol: float = 1e-8) -> Permutation:
     """Bruhat cell (permutation type) of a symplectic matrix."""
+    require_square_finite(k, "cell_of")
     if not is_symplectic(k, tol=tol):
         raise ValueError("cell_of requires a symplectic matrix")
     return bruhat(k).w

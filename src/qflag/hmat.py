@@ -7,6 +7,9 @@ Multiplication respects non-commutativity: entry (i, j) of ``A @ B`` is
 
 The single matrix norm used everywhere is the Frobenius norm
 ``sqrt(sum |entry|**2)``.
+
+Products, inverses and exponentials run through BLAS/LAPACK on the complex
+adjoint (:func:`chi`), and their results are converted back once per call.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .quat import Quaternion, qconj, qnorm2, qprod
+from .quat import Quaternion, qconj, quaternion_from_json
 
 __all__ = [
     "QMatrix",
@@ -29,8 +32,47 @@ __all__ = [
 ]
 
 
+INV_COND_MAX = 1e12  # largest ||M||_F * ||M^{-1}||_F that QMatrix.inverse accepts
+
+
 class SingularMatrixError(ValueError):
-    """Raised when a pivot search finds no usable entry."""
+    """Raised when a matrix is singular to working precision."""
+
+
+def chi(d: np.ndarray) -> np.ndarray:
+    """Complex adjoint of a ``(rows, cols, 4)`` quaternion array.
+
+    Entry ``q = z1 + z2 j`` becomes the interleaved 2x2 block ``[[z1, z2],
+    [-conj(z2), conj(z1)]]``: an injective algebra homomorphism with
+    ``chi(M*) = chi(M)^H`` (F. Zhang, Linear Algebra Appl. 251, 1997)."""
+    z = np.ascontiguousarray(d, dtype=float).view(complex)  # (rows, cols, 2)
+    rows, cols = z.shape[:2]
+    out = np.empty((rows, 2, cols, 2), dtype=complex)
+    out[:, 0] = z
+    out[:, 1, :, 0] = -z[..., 1].conj()
+    out[:, 1, :, 1] = z[..., 0].conj()
+    return out.reshape(2 * rows, 2 * cols)
+
+
+def unchi(c: np.ndarray) -> np.ndarray:
+    """Nearest quaternion array to a complex ``(2 rows, 2 cols)`` matrix.
+
+    The orthogonal projection onto the image of :func:`chi`: the ``(z1, z2)``
+    of each 2x2 block, read from both of its rows and averaged.  Reading one
+    row would keep the cond(G) * eps drift of a LAPACK factor of ``chi(G)``
+    off that image, and cost a unitary factor its unitarity.
+    """
+    blocks = c.reshape(c.shape[0] // 2, 2, -1, 2)
+    z = (blocks[:, 0] + blocks[:, 1, :, ::-1].conj() * (1, -1)) / 2
+    return z.view(float)
+
+
+def require_square_finite(m: "QMatrix", op: str) -> None:
+    """Raise ``ValueError`` naming ``op`` unless ``m`` is square and finite."""
+    if m.n_rows != m.n_cols:
+        raise ValueError(f"{op} requires a square matrix")
+    if not np.isfinite(m.data).all():
+        raise ValueError(f"{op}: matrix has a non-finite entry")
 
 
 class QMatrix:
@@ -102,8 +144,8 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch in quaternionic matmul")
-        prod = qprod(self.data[:, :, None, :], other.data[None, :, :, :])
-        return QMatrix(prod.sum(axis=1))
+        top = chi(self.data)[0::2] @ chi(other.data)  # the (z1, z2) rows of the product
+        return QMatrix(top.view(float).reshape(self.n_rows, -1, 4))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         return QMatrix(self.data + other.data)
@@ -125,39 +167,22 @@ class QMatrix:
         return float(np.sqrt(np.sum(self.data * self.data)))
 
     def inverse(self) -> "QMatrix":
-        """Gauss-Jordan inverse with left-multiplication row operations.
+        """Inverse by LAPACK (``np.linalg.inv``) on the complex adjoint.
 
-        All pivot divisions are explicit left inverses; the pivot threshold is
-        1e-12 * ||M||_F (relative).
+        Raises ``ValueError`` on a non-finite entry, and
+        :class:`SingularMatrixError` when LAPACK meets an exactly zero pivot
+        or when the Frobenius condition number ``||M||_F * ||M^{-1}||_F``
+        exceeds ``INV_COND_MAX`` (1e12).
         """
-        n = self.n_rows
-        if n != self.n_cols:
-            raise ValueError("inverse requires a square matrix")
-        thresh = 1e-12 * max(self.frobenius(), 1e-300)
-        a = self.data.copy()
-        inv = QMatrix.identity(n).data
-
-        for col in range(n):
-            mags = np.sqrt(qnorm2(a[col:, col]))
-            rel = int(np.argmax(mags))
-            if mags[rel] <= thresh:
-                raise SingularMatrixError("matrix is singular to working precision")
-            piv = col + rel
-            if piv != col:
-                a[[col, piv]] = a[[piv, col]]
-                inv[[col, piv]] = inv[[piv, col]]
-            p_inv = Quaternion.from_array(a[col, col]).inverse().to_array()
-            a[col] = qprod(p_inv, a[col])
-            inv[col] = qprod(p_inv, inv[col])
-            for r in range(n):
-                if r == col:
-                    continue
-                c = a[r, col].copy()
-                if qnorm2(c) == 0.0:
-                    continue
-                a[r] -= qprod(c, a[col])
-                inv[r] -= qprod(c, inv[col])
-        return QMatrix(inv)
+        require_square_finite(self, "inverse")
+        try:
+            inv = QMatrix(unchi(np.linalg.inv(chi(self.data))))
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("matrix is singular: zero pivot") from None
+        if not self.frobenius() * inv.frobenius() <= INV_COND_MAX:  # also when inf
+            raise SingularMatrixError("matrix is singular to working precision: "
+                                      f"condition number above {INV_COND_MAX:g}")
+        return inv
 
     # -- serialization -----------------------------------------------------
 
@@ -171,15 +196,11 @@ class QMatrix:
 
     @staticmethod
     def from_json(obj) -> "QMatrix":
-        from .quat import quaternion_from_json
-
-        if not isinstance(obj, dict):
-            raise ValueError("QMatrix JSON must be an object")
-        try:
-            rows, cols = int(obj["rows"]), int(obj["cols"])
-            entries = obj["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed QMatrix JSON: {exc}") from exc
+        if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= obj.keys():
+            raise ValueError("QMatrix JSON must be an object with rows, cols and entries")
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (rows, cols)):
+            raise ValueError("QMatrix rows and cols must be integers")
         if rows <= 0 or cols <= 0:
             raise ValueError("QMatrix dimensions must be positive")
         if not isinstance(entries, list) or len(entries) != rows:
@@ -205,25 +226,27 @@ def is_symplectic(m: QMatrix, tol: float = 1e-10) -> bool:
 
 
 def expm(m: QMatrix, term_cutoff: float = 1e-13) -> QMatrix:
-    """Matrix exponential by scaling-and-squaring with a truncated series."""
-    n = m.n_rows
+    """Matrix exponential by scaling-and-squaring with a truncated series.
+
+    The series and the squarings run on the complex adjoint ``chi(X)``,
+    converted back once.  Raises ``ValueError`` on a non-finite entry; the
+    exponential has no singular case.
+    """
+    require_square_finite(m, "expm")
     norm = m.frobenius()
     s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    x = m.scale(0.5 ** s)
-    acc = QMatrix.identity(n)
-    term = QMatrix.identity(n)
-    kfac = 0
-    while True:
-        kfac += 1
-        term = (term @ x).scale(1.0 / kfac)
+    x = chi(m.data) * 0.5 ** s
+    # ||chi(Y)||_F = sqrt(2) ||Y||_F: the cutoff stays on the quaternion norm.
+    cutoff = math.sqrt(2.0) * term_cutoff
+    acc = term = np.eye(len(x), dtype=complex)
+    for kfac in range(1, 62):  # the series converges long before 61 terms
+        term = (term @ x) / kfac
         acc = acc + term
-        if term.frobenius() < term_cutoff:
-            break
-        if kfac > 60:  # series must have converged long before this
+        if np.linalg.norm(term) < cutoff:
             break
     for _ in range(s):
         acc = acc @ acc
-    return acc
+    return QMatrix(unchi(acc))
 
 
 def random_sp_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> QMatrix:
@@ -286,10 +309,7 @@ class Permutation:
         return Permutation(tuple(self.one_line[other.one_line[j]] for j in range(self.n)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, i in enumerate(self.one_line):
-            inv[i] = j
-        return Permutation(inv)
+        return Permutation(np.argsort(self.one_line))
 
     def length(self) -> int:
         """Number of inversions = minimal adjacent-transposition word length."""
@@ -320,8 +340,7 @@ class Permutation:
     def matrix(self) -> QMatrix:
         """(P_w)[i, j] = delta(i, w(j))."""
         m = QMatrix.zeros(self.n, self.n)
-        for j in range(self.n):
-            m.data[self.one_line[j], j, 0] = 1.0
+        m.data[self.one_line, range(self.n), 0] = 1.0
         return m
 
     def to_json(self) -> dict:

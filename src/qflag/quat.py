@@ -29,6 +29,7 @@ __all__ = [
     "qprod",
     "qconj",
     "qnorm2",
+    "qinv",
     "ONE",
     "I",
     "J",
@@ -56,7 +57,8 @@ class Quaternion:
         return self.re * self.re + self.i * self.i + self.j * self.j + self.k * self.k
 
     def norm(self) -> float:
-        return math.sqrt(self.norm2())
+        # hypot, unlike sqrt(norm2()), does not underflow for tiny components
+        return math.hypot(self.re, self.i, self.j, self.k)
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm2()
@@ -109,7 +111,7 @@ class Quaternion:
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return self * (1.0 / other)
+            return Quaternion(self.re / other, self.i / other, self.j / other, self.k / other)
         return NotImplemented
 
     # -- conversion --------------------------------------------------------
@@ -151,7 +153,7 @@ class PureQuaternion:
     im_k: float = 0.0
 
     def norm(self) -> float:
-        return math.sqrt(self.im_i ** 2 + self.im_j ** 2 + self.im_k ** 2)
+        return math.hypot(self.im_i, self.im_j, self.im_k)
 
     def as_quaternion(self) -> Quaternion:
         return Quaternion(0.0, self.im_i, self.im_j, self.im_k)
@@ -174,7 +176,7 @@ def radial_split(v: Quaternion) -> tuple[float, Quaternion]:
     rho = v.norm()
     if rho == 0.0:
         return 0.0, Quaternion(1.0)
-    return rho, v * (1.0 / rho)
+    return rho, v / rho  # 1 / rho overflows for subnormal rho
 
 
 def quaternion_from_json(obj) -> Quaternion:
@@ -197,26 +199,31 @@ def quaternion_from_json(obj) -> Quaternion:
 # ---------------------------------------------------------------------------
 
 def qprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion product, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    """Quaternion product, broadcasting over leading axes.
+
+    Computed on complex pairs: with ``q = z1 + z2 j`` and ``j z = conj(z) j``,
+    ``(a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj(b2)) + (a1 b2 + a2 conj(b1)) j``.
+    """
+    za = np.ascontiguousarray(a, dtype=float).view(complex)
+    zb = np.ascontiguousarray(b, dtype=float).view(complex)
+    a1, a2 = za[..., 0], za[..., 1]
+    b1, b2 = zb[..., 0], zb[..., 1]
+    z1 = a1 * b1 - a2 * b2.conj()
+    out = np.empty(z1.shape + (2,), dtype=complex)
+    out[..., 0] = z1
+    out[..., 1] = a1 * b2 + a2 * b1.conj()
+    return out.view(float)
 
 
 def qconj(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out[..., 1:] *= -1.0
     return out
+
+
+def qinv(a: np.ndarray) -> np.ndarray:
+    """Inverse ``conj(q) / |q|**2`` of each quaternion."""
+    return qconj(a) / qnorm2(a)[..., None]
 
 
 def qnorm2(a: np.ndarray) -> np.ndarray:

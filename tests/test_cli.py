@@ -70,10 +70,26 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_integral_size_exit_1(tmp_path, capsys):
+    entries = [[[1, 0, 0, 0]]]
+    for rows, cols in [(True, 1), (1, 1.9), (True, 1.9)]:
+        inp = write_json(tmp_path / "m.json", {"rows": rows, "cols": cols, "entries": entries})
+        assert cli.main(["ddet", "--input", inp]) == 1
+        assert "rows and cols must be integers" in capsys.readouterr().err
+
+
 def test_singular_input_exit_2(tmp_path, capsys):
     inp = write_json(tmp_path / "m.json", QMatrix.from_rows([[1, 1], [1, 1]]).to_json())
     assert cli.main(["decompose", "bruhat", "--input", inp]) == 2
     capsys.readouterr()
+
+
+def test_chart_boundary_exit_2(capsys):
+    # at rho = 1e11 the South chart's denominator 1/sqrt(1 + rho^2) is below CHART_EPS
+    argv = ["profile", "--rho-min", "1", "--rho-max", "1e11", "--steps", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "chart" in captured.err and captured.out == ""
 
 
 def test_ddet(tmp_path, capsys):

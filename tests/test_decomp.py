@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qflag.decomp import (
+    PIVOT_RTOL,
     bruhat,
     dieudonne_det,
     dress,
     iwasawa,
     leaf_signature,
 )
+from qflag.flags import cell_of
 from qflag.hmat import (
     Permutation,
     QMatrix,
@@ -20,6 +22,7 @@ from qflag.hmat import (
 from qflag.quat import J, K, ONE, Quaternion
 
 from util import (
+    gram_schmidt_iwasawa,
     in_vw,
     is_unit_upper,
     random_bruhat_factors,
@@ -160,6 +163,66 @@ def test_iwasawa_build_then_decompose():
         assert frob(k - k0) <= 1e-9
         assert frob(r - r0) <= 1e-9
         assert frob(u - u0) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_iwasawa_matches_gram_schmidt_oracle(n):
+    rng = np.random.default_rng(210 + n)
+    for _ in range(5):
+        g = random_invertible(n, rng)
+        for got, oracle in zip(iwasawa(g), gram_schmidt_iwasawa(g)):
+            assert frob(got - oracle) <= 1e-12 * frob(oracle)
+
+
+def test_iwasawa_unitary_on_ill_conditioned_input():
+    # A random RU factor at n = 32 is ill-conditioned.  K read off one row of
+    # each 2x2 block of LAPACK's Q loses unitarity to ~1e-12 here (and to
+    # 2e-10 on other draws); the projection onto the image of chi keeps ~4e-15.
+    from qflag.flags import random_ru
+
+    rng = np.random.default_rng(240)
+    for _ in range(3):
+        g = random_ru(32, rng) @ random_symplectic(32, rng)
+        k, r, u = iwasawa(g)
+        assert frob(k.conj_transpose() @ k - QMatrix.identity(32)) <= 1e-13
+        assert frob(k @ r @ u - g) <= 1e-13 * frob(g)
+
+
+@pytest.mark.parametrize("factor, singular", [(1.01, False), (0.99, True)])
+def test_iwasawa_breakdown_threshold(factor, singular):
+    # G = K diag(1, 1, r) has Iwasawa R = diag(1, 1, r) and ||G||_F ~ sqrt(2)
+    rng = np.random.default_rng(220)
+    k0 = random_symplectic(3, rng)
+    r = factor * PIVOT_RTOL * np.sqrt(2.0)
+    g = k0 @ QMatrix.diag([1, 1, r])
+    if singular:
+        with pytest.raises(SingularMatrixError):
+            iwasawa(g)
+    else:
+        k, rr, u = iwasawa(g)
+        assert abs(rr[2, 2].re / r - 1.0) <= 1e-4
+        assert frob(k - k0) <= 1e-5
+
+
+def _with_entry(m, value):
+    m = m.copy()
+    m.data[0, 1, 2] = value
+    return m
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompositions_reject_non_finite(bad):
+    rng = np.random.default_rng(230)
+    g, k = random_invertible(3, rng), random_symplectic(3, rng)
+    ru = QMatrix.from_rows([[1, 0.5, 0], [0, 2, 0], [0, 0, 1]])
+    for fn, args in [(bruhat, (_with_entry(g, bad),)),
+                     (iwasawa, (_with_entry(g, bad),)),
+                     (leaf_signature, (_with_entry(k, bad),)),
+                     (cell_of, (_with_entry(k, bad),)),
+                     (dress, (_with_entry(ru, bad), k)),
+                     (dress, (ru, _with_entry(k, bad)))]:
+        with pytest.raises(ValueError, match=f"{fn.__name__}: matrix has a non-finite entry"):
+            fn(*args)
 
 
 # -- dressing action --------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qflag.hmat import (
+    INV_COND_MAX,
     Permutation,
     QMatrix,
     SingularMatrixError,
@@ -17,7 +18,7 @@ from qflag.hmat import (
 )
 from qflag.quat import I, J, K, ONE, Quaternion
 
-from util import random_invertible
+from util import gauss_jordan_inverse, random_invertible
 
 
 def frob(m):
@@ -60,6 +61,42 @@ def test_inverse_singular_raises():
     m = QMatrix.from_rows([[1, 1], [1, 1]])
     with pytest.raises(SingularMatrixError):
         m.inverse()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_inverse_matches_gauss_jordan_oracle(n):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(5):
+        m = random_invertible(n, rng)
+        oracle = gauss_jordan_inverse(m)
+        assert frob(m.inverse() - oracle) <= 1e-12 * frob(oracle)
+
+
+@pytest.mark.parametrize("factor, singular", [(0.99, False), (1.01, True)])
+def test_inverse_condition_threshold(factor, singular):
+    # K diag(1, 1, eps J) K' has ||M||_F ||M^-1||_F = sqrt((2 + eps^2)(2 + eps^-2)),
+    # which is factor * INV_COND_MAX for the eps chosen here
+    c = factor * INV_COND_MAX
+    eps = np.sqrt(2.0) / c
+    rng = np.random.default_rng(210)
+    k1, k2 = random_symplectic(3, rng), random_symplectic(3, rng)
+    m = k1 @ QMatrix.diag([1, 1, J * eps]) @ k2
+    if singular:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+    else:
+        expect = k2.conj_transpose() @ QMatrix.diag([1, 1, J * (-1 / eps)]) @ k1.conj_transpose()
+        assert frob(m.inverse() - expect) <= 1e-3 * frob(expect)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inverse_and_expm_reject_non_finite(bad):
+    m = QMatrix.identity(3)
+    m.data[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="inverse: matrix has a non-finite entry"):
+        m.inverse()
+    with pytest.raises(ValueError, match="expm: matrix has a non-finite entry"):
+        expm(m)
 
 
 def test_is_symplectic_basic():
@@ -108,6 +145,9 @@ def test_qmatrix_json_round_trip():
     {"rows": 0, "cols": 1, "entries": []},
     {"rows": 1, "cols": 1, "entries": [[[1, 0, 0]]]},
     {"rows": 2, "cols": 1, "entries": [[[1, 0, 0, 0]]]},
+    {"rows": True, "cols": 1.9, "entries": [[[1, 0, 0, 0]]]},
+    {"rows": 1, "cols": 1.0, "entries": [[[1, 0, 0, 0]]]},
+    {"rows": "1", "cols": 1, "entries": [[[1, 0, 0, 0]]]},
 ])
 def test_qmatrix_json_rejects_malformed(bad):
     with pytest.raises(ValueError):

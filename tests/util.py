@@ -120,6 +120,83 @@ def schouten_oracle(p: Multivector, q: Multivector) -> Multivector:
     return Multivector(p.n, p.grade + q.grade - 1, out)
 
 
+# ---------------------------------------------------------------------------
+# Independent decomposition oracles: the hand-written Gauss-Jordan inverse and
+# modified Gram-Schmidt Iwasawa factorization that the LAPACK kernels on the
+# complex adjoint replaced.  They use their own Hamilton product, so they share
+# no arithmetic with the library's kernels.
+# ---------------------------------------------------------------------------
+
+def hamilton(a, b):
+    """Quaternion product of (..., 4) arrays from the 16-term Hamilton formula."""
+    aw, ax, ay, az = (a[..., i] for i in range(4))
+    bw, bx, by, bz = (b[..., i] for i in range(4))
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def _qinverse(q):
+    out = -q / np.sum(q * q)
+    out[0] = -out[0]
+    return out
+
+
+def gauss_jordan_inverse(m: QMatrix) -> QMatrix:
+    """Gauss-Jordan inverse with partial pivoting by left row operations.
+
+    Raises ValueError when a pivot is at most 1e-12 * ||M||_F.
+    """
+    n = m.n_rows
+    a = m.data.copy()
+    inv = QMatrix.identity(n).data
+    thresh = 1e-12 * m.frobenius()
+    for col in range(n):
+        mags = np.sqrt(np.sum(a[col:, col] ** 2, axis=-1))
+        piv = col + int(np.argmax(mags))
+        if mags[piv - col] <= thresh:
+            raise ValueError("oracle: singular to working precision")
+        a[[col, piv]] = a[[piv, col]]
+        inv[[col, piv]] = inv[[piv, col]]
+        p_inv = _qinverse(a[col, col])
+        a[col] = hamilton(p_inv, a[col])
+        inv[col] = hamilton(p_inv, inv[col])
+        for r in range(n):
+            if r != col:
+                c = a[r, col].copy()
+                a[r] -= hamilton(c, a[col])
+                inv[r] -= hamilton(c, inv[col])
+    return QMatrix(inv)
+
+
+def gram_schmidt_iwasawa(g: QMatrix):
+    """G = K R U by modified Gram-Schmidt on columns, twice per column.
+
+    Column j of G is sum_i column i of K times T[i, j] (coefficients on the
+    right, inner product <x, y> = sum conj(x_l) y_l); R = diag(T) and
+    U = R^{-1} T.
+    """
+    n = g.n_rows
+    k = g.data.copy()
+    t = np.zeros((n, n, 4))
+    for j in range(n):
+        for _ in range(2):
+            for i in range(j):
+                xc = k[:, i] * np.array([1.0, -1.0, -1.0, -1.0])
+                coef = hamilton(xc, k[:, j]).sum(axis=0)
+                k[:, j] -= hamilton(k[:, i], coef)
+                t[i, j] += coef
+        r = np.sqrt(np.sum(k[:, j] ** 2))
+        k[:, j] /= r
+        t[j, j, 0] = r
+    r = t[np.arange(n), np.arange(n), 0]
+    rr = QMatrix.diag([float(x) for x in r])
+    return QMatrix(k), rr, QMatrix(t / r[:, None, None])
+
+
 def random_multivector(n, grade, rng, nterms=4):
     from itertools import combinations
 
