@@ -33,8 +33,8 @@ __all__ = [
 # Relative pivot threshold.  In ``bruhat``, entries at most PIVOT_RTOL * ||G||_F
 # count as zero, so an input that close to a neighbouring cell is given that
 # cell's permutation type, and U D P_w V misses G by about the entries dropped;
-# ``iwasawa`` raises SingularMatrixError when a diagonal entry of R is at most
-# PIVOT_RTOL * ||G||_F.
+# ``iwasawa`` and ``dieudonne_det`` raise SingularMatrixError when a diagonal
+# entry of the QR factor R of chi(G) is at most PIVOT_RTOL * ||G||_F.
 PIVOT_RTOL = 1e-10
 
 
@@ -140,8 +140,19 @@ def dieudonne_det(g: QMatrix) -> float:
     The residue map H*/[H*, H*] = R_+ is realized as q -> |q| (so that
     det(diag(r)) = r for positive real r); the sign sgn(w) is absorbed
     because -1 is a commutator in H*.
+
+    Computed without the Bruhat form: |det chi(G)| = Ddet(G)^2 is the
+    product of |T_ii| over the triangular factor T of LAPACK's QR of
+    ``chi(G)``, summed as logarithms so that no partial product overflows.
+    Raises ``ValueError`` on a non-finite entry and
+    :class:`SingularMatrixError` when some |T_ii| is at most
+    ``PIVOT_RTOL * ||G||_F``, the breakdown rule of :func:`iwasawa`.
     """
-    return float(np.prod([q.norm() for q in bruhat(g).diagonal()]))
+    require_square_finite(g, "dieudonne_det")
+    mag = np.abs(np.diagonal(np.linalg.qr(chi(g.data), mode="r")))
+    if mag.min() <= PIVOT_RTOL * g.frobenius():
+        raise SingularMatrixError("matrix is singular: QR breakdown")
+    return float(np.exp(0.5 * np.sum(np.log(mag))))
 
 
 def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:

@@ -159,10 +159,9 @@ def pushforward_coeff(p: ChartPoint, mv: Multivector) -> float:
     if mv.grade != 4 or mv.n != 2:
         raise ValueError("pushforward expects a grade-4 multivector over sp(2)")
     jac = action_jacobian(p)
-    total = 0.0
-    for t, c in mv.coeffs.items():
-        total += c * float(np.linalg.det(jac[:, list(t)]))
-    return total
+    terms = np.array(list(mv.coeffs), dtype=np.intp).reshape(-1, 4)
+    coeffs = np.fromiter(mv.coeffs.values(), dtype=float, count=len(terms))
+    return float(np.linalg.det(jac[:, terms].transpose(1, 0, 2)) @ coeffs)
 
 
 def bruhat_field(p: ChartPoint) -> FieldSample:

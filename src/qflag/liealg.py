@@ -11,7 +11,13 @@ spheroid algebra (purely imaginary diagonal matrices).
 
 Multivectors are sparse: a grade-k element of the exterior algebra stores a
 map from strictly increasing k-tuples of basis indices to real coefficients,
-with coefficients below 1e-14 pruned after every operation.
+with coefficients below 1e-14 pruned after every operation.  The kernels work
+on whole arrays: ``wedge``, ``schouten`` and the Leibniz derivative write each
+product term as an unsorted index row, and one pass (:func:`_collect`) sorts
+the rows with the sign of the sort, drops repeats and merges equal rows.  The
+tables they read are built lazily and cached per n: a padded sparse table of
+structure constants, chi of the basis, ad_{B_c} Lambda for every c, and the
+k-subsets of the basis.
 
 The Schouten bracket follows the convention in which the three identities
 
@@ -31,12 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from .hmat import QMatrix, is_symplectic
-from .quat import qconj, qprod
+from .hmat import QMatrix, chi, is_symplectic, unchi
 
 __all__ = [
     "SpBasis",
@@ -52,7 +57,6 @@ __all__ = [
     "ad_group",
     "ad_group_matrix",
     "apply_exterior",
-    "wedge_tuples",
 ]
 
 PRUNE_TOL = 1e-14
@@ -147,37 +151,41 @@ def sp_basis(n: int) -> SpBasis:
     return SpBasis(n)
 
 
+@lru_cache(maxsize=None)
+def _struct_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded sparse structure constants, [B_a, B_b] = sum_s val[a, b, s] B_{col[a, b, s]},
+    with as many slots s as the fullest bracket has nonzeros; padding slots hold 0."""
+    st = sp_basis(n).struct
+    width = max(int(np.count_nonzero(st, axis=2).max()), 1)
+    col = np.argsort(st == 0, axis=2, kind="stable")[:, :, :width]  # nonzeros first
+    return col, np.take_along_axis(st, col, axis=2)
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivectors
 # ---------------------------------------------------------------------------
 
-def wedge_tuples(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Merge two strictly increasing tuples; returns (sorted tuple, sign).
-
-    Sign is the parity of the merge permutation; (0) when an index repeats.
-    """
-    if not t1:
-        return t2, 1
-    if not t2:
-        return t1, 1
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(t1) and j < len(t2):
-        a, b = t1[i], t2[j]
-        if a == b:
-            return (), 0
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (len(t1) - i) % 2:
-                sign = -sign
-    out.extend(t1[i:])
-    out.extend(t2[j:])
-    return tuple(out), sign
+def _collect(idx: np.ndarray, val: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Sum terms into a pruned dict.  Row r of ``idx`` (m, k) stands for
+    ``val[r]`` times the wedge of its basis elements in row order: it is sorted
+    with the sign of the sort, vanishes if it repeats an index, and equal rows
+    are merged."""
+    k = idx.shape[1]
+    if k > 1:
+        inversions = np.zeros(len(idx), dtype=np.intp)
+        for i in range(k - 1):
+            inversions += np.sum(idx[:, i, None] > idx[:, i + 1:], axis=1)
+        idx = np.sort(idx, axis=1)
+        keep = np.all(idx[:, 1:] != idx[:, :-1], axis=1)
+        idx, val = idx[keep], np.where(inversions % 2, -val, val)[keep]
+    order = np.lexsort(idx.T[::-1]) if k else slice(None)
+    idx, val = idx[order], val[order]
+    new = np.ones(len(idx), dtype=bool)
+    new[1:] = np.any(idx[1:] != idx[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    acc = np.add.reduceat(val, starts)
+    keep = np.abs(acc) > PRUNE_TOL
+    return dict(zip(map(tuple, idx[starts[keep]].tolist()), acc[keep].tolist()))
 
 
 @dataclass
@@ -199,24 +207,37 @@ class Multivector:
         self.coeffs = {t: c for t, c in self.coeffs.items() if abs(c) > PRUNE_TOL}
         return self
 
+    @classmethod
+    def _of(cls, n: int, grade: int, coeffs: dict) -> "Multivector":
+        """Wrap coefficients that are already pruned, skipping the prune."""
+        out = cls.__new__(cls)
+        out.n, out.grade, out.coeffs = n, grade, coeffs
+        return out
+
     def copy(self) -> "Multivector":
         return Multivector(self.n, self.grade, dict(self.coeffs))
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def is_zero(self, tol: float = PRUNE_TOL) -> bool:
-        return self.max_abs() <= tol
+        return max(map(abs, self.coeffs.values()), default=0.0)
 
     def __add__(self, other: "Multivector") -> "Multivector":
+        return self._merge(other, 1.0)
+
+    def __sub__(self, other: "Multivector") -> "Multivector":
+        return self._merge(other, -1.0)
+
+    def _merge(self, other: "Multivector", sign: float) -> "Multivector":
+        # both operands are pruned, so only the keys merged can need pruning;
+        # a dict merge is cheaper here than sorting index rows again
         self._check(other)
         out = dict(self.coeffs)
         for t, c in other.coeffs.items():
-            out[t] = out.get(t, 0.0) + c
-        return Multivector(self.n, self.grade, out)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + other.scale(-1.0)
+            v = out.get(t, 0.0) + sign * c
+            if abs(v) > PRUNE_TOL:
+                out[t] = v
+            else:
+                out.pop(t, None)
+        return Multivector._of(self.n, self.grade, out)
 
     def scale(self, r: float) -> "Multivector":
         return Multivector(self.n, self.grade, {t: c * r for t, c in self.coeffs.items()})
@@ -224,26 +245,38 @@ class Multivector:
     def wedge(self, other: "Multivector") -> "Multivector":
         if self.n != other.n:
             raise ValueError("mismatched n")
-        out: dict[tuple[int, ...], float] = {}
-        for t1, c1 in self.coeffs.items():
-            for t2, c2 in other.coeffs.items():
-                t, s = wedge_tuples(t1, t2)
-                if s:
-                    out[t] = out.get(t, 0.0) + s * c1 * c2
-        return Multivector(self.n, self.grade + other.grade, out)
+        i1, v1 = self._arrays()
+        i2, v2 = other._arrays()
+        rows = np.concatenate([np.repeat(i1, len(v2), axis=0), np.tile(i2, (len(v1), 1))],
+                              axis=1)
+        return Multivector._of(self.n, self.grade + other.grade,
+                               _collect(rows, np.outer(v1, v2).ravel()))
 
     def _check(self, other: "Multivector") -> None:
         if self.n != other.n or self.grade != other.grade:
             raise ValueError("mismatched n or grade")
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms as an (m, grade) index array and m coefficients."""
+        m, k = len(self.coeffs), self.grade
+        idx = np.fromiter(chain.from_iterable(self.coeffs), dtype=np.intp, count=m * k)
+        return idx.reshape(m, k), np.fromiter(self.coeffs.values(), dtype=float, count=m)
+
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For every (term, position), grade >= 1: the factor there, the rest
+        of the term, and the term's coefficient times (-1)^position."""
+        idx, val = self._arrays()
+        m, k = idx.shape
+        others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
+        signed = val[:, None] * np.where(np.arange(k) % 2, -1.0, 1.0)
+        return idx.ravel(), idx[:, others].reshape(m * k, k - 1), signed.ravel()
+
     def as_vector(self) -> np.ndarray:
         """Grade-1 only: dense coordinate vector over the basis."""
         if self.grade != 1:
             raise ValueError("as_vector requires grade 1")
-        v = np.zeros(sp_basis(self.n).dim)
-        for (c,), val in self.coeffs.items():
-            v[c] = val
-        return v
+        idx, val = self._arrays()
+        return np.bincount(idx[:, 0], weights=val, minlength=sp_basis(self.n).dim)
 
     # -- serialization -----------------------------------------------------
 
@@ -255,30 +288,24 @@ class Multivector:
 
     @staticmethod
     def from_json(obj) -> "Multivector":
+        """Inverse of :meth:`to_json`; unsorted names pick up the sign of their sort.
+        A term of the wrong length, repeating or unknown names raises ValueError."""
         n = int(obj["n"])
         grade = int(obj["grade"])
         basis = sp_basis(n)
-        coeffs: dict[tuple[int, ...], float] = {}
+        rows, vals = [], []
         for term in obj["terms"]:
-            idx = tuple(basis.index[nm] for nm in term["idx"])
-            srt = tuple(sorted(idx))
-            if len(set(idx)) != len(idx):
-                continue
-            _, sign = _sort_sign(idx)
-            coeffs[srt] = coeffs.get(srt, 0.0) + sign * float(term["c"])
-        return Multivector(n, grade, coeffs)
-
-
-def _sort_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    order = sorted(range(len(idx)), key=lambda a: idx[a])
-    sign = 1
-    seen = list(order)
-    for a in range(len(seen)):
-        while seen[a] != a:
-            b = seen[a]
-            seen[a], seen[b] = seen[b], seen[a]
-            sign = -sign
-    return tuple(idx[a] for a in order), sign
+            names = term["idx"]
+            if len(names) != grade:
+                raise ValueError(f"term {names}: {len(names)} factors, grade {grade}")
+            if any(nm not in basis.index for nm in names):
+                raise ValueError(f"term {names}: unknown basis element")
+            if len(set(names)) != grade:
+                raise ValueError(f"term {names}: repeated basis element")
+            rows.append([basis.index[nm] for nm in names])
+            vals.append(float(term["c"]))
+        idx = np.array(rows, dtype=np.intp).reshape(len(rows), grade)
+        return Multivector._of(n, grade, _collect(idx, np.array(vals, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,49 +318,26 @@ def lie_bracket(x: Multivector, y: Multivector) -> Multivector:
         raise ValueError("mismatched n")
     if x.grade != 1 or y.grade != 1:
         raise ValueError("lie_bracket expects grade-1 elements")
-    basis = sp_basis(x.n)
-    out: dict[tuple[int, ...], float] = {}
-    st = basis.struct
-    for (a,), ca in x.coeffs.items():
-        for (b,), cb in y.coeffs.items():
-            row = st[a, b]
-            for c in np.nonzero(row)[0]:
-                out[(int(c),)] = out.get((int(c),), 0.0) + ca * cb * row[c]
-    return Multivector(x.n, 1, out)
+    return schouten(x, y)
 
 
 def schouten(p: Multivector, q: Multivector) -> Multivector:
-    """Schouten bracket of multivectors (see module docstring for signs)."""
+    """Schouten bracket of multivectors (see module docstring for signs).
+
+    All factor pairs (x_a, y_b) are looked up in the sparse structure constants at
+    once; each component c of [x_a, y_b] gives the row (c, rest of x, rest of y)."""
     if p.n != q.n:
         raise ValueError("mismatched n")
     if p.grade == 0 or q.grade == 0:
         return Multivector.zero(p.n, max(p.grade + q.grade - 1, 0))
-    basis = sp_basis(p.n)
-    st = basis.struct
+    col, val = _struct_table(p.n)
+    a, rest_p, cp = p._factors()
+    b, rest_q, cq = q._factors()
+    i, j, s = np.nonzero(val[a[:, None], b[None, :]])
+    rows = np.concatenate([col[a[i], b[j], s][:, None], rest_p[i], rest_q[j]], axis=1)
     pref = -1.0 if p.grade % 2 == 0 else 1.0  # (-1)^{p+1}
-    out: dict[tuple[int, ...], float] = {}
-    for tp, cp in p.coeffs.items():
-        for tq, cq in q.coeffs.items():
-            for ai, a in enumerate(tp):
-                rest_p = tp[:ai] + tp[ai + 1:]
-                for bi, b in enumerate(tq):
-                    row = st[a, b]
-                    nz = np.nonzero(row)[0]
-                    if nz.size == 0:
-                        continue
-                    rest_q = tq[:bi] + tq[bi + 1:]
-                    rest, s_rest = wedge_tuples(rest_p, rest_q)
-                    if s_rest == 0:
-                        continue
-                    # (-1)^{a+b} with 1-based positions: ai+bi is 0-based
-                    sgn = pref * cp * cq * s_rest
-                    if (ai + bi) % 2:
-                        sgn = -sgn
-                    for c in nz:
-                        t, s = wedge_tuples((int(c),), rest)
-                        if s:
-                            out[t] = out.get(t, 0.0) + sgn * s * row[c]
-    return Multivector(p.n, p.grade + q.grade - 1, out)
+    coef = pref * cp[i] * cq[j] * val[a[i], b[j], s]
+    return Multivector._of(p.n, p.grade + q.grade - 1, _collect(rows, coef))
 
 
 def lambda_element(n: int) -> Multivector:
@@ -363,20 +367,15 @@ def ad_multivector(x: Multivector, p: Multivector) -> Multivector:
 
 
 def _leibniz_apply(a: np.ndarray, p: Multivector) -> Multivector:
-    """Derivative of the exterior power: replace one factor by its a-image."""
-    out: dict[tuple[int, ...], float] = {}
-    for t, c in p.coeffs.items():
-        for pos, idx in enumerate(t):
-            rest = t[:pos] + t[pos + 1:]
-            col = a[:, idx]
-            for new in np.nonzero(np.abs(col) > PRUNE_TOL)[0]:
-                tt, s = wedge_tuples((int(new),), rest)
-                if s:
-                    # moving the new factor back to `pos` costs (-1)^pos,
-                    # already absorbed by wedging it in front of `rest`
-                    sign = s if pos % 2 == 0 else -s
-                    out[tt] = out.get(tt, 0.0) + sign * c * col[new]
-    return Multivector(p.n, p.grade, out)
+    """Derivative of the exterior power: replace one factor by its a-image;
+    the factor at position pos gives the rows (new, rest) with sign (-1)^pos."""
+    if p.grade == 0:
+        return Multivector.zero(p.n, 0)
+    x, rest, coef = p._factors()
+    cols = a[:, x]
+    new, f = np.nonzero(np.abs(cols) > PRUNE_TOL)
+    rows = np.concatenate([new[:, None], rest[f]], axis=1)
+    return Multivector._of(p.n, p.grade, _collect(rows, coef[f] * cols[new, f]))
 
 
 def intrinsic_derivative(x: Multivector, n: int | None = None) -> Multivector:
@@ -393,17 +392,20 @@ class DualVector:
     coeffs: np.ndarray
 
     @staticmethod
-    def zero(n: int) -> "DualVector":
-        return DualVector(n, np.zeros(sp_basis(n).dim))
-
-    @staticmethod
     def basis_dual(name: str, n: int) -> "DualVector":
         v = np.zeros(sp_basis(n).dim)
         v[sp_basis(n).index[name]] = 1.0
         return DualVector(n, v)
 
-    def pair(self, x: Multivector) -> float:
-        return float(self.coeffs @ x.as_vector())
+
+@lru_cache(maxsize=None)
+def _intrinsic_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ad_{B_c} Lambda for every basis element c, as COO triples: the basis
+    element c, the 4-tuple of the term and its coefficient."""
+    basis = sp_basis(n)
+    parts = [intrinsic_derivative(basis.element(nm))._arrays() for nm in basis.names]
+    rows = np.repeat(np.arange(basis.dim), [len(v) for _, v in parts])
+    return rows, np.concatenate([t for t, _ in parts]), np.concatenate([v for _, v in parts])
 
 
 def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector,
@@ -416,89 +418,85 @@ def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector,
     n = z1.n if n is None else n
     if any(z.n != n for z in zs):
         raise ValueError("mismatched n")
-    basis = sp_basis(n)
+    rows, terms, coef = _intrinsic_table(n)
     zmat = np.stack([z.coeffs for z in zs])  # (4, N)
-    out = np.zeros(basis.dim)
-    for c in range(basis.dim):
-        dxi = intrinsic_derivative(basis.element(basis.names[c]))
-        total = 0.0
-        for t, coeff in dxi.coeffs.items():
-            total += coeff * float(np.linalg.det(zmat[:, list(t)]))
-        out[c] = total
-    return DualVector(n, out)
+    minors = np.linalg.det(zmat[:, terms].transpose(1, 0, 2))
+    return DualVector(n, np.bincount(rows, weights=coef * minors, minlength=sp_basis(n).dim))
 
 
 # ---------------------------------------------------------------------------
 # Group-level adjoint action
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _chi_basis(n: int) -> np.ndarray:
+    """chi of the basis laid side by side: [chi(B_1) | ... | chi(B_N)]."""
+    return chi(np.concatenate([m.data for m in sp_basis(n).mats], axis=1))
+
+
 def ad_group_matrix(g: QMatrix, tol: float = 1e-8) -> np.ndarray:
     """Matrix of Ad_g = g (.) g^{-1} on the basis of sp(n); g symplectic."""
     if not is_symplectic(g, tol=tol):
         raise ValueError("ad_group requires a symplectic g")
     basis = sp_basis(g.n_rows)
-    n = g.n_rows
-    # batched g B_c g* over all basis elements
-    bs = np.stack([m.data for m in basis.mats])  # (N, n, n, 4)
-    gb = qprod(g.data[None, :, :, None, :], bs[:, None, :, :, :]).sum(axis=2)
-    gstar = qconj(g.data).transpose(1, 0, 2)
-    gbg = qprod(gb[:, :, :, None, :], gstar[None, None, :, :, :]).sum(axis=2)
-    flat = gbg.reshape(basis.dim, -1)
+    N, m = basis.dim, 2 * g.n_rows
+    # g B_c g* for all c in two products: g [B_1 | ... | B_N], then its blocks stacked, times g*
+    cg = chi(g.data)
+    gb = (cg @ _chi_basis(g.n_rows)).reshape(m, N, m).swapaxes(0, 1).reshape(N * m, m)
+    flat = unchi(gb @ cg.conj().T).reshape(N, -1)
     return (flat @ basis._flat.T / basis._norm2).T
 
 
 def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     """Apply the grade-wise exterior power of a linear map to a multivector.
 
-    Sparse inputs are handled term by term (one batch of k x k minors per
-    term); inputs with many terms go through a dense antisymmetric tensor
-    and k successive tensordots, which is far cheaper than per-term minors.
+    Up to 32 terms, one Laplace expansion gives the k x k minors of every term
+    at once (cost ~ C(N, k) k per term); more terms go through a dense
+    antisymmetric tensor and k products with a (cost ~ k N^(k+1)).
     """
-    N = a.shape[0]
-    k = p.grade
+    N, k = a.shape[0], p.grade
     if k == 0:
         return p.copy()
-    combos = _combo_array(N, k)
-    if len(p.coeffs) <= 32:
-        acc = np.zeros(len(combos))
-        for t, c in p.coeffs.items():
-            cols = a[:, list(t)]            # (N, k)
-            minors = np.linalg.det(cols[combos])  # (n_out,)
-            acc += c * minors
+    idx, val = p._arrays()
+    if len(val) <= 32:
+        # Laplace expansion along the last column, for all terms at once:
+        # minors[r, t] is the minor of a on the rows of the r-th j-subset
+        # and the first j columns of term t
+        cols = a[:, idx]
+        minors = cols[:, :, 0]
+        for j in range(2, k + 1):
+            _, rows, drop = _subsets(N, j)
+            minors = sum((-1.0) ** (i + j - 1) * cols[rows[:, i], :, j - 1] * minors[drop[:, i]]
+                         for i in range(j))
+        acc = minors @ val
     else:
         dense = np.zeros((N,) * k)
-        idx = np.array(list(p.coeffs.keys()), dtype=int)       # (m, k)
-        val = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
-        for perm, sgn in _perm_signs(k):
-            dense[tuple(idx[:, j] for j in perm)] = sgn * val
+        for perm in permutations(range(k)):
+            sign = (-1.0) ** sum(x > y for x, y in combinations(perm, 2))
+            dense[tuple(idx[:, perm].T)] = sign * val
+        dense = dense.reshape(N, -1)
         for _ in range(k):
-            # contract one slot with a and rotate it to the back
-            dense = np.tensordot(a, dense, axes=(1, 0))
-            dense = np.moveaxis(dense, 0, k - 1)
-        acc = dense[tuple(combos[:, j] for j in range(k))]
-    out = {tuple(int(i) for i in combos[r]): float(acc[r])
-           for r in np.nonzero(np.abs(acc) > PRUNE_TOL)[0]}
-    return Multivector(p.n, k, out)
+            # contract the first slot with a and rotate it to the back
+            dense = (dense.T @ a.T).reshape(N, -1)
+        acc = dense.reshape((N,) * k)[tuple(_subsets(N, k)[1].T)]
+    tuples = _subsets(N, k)[0]
+    nz = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
+    return Multivector._of(p.n, k, dict(zip([tuples[r] for r in nz.tolist()],
+                                            acc[nz].tolist())))
 
 
 @lru_cache(maxsize=None)
-def _perm_signs(k: int) -> tuple:
-    from itertools import permutations as _perms
-
-    out = []
-    for perm in _perms(range(k)):
-        sgn = 1.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                if perm[i] > perm[j]:
-                    sgn = -sgn
-        out.append((perm, sgn))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _combo_array(N: int, k: int) -> np.ndarray:
-    return np.array(list(combinations(range(N), k)), dtype=int)
+def _subsets(N: int, k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The k-subsets of range(N) in lexicographic order, as tuples and as a
+    (C(N, k), k) array, and for k >= 2 the (C(N, k), k) table of the rank of
+    each subset without its i-th element among the (k - 1)-subsets."""
+    tuples = tuple(combinations(range(N), k))
+    drop = None
+    if k >= 2:
+        rank = {t: r for r, t in enumerate(_subsets(N, k - 1)[0])}
+        drop = np.array([[rank[t[:i] + t[i + 1:]] for i in range(k)] for t in tuples],
+                        dtype=np.intp).reshape(len(tuples), k)
+    return tuples, np.array(tuples, dtype=np.intp).reshape(len(tuples), k), drop
 
 
 def ad_group(g: QMatrix, p: Multivector, tol: float = 1e-8) -> Multivector:

@@ -22,6 +22,7 @@ from qflag.hmat import (
 from qflag.quat import J, K, ONE, Quaternion
 
 from util import (
+    bruhat_ddet,
     gram_schmidt_iwasawa,
     in_vw,
     is_unit_upper,
@@ -102,6 +103,19 @@ def test_bruhat_singular_raises():
 def test_ddet_examples():
     assert abs(dieudonne_det(QMatrix.diag([J, 2 * K])) - 2.0) <= 1e-12
     assert abs(dieudonne_det(QMatrix.identity(3)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_ddet_matches_bruhat_diagonal_oracle(n):
+    rng = np.random.default_rng(42 + n)
+    for _ in range(5):
+        g = random_invertible(n, rng)
+        assert abs(dieudonne_det(g) / bruhat_ddet(g) - 1.0) <= 1e-12
+
+
+def test_ddet_does_not_overflow_when_its_value_fits():
+    # |det chi(G)| = Ddet(G)^2 = 1e400 overflows; Ddet(G) = 1e200 does not
+    assert abs(dieudonne_det(QMatrix.diag([1e100, 1e100])) / 1e200 - 1.0) <= 1e-12
 
 
 def test_ddet_symplectic_is_one():
@@ -198,7 +212,10 @@ def test_iwasawa_breakdown_threshold(factor, singular):
     if singular:
         with pytest.raises(SingularMatrixError):
             iwasawa(g)
+        with pytest.raises(SingularMatrixError):
+            dieudonne_det(g)
     else:
+        assert abs(dieudonne_det(g) / r - 1.0) <= 1e-4
         k, rr, u = iwasawa(g)
         assert abs(rr[2, 2].re / r - 1.0) <= 1e-4
         assert frob(k - k0) <= 1e-5
@@ -216,6 +233,7 @@ def test_decompositions_reject_non_finite(bad):
     g, k = random_invertible(3, rng), random_symplectic(3, rng)
     ru = QMatrix.from_rows([[1, 0.5, 0], [0, 2, 0], [0, 0, 1]])
     for fn, args in [(bruhat, (_with_entry(g, bad),)),
+                     (dieudonne_det, (_with_entry(g, bad),)),
                      (iwasawa, (_with_entry(g, bad),)),
                      (leaf_signature, (_with_entry(k, bad),)),
                      (cell_of, (_with_entry(k, bad),)),

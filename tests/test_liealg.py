@@ -17,11 +17,21 @@ from qflag.liealg import (
     lie_bracket,
     schouten,
     sp_basis,
-    wedge_tuples,
 )
 from qflag.quat import Quaternion
 
-from util import random_multivector, random_unit_quaternion, schouten_oracle
+from util import (
+    ad_group_oracle,
+    apply_exterior_oracle,
+    four_bracket_oracle,
+    leibniz_oracle,
+    max_coeff_diff,
+    random_multivector,
+    random_unit_quaternion,
+    schouten_oracle,
+    wedge_oracle,
+    wedge_tuples,
+)
 
 UNITS = ("i", "j", "k")
 
@@ -139,6 +149,14 @@ def test_wedge_anticommutes_and_kills_repeats():
     assert lam.wedge(lam).max_abs() == 0.0  # repeated factors
 
 
+def test_sums_prune_cancelled_terms():
+    rng = np.random.default_rng(13)
+    p = random_multivector(3, 2, rng, nterms=6)
+    assert (p - p).coeffs == {} and (p + p.scale(-1.0)).coeffs == {}
+    q = Multivector(3, 2, {t: c + 1e-15 for t, c in p.coeffs.items()})
+    assert (q - p).coeffs == {}
+
+
 def test_multivector_json_round_trip():
     rng = np.random.default_rng(2)
     p = random_multivector(3, 3, rng, nterms=6)
@@ -150,6 +168,20 @@ def test_multivector_json_round_trip():
            "terms": [{"idx": [b.names[1], b.names[0]], "c": 1.0}]}
     q = Multivector.from_json(obj)
     assert q.coeffs == {(0, 1): -1.0}
+
+
+@pytest.mark.parametrize("idx, match", [
+    (["E(1,2)", "E(1,2)"], "repeated basis element"),
+    (["E(1,2)"], "1 factors, grade 2"),
+    (["E(1,2)", "S(i;1,2)", "S(j;1,2)"], "3 factors, grade 2"),
+    (["E(1,2)", "X(1,2)"], "unknown basis element"),
+])
+def test_multivector_json_rejects_malformed_terms(idx, match):
+    obj = {"n": 2, "grade": 2, "terms": [{"idx": ["E(1,2)", "S(k;1,2)"], "c": 1.0},
+                                         {"idx": idx, "c": 2.0}]}
+    with pytest.raises(ValueError, match=match) as err:
+        Multivector.from_json(obj)
+    assert str(idx) in str(err.value)
 
 
 def test_lambda_element_structure():
@@ -300,3 +332,71 @@ def test_apply_exterior_dense_and_sparse_paths_agree():
         acc = acc + apply_exterior(a, Multivector(2, 3, {t: c}))  # sparse path
     dense = apply_exterior(a, big)
     assert (dense - acc).max_abs() <= 1e-10 * max(1.0, dense.max_abs())
+
+
+# -- array kernels against the per-term oracles ------------------------------
+
+ORACLE_TOL = 1e-12
+
+
+def _sizes(n, rng):
+    """Random multivectors of grades 0-4 with 0-5 terms over sp(n)."""
+    return [random_multivector(n, k, rng, nterms=int(rng.integers(0, 6))) for k in range(5)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wedge_and_schouten_match_oracles(n):
+    rng = np.random.default_rng(20 + n)
+    for _ in range(3):
+        mvs = _sizes(n, rng)
+        for p in mvs:
+            for q in mvs:
+                assert max_coeff_diff(p.wedge(q), wedge_oracle(p, q)) <= ORACLE_TOL
+                br = schouten(p, q)
+                assert br.grade == max(p.grade + q.grade - 1, 0)
+                assert max_coeff_diff(br, schouten_oracle(p, q)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_leibniz_and_apply_exterior_match_oracles(n):
+    rng = np.random.default_rng(30 + n)
+    b = sp_basis(n)
+    x = random_multivector(n, 1, rng, nterms=3)
+    maps = (b.ad_matrix(x.as_vector()), ad_group_matrix(random_symplectic(n, rng)),
+            rng.normal(size=(b.dim, b.dim)))
+    for p in _sizes(n, rng) + [Multivector.zero(n, k) for k in range(5)]:
+        assert max_coeff_diff(ad_multivector(x, p), leibniz_oracle(maps[0], p)) <= ORACLE_TOL
+        for a in maps:
+            got, expect = apply_exterior(a, p), apply_exterior_oracle(a, p)
+            assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
+
+
+@pytest.mark.parametrize("n, grade", [(2, 2), (2, 4), (3, 3), (4, 1), (4, 4)])
+@pytest.mark.parametrize("nterms", [32, 33])
+def test_apply_exterior_both_branches_match_oracle(n, grade, nterms):
+    # up to 32 terms a Laplace expansion of the minors, beyond a dense tensor
+    rng = np.random.default_rng(40 + n + grade)
+    a = rng.normal(size=(sp_basis(n).dim,) * 2)
+    p = random_multivector(n, grade, rng, nterms=nterms)
+    expect = apply_exterior_oracle(a, p)
+    diff = max_coeff_diff(apply_exterior(a, p), expect)
+    assert diff <= ORACLE_TOL * max(1.0, expect.max_abs())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_four_bracket_matches_oracle(n):
+    rng = np.random.default_rng(50 + n)
+    dim = sp_basis(n).dim
+    for _ in range(3):
+        zs = [DualVector(n, rng.normal(size=dim)) for _ in range(4)]
+        expect = four_bracket_oracle(zs, n)
+        got = four_bracket(*zs).coeffs
+        assert np.max(np.abs(got - expect)) <= ORACLE_TOL * max(1.0, np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_ad_group_matrix_matches_hamilton_oracle(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        g = random_symplectic(n, rng)
+        assert np.max(np.abs(ad_group_matrix(g) - ad_group_oracle(g))) <= ORACLE_TOL

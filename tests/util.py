@@ -1,10 +1,13 @@
 """Shared helpers for the test suite: random factor builders and independent
 oracles implemented separately from the library code they check."""
 
+from itertools import combinations
+
 import numpy as np
 
+from qflag.decomp import bruhat
 from qflag.hmat import Permutation, QMatrix
-from qflag.liealg import Multivector, sp_basis, wedge_tuples
+from qflag.liealg import Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion
 
 
@@ -79,6 +82,114 @@ def in_vw(v: QMatrix, w: Permutation, tol=1e-12) -> bool:
             if conj[i, j].norm() > tol:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Per-term exterior-algebra oracles: the term-by-term loops that the library's
+# array kernels replaced, on dicts of sorted tuples.
+# ---------------------------------------------------------------------------
+
+def wedge_tuples(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Merge two strictly increasing tuples; returns (sorted tuple, sign).
+
+    Sign is the parity of the merge permutation; (0) when an index repeats.
+    """
+    if not t1:
+        return t2, 1
+    if not t2:
+        return t1, 1
+    out = []
+    sign = 1
+    i = j = 0
+    while i < len(t1) and j < len(t2):
+        a, b = t1[i], t2[j]
+        if a == b:
+            return (), 0
+        if a < b:
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+            if (len(t1) - i) % 2:
+                sign = -sign
+    out.extend(t1[i:])
+    out.extend(t2[j:])
+    return tuple(out), sign
+
+
+def wedge_oracle(p: Multivector, q: Multivector) -> Multivector:
+    out = {}
+    for t1, c1 in p.coeffs.items():
+        for t2, c2 in q.coeffs.items():
+            t, s = wedge_tuples(t1, t2)
+            if s:
+                out[t] = out.get(t, 0.0) + s * c1 * c2
+    return Multivector(p.n, p.grade + q.grade, out)
+
+
+def leibniz_oracle(a: np.ndarray, p: Multivector) -> Multivector:
+    """Derivative of the exterior power: replace one factor by its a-image."""
+    out = {}
+    for t, c in p.coeffs.items():
+        for pos, idx in enumerate(t):
+            rest = t[:pos] + t[pos + 1:]
+            col = a[:, idx]
+            for new in np.nonzero(np.abs(col) > 1e-14)[0]:
+                tt, s = wedge_tuples((int(new),), rest)
+                if s:
+                    # moving the new factor back to `pos` costs (-1)^pos
+                    sign = s if pos % 2 == 0 else -s
+                    out[tt] = out.get(tt, 0.0) + sign * c * col[new]
+    return Multivector(p.n, p.grade, out)
+
+
+def apply_exterior_oracle(a: np.ndarray, p: Multivector) -> Multivector:
+    """Each term t contributes c_t * det(a[S, t]) to every k-subset S."""
+    k = p.grade
+    if k == 0:
+        return p.copy()
+    subsets = list(combinations(range(a.shape[0]), k))
+    rows = np.array(subsets)
+    acc = np.zeros(len(subsets))
+    for t, c in p.coeffs.items():
+        acc += c * np.linalg.det(a[:, list(t)][rows])
+    return Multivector(p.n, k, {subsets[r]: float(acc[r]) for r in range(len(subsets))})
+
+
+def four_bracket_oracle(zs, n: int) -> np.ndarray:
+    """<z1^z2^z3^z4, ad_X Lambda> for each basis element X, one at a time."""
+    basis = sp_basis(n)
+    lam = lambda_element(n)
+    zmat = np.stack([z.coeffs for z in zs])
+    out = np.zeros(basis.dim)
+    for c in range(basis.dim):
+        dxi = leibniz_oracle(basis.ad_matrix(np.eye(basis.dim)[c]), lam)
+        out[c] = sum(coeff * float(np.linalg.det(zmat[:, list(t)]))
+                     for t, coeff in dxi.coeffs.items())
+    return out
+
+
+def ad_group_oracle(g: QMatrix) -> np.ndarray:
+    """Matrix of Ad_g on the basis, from Hamilton products g B_c g*."""
+    basis = sp_basis(g.n_rows)
+    gstar = g.conj_transpose().data
+    cols = []
+    for m in basis.mats:
+        gb = hamilton(g.data[:, :, None], m.data[None, :, :]).sum(axis=1)
+        cols.append(basis.project(QMatrix(hamilton(gb[:, :, None], gstar[None]).sum(axis=1))))
+    return np.stack(cols, axis=1)
+
+
+def bruhat_ddet(g: QMatrix) -> float:
+    """Dieudonne determinant as the product of |d_i| over the Bruhat diagonal."""
+    return float(np.prod([q.norm() for q in bruhat(g).diagonal()]))
+
+
+def max_coeff_diff(p: Multivector, q: Multivector) -> float:
+    """Largest coefficient difference, over the union of the terms."""
+    return max((abs(p.coeffs.get(t, 0.0) - q.coeffs.get(t, 0.0))
+                for t in set(p.coeffs) | set(q.coeffs)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +309,6 @@ def gram_schmidt_iwasawa(g: QMatrix):
 
 
 def random_multivector(n, grade, rng, nterms=4):
-    from itertools import combinations
-
     basis = sp_basis(n)
     combos = list(combinations(range(basis.dim), grade))
     picks = rng.choice(len(combos), size=min(nterms, len(combos)), replace=False)
@@ -223,11 +332,11 @@ def embed_multivector(p: Multivector, r: int, n: int) -> Multivector:
         pp, qq = rest.split(",")
         return f"S({x};{int(pp) + r},{int(qq) + r})"
 
-    out = Multivector.zero(n, p.grade)
+    out = {}
     for t, c in p.coeffs.items():
-        term = Multivector(n, 0, {(): c})
+        img, sign = (), 1
         for idx in t:
-            img = bn.index[shift(b2.names[idx])]
-            term = term.wedge(Multivector(n, 1, {(img,): 1.0}))
-        out = out + term
-    return out
+            img, s = wedge_tuples(img, (bn.index[shift(b2.names[idx])],))
+            sign *= s
+        out[img] = out.get(img, 0.0) + sign * c
+    return Multivector(n, p.grade, out)
