@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
@@ -31,41 +30,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 
+# The default tolerance of each verification suite.
 DEFAULT_TOLERANCES = {
     "schouten_identity": 1e-10,
     "lambda_vanishing": 1e-12,
     "spheroid_invariance": 1e-12,
     "profile_ratio": 1e-6,
-    "direction_spread": 1e-9,
     "phase_deviation": 1e-8,
-    "multiplicativity": 1e-10,
 }
-
-
-@dataclass
-class Config:
-    """Run configuration; unknown tolerance keys are rejected."""
-
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    seed: int = 0
-    output_path: str | None = None
-
-    @staticmethod
-    def from_dict(obj: dict) -> "Config":
-        cfg = Config()
-        for key, val in obj.items():
-            if key == "seed":
-                cfg.seed = int(val)
-            elif key == "output_path":
-                cfg.output_path = str(val)
-            elif key == "tolerances":
-                for name, tol in val.items():
-                    if name not in DEFAULT_TOLERANCES:
-                        raise ValueError(f"unknown tolerance key: {name}")
-                    cfg.tolerances[name] = float(tol)
-            else:
-                raise ValueError(f"unknown config key: {key}")
-        return cfg
 
 
 def _default_seed() -> int:
@@ -182,7 +154,8 @@ def _random_multivector(n: int, grade: int, rng, nterms: int = 4) -> liealg.Mult
     return liealg.Multivector(n, grade, {combos[i]: float(rng.normal()) for i in picks})
 
 
-def suite_schouten(n: int, seed: int, tol: float = 1e-10, trials: int = 25) -> dict:
+def suite_schouten(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["schouten_identity"],
+                   trials: int = 25) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -204,7 +177,7 @@ def suite_schouten(n: int, seed: int, tol: float = 1e-10, trials: int = 25) -> d
             "max_residual": worst, "ok": worst <= tol}
 
 
-def suite_lambda(n: int, seed: int, tol: float = 1e-12) -> dict:
+def suite_lambda(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["lambda_vanishing"]) -> dict:
     lam = liealg.lambda_element(n)
     br = liealg.schouten(lam, lam)
     if n == 2:
@@ -215,7 +188,8 @@ def suite_lambda(n: int, seed: int, tol: float = 1e-12) -> dict:
             "bracket_max_coeff": br.max_abs(), "ok": bool(ok)}
 
 
-def suite_spheroid(n: int, seed: int, tol: float = 1e-12, trials: int = 50) -> dict:
+def suite_spheroid(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["spheroid_invariance"],
+                   trials: int = 50) -> dict:
     rng = np.random.default_rng(seed)
     basis = liealg.sp_basis(n)
     lam = liealg.lambda_element(n)
@@ -228,7 +202,7 @@ def suite_spheroid(n: int, seed: int, tol: float = 1e-12, trials: int = 50) -> d
             "max_residual": worst, "ok": worst <= tol}
 
 
-def suite_hp1(n: int, seed: int, tol: float = 1e-6) -> dict:
+def suite_hp1(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["profile_ratio"]) -> dict:
     rhos = [0.1, 0.25, 0.5, 1.0, 2.0, 3.0]
     rows = list(hp1geom.radial_profile(rhos, directions=5, seed=seed))
     worst = max(row["abs_err"] / row["expected_ratio"] for row in rows)
@@ -259,7 +233,8 @@ def _reduced_words(n: int):
         yield Permutation(perm).reduced_word()
 
 
-def suite_dressing(n: int, seed: int, tol: float = 1e-8, samples: int = 100) -> dict:
+def suite_dressing(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["phase_deviation"],
+                   samples: int = 100) -> dict:
     rng = np.random.default_rng(seed)
     w = Permutation.longest(n)
     sigma = [Quaternion.from_array(x) for x in rng.normal(size=(n, 4))]

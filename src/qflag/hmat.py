@@ -40,30 +40,30 @@ class SingularMatrixError(ValueError):
 
 
 def chi(d: np.ndarray) -> np.ndarray:
-    """Complex adjoint of a ``(rows, cols, 4)`` quaternion array.
+    """Complex adjoint of a ``(..., rows, cols, 4)`` quaternion array.
 
     Entry ``q = z1 + z2 j`` becomes the interleaved 2x2 block ``[[z1, z2],
     [-conj(z2), conj(z1)]]``: an injective algebra homomorphism with
     ``chi(M*) = chi(M)^H`` (F. Zhang, Linear Algebra Appl. 251, 1997)."""
-    z = np.ascontiguousarray(d, dtype=float).view(complex)  # (rows, cols, 2)
-    rows, cols = z.shape[:2]
-    out = np.empty((rows, 2, cols, 2), dtype=complex)
-    out[:, 0] = z
-    out[:, 1, :, 0] = -z[..., 1].conj()
-    out[:, 1, :, 1] = z[..., 0].conj()
-    return out.reshape(2 * rows, 2 * cols)
+    z = np.ascontiguousarray(d, dtype=float).view(complex)  # (..., rows, cols, 2)
+    *lead, rows, cols = z.shape[:-1]
+    out = np.empty((*lead, rows, 2, cols, 2), dtype=complex)
+    out[..., 0, :, :] = z
+    out[..., 1, :, 0] = -z[..., 1].conj()
+    out[..., 1, :, 1] = z[..., 0].conj()
+    return out.reshape(*lead, 2 * rows, 2 * cols)
 
 
 def unchi(c: np.ndarray) -> np.ndarray:
-    """Nearest quaternion array to a complex ``(2 rows, 2 cols)`` matrix.
+    """Nearest quaternion array to a complex ``(..., 2 rows, 2 cols)`` array.
 
     The orthogonal projection onto the image of :func:`chi`: the ``(z1, z2)``
     of each 2x2 block, read from both of its rows and averaged.  Reading one
     row would keep the cond(G) * eps drift of a LAPACK factor of ``chi(G)``
     off that image, and cost a unitary factor its unitarity.
     """
-    blocks = c.reshape(c.shape[0] // 2, 2, -1, 2)
-    z = (blocks[:, 0] + blocks[:, 1, :, ::-1].conj() * (1, -1)) / 2
+    blocks = c.reshape(*c.shape[:-2], c.shape[-2] // 2, 2, c.shape[-1] // 2, 2)
+    z = (blocks[..., 0, :, :] + blocks[..., 1, :, ::-1].conj() * (1, -1)) / 2
     return z.view(float)
 
 

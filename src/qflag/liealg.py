@@ -41,7 +41,7 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from .hmat import QMatrix, chi, is_symplectic, unchi
+from .hmat import QMatrix, chi, unchi
 
 __all__ = [
     "SpBasis",
@@ -100,9 +100,10 @@ class SpBasis:
         assert self.dim == n * (2 * n + 1)
         self.spheroid_indices = tuple(c for c, nm in enumerate(names) if nm.startswith("Dg"))
 
-        # Flat basis array: the real pairing <A, B> = Re tr(A* B) equals the
-        # Euclidean inner product of the flattened component arrays.
-        self._flat = np.stack([m.data.reshape(-1) for m in mats])  # (N, n*n*4)
+        # The basis matrices stacked.  Flattened, the real pairing
+        # <A, B> = Re tr(A* B) is the Euclidean inner product of the rows.
+        self.data = np.stack([m.data for m in mats])  # (N, n, n, 4)
+        self._flat = self.data.reshape(self.dim, -1)
         self._norm2 = np.sum(self._flat * self._flat, axis=1)
 
         self._struct: np.ndarray | None = None
@@ -434,17 +435,27 @@ def _chi_basis(n: int) -> np.ndarray:
     return chi(np.concatenate([m.data for m in sp_basis(n).mats], axis=1))
 
 
-def ad_group_matrix(g: QMatrix, tol: float = 1e-8) -> np.ndarray:
-    """Matrix of Ad_g = g (.) g^{-1} on the basis of sp(n); g symplectic."""
-    if not is_symplectic(g, tol=tol):
+def ad_group_matrix(g, tol: float = 1e-8) -> np.ndarray:
+    """Matrix of Ad_g = g (.) g^{-1} on the basis of sp(n); g symplectic.
+
+    ``g`` is a :class:`QMatrix` or a ``(..., n, n, 4)`` array of them, giving
+    an ``(N, N)`` or ``(..., N, N)`` result; ``ValueError`` unless every g
+    has ``||g* g - I||_F <= tol``."""
+    data = g.data if isinstance(g, QMatrix) else np.asarray(g, dtype=float)
+    lead, n = data.shape[:-3], data.shape[-2]
+    if data.shape[-3] != n:
+        raise ValueError("ad_group requires a square g")
+    basis = sp_basis(n)
+    N, m = basis.dim, 2 * n
+    cg = chi(data)
+    cgh = cg.conj().swapaxes(-1, -2)
+    # chi doubles the squared Frobenius norm; "not <=" also catches NaN
+    if not np.all(np.sum(np.abs(cgh @ cg - np.eye(m)) ** 2, axis=(-2, -1)) <= 2 * tol * tol):
         raise ValueError("ad_group requires a symplectic g")
-    basis = sp_basis(g.n_rows)
-    N, m = basis.dim, 2 * g.n_rows
     # g B_c g* for all c in two products: g [B_1 | ... | B_N], then its blocks stacked, times g*
-    cg = chi(g.data)
-    gb = (cg @ _chi_basis(g.n_rows)).reshape(m, N, m).swapaxes(0, 1).reshape(N * m, m)
-    flat = unchi(gb @ cg.conj().T).reshape(N, -1)
-    return (flat @ basis._flat.T / basis._norm2).T
+    gb = (cg @ _chi_basis(n)).reshape(*lead, m, N, m).swapaxes(-3, -2).reshape(*lead, N * m, m)
+    flat = unchi(gb @ cgh).reshape(*lead, N, 4 * n * n)
+    return (flat @ basis._flat.T / basis._norm2).swapaxes(-1, -2)
 
 
 def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:

@@ -228,4 +228,4 @@ def qinv(a: np.ndarray) -> np.ndarray:
 
 def qnorm2(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    return np.sum(a * a, axis=-1)
+    return (a * a).sum(axis=-1)

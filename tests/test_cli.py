@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -15,14 +16,10 @@ def write_json(path, obj):
     return str(path)
 
 
-def test_config_rejects_unknown_keys():
-    cfg = cli.Config.from_dict({"seed": 7, "tolerances": {"profile_ratio": 1e-5}})
-    assert cfg.seed == 7
-    assert cfg.tolerances["profile_ratio"] == 1e-5
-    with pytest.raises(ValueError):
-        cli.Config.from_dict({"tolerances": {"bogus": 1.0}})
-    with pytest.raises(ValueError):
-        cli.Config.from_dict({"bogus": 1})
+def test_suite_tolerances_come_from_one_table():
+    defaults = [inspect.signature(fn).parameters["tol"].default
+                for fn in cli.SUITES.values() if "tol" in inspect.signature(fn).parameters]
+    assert sorted(defaults) == sorted(cli.DEFAULT_TOLERANCES.values())
 
 
 def test_qflag_seed_fallback(monkeypatch):

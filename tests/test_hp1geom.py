@@ -5,6 +5,7 @@ import pytest
 
 from qflag.hmat import QMatrix, expm, is_symplectic
 from qflag.hp1geom import (
+    CHART_EPS,
     Chart,
     ChartBoundaryError,
     ChartPoint,
@@ -22,11 +23,23 @@ from qflag.hp1geom import (
     radial_profile,
     rank_at,
     south_coord,
+    _bruhat_coeffs,
+    _coset_reps,
+    _jacobians,
+    _pushforward,
 )
 from qflag.liealg import Multivector, sp_basis
 from qflag.quat import Quaternion
 
-from util import random_multivector, random_quaternion, random_unit_quaternion
+from util import (
+    bruhat_field_oracle,
+    coset_rep_oracle,
+    jacobian_oracle,
+    pushforward_oracle,
+    random_multivector,
+    random_quaternion,
+    random_unit_quaternion,
+)
 
 
 def south(*comps):
@@ -139,11 +152,85 @@ def test_pushforward_linearity_and_kernel():
     assert abs(pushforward_coeff(p, p4)) <= 1e-9
 
 
+# -- the batched path against the per-point oracle ----------------------------
+
+def rel_err(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / max(1.0, np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("chart", list(Chart))
+def test_batch_of_one_matches_oracle(chart):
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        q = random_quaternion(rng)
+        p = ChartPoint(chart, q * (float(rng.uniform(0.1, 3.0)) / q.norm()))
+        assert rel_err(coset_rep(p).data, coset_rep_oracle(p).data) <= 1e-12
+        assert rel_err(action_jacobian(p), jacobian_oracle(p, "action")) <= 1e-12
+        assert rel_err(flow_jacobian(p), jacobian_oracle(p, "flow")) <= 1e-12
+        mv = random_multivector(2, 4, rng, nterms=6)
+        assert rel_err(pushforward_coeff(p, mv), pushforward_oracle(p, mv)) <= 1e-12
+        want = bruhat_field_oracle(p)
+        assert abs(bruhat_field(p).coeff - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("chart", list(Chart))
+def test_batch_matches_oracle_row_by_row(chart):
+    rng = np.random.default_rng(31)
+    dirs = rng.normal(size=(12, 4))
+    coords = dirs * (rng.uniform(0.1, 3.0, size=12) / np.linalg.norm(dirs, axis=1))[:, None]
+    points = [ChartPoint(chart, Quaternion.from_array(c)) for c in coords]
+    reps = _coset_reps(chart, coords)
+    action = _jacobians(chart, reps, "action")
+    flow = _jacobians(chart, reps, "flow")
+    coeffs = _bruhat_coeffs(chart, reps)[0]
+    mv = random_multivector(2, 4, rng, nterms=6)
+    pushed = _pushforward(action, mv)
+    assert reps.shape == (12, 2, 2, 4) and action.shape == flow.shape == (12, 4, 10)
+    for r, p in enumerate(points):
+        assert rel_err(reps[r], coset_rep_oracle(p).data) <= 1e-12
+        assert rel_err(action[r], jacobian_oracle(p, "action")) <= 1e-12
+        assert rel_err(flow[r], jacobian_oracle(p, "flow")) <= 1e-12
+        assert rel_err(pushed[r], pushforward_oracle(p, mv)) <= 1e-12
+        want = bruhat_field_oracle(p)
+        assert abs(coeffs[r] - want) <= 1e-12 * abs(want)
+
+
+def test_chart_eps_edge_fails_the_whole_batch():
+    # On coset_rep the North chart divides by |M22| = 1/sqrt(1 + rho^2); put
+    # one point just inside CHART_EPS and one just outside.
+    direction = np.array([0.5, -0.5, 0.5, 0.5])
+    rhos = [np.sqrt(1.0 / (CHART_EPS * f) ** 2 - 1.0) for f in (1.0 + 1e-6, 1.0 - 1e-6)]
+    coords = np.array([rho * direction for rho in rhos])
+    reps = _coset_reps(Chart.NORTH, coords)
+    m22 = np.linalg.norm(reps[:, 1, 1], axis=1)
+    assert m22[0] > CHART_EPS >= m22[1]
+    inside = _bruhat_coeffs(Chart.NORTH, reps[:1])[0]
+    assert np.isfinite(inside).all() and inside[0] != 0.0
+    for side in ("action", "flow"):
+        assert np.isfinite(_jacobians(Chart.NORTH, reps[:1], side)).all()
+        with pytest.raises(ChartBoundaryError):
+            _jacobians(Chart.NORTH, reps, side)
+    with pytest.raises(ChartBoundaryError):
+        _bruhat_coeffs(Chart.NORTH, reps)
+    with pytest.raises(ChartBoundaryError):
+        rank_at(ChartPoint.north(Quaternion.from_array(coords[1])))
+    # a profile holding one point beyond the edge yields no row at all
+    rows = []
+    with pytest.raises(ChartBoundaryError):
+        for row in radial_profile([1.0, rhos[1]], directions=2, seed=0):
+            rows.append(row)
+    assert rows == []
+
+
 # -- the Bruhat field --------------------------------------------------------
 
 def test_field_vanishes_at_north_pole():
+    # exactly: rank_at(north) == 0 relies on it, and fourvector_rank counts any nonzero f
     sample = bruhat_field(ChartPoint.north(Quaternion()))
-    assert abs(sample.coeff) <= 1e-10
+    assert sample.coeff == 0.0
+    coords = np.array([[0.5, 0.1, -0.2, 0.3], [0.0, 0.0, 0.0, 0.0]])
+    coeffs = _bruhat_coeffs(Chart.NORTH, _coset_reps(Chart.NORTH, coords))[0]
+    assert coeffs[1] == 0.0 and coeffs[0] != 0.0
     with pytest.raises(ZeroDivisionError):
         sample.dual_coeff
 
@@ -259,6 +346,16 @@ def test_lie_derivative_trivial_cases():
     b = sp_basis(2)
     sph = Multivector(2, 1, {(int(b.spheroid_indices[0]),): 1.0})
     assert lie_derivative_check(p, sph) <= 1e-3
+
+
+def test_lie_derivative_fourth_order_on_criterion_10_pairs():
+    # the (p, X) pairs of acceptance criterion 10, whose bound stays 1e-3
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        v = random_quaternion(rng)
+        v = v * (float(rng.uniform(0.3, 1.5)) / v.norm())
+        x = random_multivector(2, 1, rng, nterms=4)
+        assert lie_derivative_check(ChartPoint.south(v), x) <= 1e-8
 
 
 def test_lie_derivative_random():

@@ -1,12 +1,14 @@
 """Shared helpers for the test suite: random factor builders and independent
 oracles implemented separately from the library code they check."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from qflag.decomp import bruhat
 from qflag.hmat import Permutation, QMatrix
+from qflag.hp1geom import Chart, ChartPoint
 from qflag.liealg import Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion
 
@@ -340,3 +342,52 @@ def embed_multivector(p: Multivector, r: int, n: int) -> Multivector:
             sign *= s
         out[img] = out.get(img, 0.0) + sign * c
     return Multivector(n, p.grade, out)
+
+
+# ---------------------------------------------------------------------------
+# Chart geometry on HP^1 one point at a time, on Quaternion objects: the
+# per-point algorithm that the batched hp1geom path replaced.  Products of
+# matrices use the Hamilton product above.
+# ---------------------------------------------------------------------------
+
+def coset_rep_oracle(p: ChartPoint) -> QMatrix:
+    c = p.coord
+    s = 1.0 / math.sqrt(1.0 + c.norm2())
+    if p.chart is Chart.SOUTH:
+        rows = [[-c.conj() * s, Quaternion(s)], [Quaternion(s), c * s]]
+    else:
+        rows = [[Quaternion(s), -c.conj() * s], [c * s, Quaternion(s)]]
+    return QMatrix.from_rows(rows)
+
+
+def chart_derivative_oracle(m: QMatrix, mdot: QMatrix, chart: Chart) -> Quaternion:
+    """Derivative of the chart coordinate a^{-1} b along a curve with velocity mdot."""
+    if chart is Chart.SOUTH:
+        a, b, da, db = m[1, 0], m[1, 1], mdot[1, 0], mdot[1, 1]
+    else:
+        a, b, da, db = m[1, 1], m[1, 0], mdot[1, 1], mdot[1, 0]
+    ai = a.inverse()
+    return -(ai * da * ai * b) + ai * db
+
+
+def jacobian_oracle(p: ChartPoint, side: str) -> np.ndarray:
+    """X -> d/dt chart(exp(tX) k) ("action") or chart(k exp(tX)) ("flow")."""
+    m = coset_rep_oracle(p).data
+    cols = []
+    for bm in sp_basis(2).mats:
+        left, right = (bm.data, m) if side == "action" else (m, bm.data)
+        mdot = QMatrix(hamilton(left[:, :, None], right[None]).sum(axis=1))
+        cols.append(chart_derivative_oracle(QMatrix(m), mdot, p.chart).to_array())
+    return np.stack(cols, axis=1)
+
+
+def pushforward_oracle(p: ChartPoint, mv: Multivector) -> float:
+    jac = jacobian_oracle(p, "action")
+    return float(sum(c * np.linalg.det(jac[:, list(t)]) for t, c in mv.coeffs.items()))
+
+
+def bruhat_field_oracle(p: ChartPoint) -> float:
+    """Pushforward of Ad_k Lambda - Lambda, expanded over all 4-subsets."""
+    lam = lambda_element(2)
+    moved = apply_exterior_oracle(ad_group_oracle(coset_rep_oracle(p)), lam) - lam
+    return pushforward_oracle(p, moved)
