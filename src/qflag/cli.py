@@ -123,9 +123,8 @@ def cmd_leaf(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    if not (0 < args.rho_min < args.rho_max) or args.steps < 2:
-        print("error: need 0 < rho-min < rho-max and steps >= 2", file=sys.stderr)
-        return EXIT_USAGE
+    if not (0 < args.rho_min < args.rho_max < np.inf) or args.steps < 2 or args.directions < 1:
+        raise ValueError("need 0 < rho-min < rho-max < inf, steps >= 2 and directions >= 1")
     rhos = np.linspace(args.rho_min, args.rho_max, args.steps)
     rows = list(hp1geom.radial_profile(rhos, args.directions, args.seed))
     fieldnames = ["rho", "direction_seed", "coeff_bruhat", "coeff_invariant",
@@ -254,10 +253,17 @@ SUITES = {
     "dressing": suite_dressing,
 }
 
+# The sizes each suite is defined on, (least n, most n): Lambda needs n >= 2,
+# the Schouten draws go up to grade 4 > dim sp(1), and HP^1 sits in Sp(2).
+SUITE_N = {"schouten": (2, np.inf), "lambda": (2, np.inf), "spheroid": (2, np.inf),
+           "hp1": (2, 2), "leaves": (1, np.inf), "dressing": (1, np.inf)}
+
 
 def cmd_verify(args) -> int:
-    fn = SUITES[args.suite]
-    report = fn(args.n, args.seed)
+    least, most = SUITE_N[args.suite]
+    if not least <= args.n <= most:
+        raise ValueError(f"verify {args.suite} needs {least} <= n <= {most}")
+    report = SUITES[args.suite](args.n, args.seed)
     _emit(report, args.out)
     return EXIT_OK if report["ok"] else EXIT_MATH
 

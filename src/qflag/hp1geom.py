@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -292,6 +293,7 @@ def lie_derivative_check(p: ChartPoint, x: Multivector, h: float = 1e-3) -> floa
 # Radial profile sampling
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def bruhat_normalization(rho_ref: float = 1e-3) -> float:
     """Constant scaling the Bruhat coefficient to 1 at the v -> 0 limit.
 

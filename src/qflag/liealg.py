@@ -16,8 +16,10 @@ on whole arrays: ``wedge``, ``schouten`` and the Leibniz derivative write each
 product term as an unsorted index row, and one pass (:func:`_collect`) sorts
 the rows with the sign of the sort, drops repeats and merges equal rows.  The
 tables they read are built lazily and cached per n: a padded sparse table of
-structure constants, chi of the basis, ad_{B_c} Lambda for every c, and the
-k-subsets of the basis.
+structure constants, ad_{B_c} Lambda for every c, and the k-subsets of the
+basis.  :class:`SpBasis` holds chi of the basis once, and both the structure
+constants and Ad_g are products with it.  :func:`apply_exterior` has one path,
+a dense antisymmetric tensor over the basis elements its terms use.
 
 The Schouten bracket follows the convention in which the three identities
 
@@ -105,6 +107,8 @@ class SpBasis:
         self.data = np.stack([m.data for m in mats])  # (N, n, n, 4)
         self._flat = self.data.reshape(self.dim, -1)
         self._norm2 = np.sum(self._flat * self._flat, axis=1)
+        # chi of the basis laid side by side: [chi(B_1) | ... | chi(B_N)]
+        self.chi = chi(np.concatenate(self.data, axis=1))
 
         self._struct: np.ndarray | None = None
 
@@ -128,18 +132,13 @@ class SpBasis:
     def struct(self) -> np.ndarray:
         """struct[a, b, c] = coefficient of basis c in [B_a, B_b]."""
         if self._struct is None:
-            N = self.dim
-            tab = np.zeros((N, N, N))
-            for a in range(N):
-                ma = self.mats[a]
-                for b in range(a + 1, N):
-                    mb = self.mats[b]
-                    comm = ma @ mb - mb @ ma
-                    coeffs = self.project(comm)
-                    coeffs[np.abs(coeffs) < PRUNE_TOL] = 0.0
-                    tab[a, b] = coeffs
-                    tab[b, a] = -coeffs
-            self._struct = tab
+            N, m = self.dim, 2 * self.n
+            # one product gives every chi(B_a) chi(B_b) as the (a, b) block;
+            # the entries are 0, +-1 and +-i, so all of it is exact
+            prod = self.chi.reshape(m, N, m).swapaxes(0, 1).reshape(N * m, m) @ self.chi
+            prod = prod.reshape(N, m, N, m).swapaxes(1, 2)
+            comm = unchi(prod - prod.swapaxes(0, 1)).reshape(N, N, -1)
+            self._struct = comm @ self._flat.T / self._norm2
         return self._struct
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -429,12 +428,6 @@ def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector,
 # Group-level adjoint action
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _chi_basis(n: int) -> np.ndarray:
-    """chi of the basis laid side by side: [chi(B_1) | ... | chi(B_N)]."""
-    return chi(np.concatenate([m.data for m in sp_basis(n).mats], axis=1))
-
-
 def ad_group_matrix(g, tol: float = 1e-8) -> np.ndarray:
     """Matrix of Ad_g = g (.) g^{-1} on the basis of sp(n); g symplectic.
 
@@ -453,7 +446,7 @@ def ad_group_matrix(g, tol: float = 1e-8) -> np.ndarray:
     if not np.all(np.sum(np.abs(cgh @ cg - np.eye(m)) ** 2, axis=(-2, -1)) <= 2 * tol * tol):
         raise ValueError("ad_group requires a symplectic g")
     # g B_c g* for all c in two products: g [B_1 | ... | B_N], then its blocks stacked, times g*
-    gb = (cg @ _chi_basis(n)).reshape(*lead, m, N, m).swapaxes(-3, -2).reshape(*lead, N * m, m)
+    gb = (cg @ basis.chi).reshape(*lead, m, N, m).swapaxes(-3, -2).reshape(*lead, N * m, m)
     flat = unchi(gb @ cgh).reshape(*lead, N, 4 * n * n)
     return (flat @ basis._flat.T / basis._norm2).swapaxes(-1, -2)
 
@@ -461,53 +454,57 @@ def ad_group_matrix(g, tol: float = 1e-8) -> np.ndarray:
 def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     """Apply the grade-wise exterior power of a linear map to a multivector.
 
-    Up to 32 terms, one Laplace expansion gives the k x k minors of every term
-    at once (cost ~ C(N, k) k per term); more terms go through a dense
-    antisymmetric tensor and k products with a (cost ~ k N^(k+1)).
+    The terms fill one antisymmetric tensor over the u basis elements they use,
+    and each of its k slots is contracted with those u columns of ``a``; the
+    last slot only for the sorted prefixes of the C(N, k) sorted subsets.
+    Cost below k u N^k multiply-adds, memory at most N^k floats.
     """
     N, k = a.shape[0], p.grade
-    if k == 0:
+    if k == 0 or not p.coeffs:
         return p.copy()
     idx, val = p._arrays()
-    if len(val) <= 32:
-        # Laplace expansion along the last column, for all terms at once:
-        # minors[r, t] is the minor of a on the rows of the r-th j-subset
-        # and the first j columns of term t
-        cols = a[:, idx]
-        minors = cols[:, :, 0]
-        for j in range(2, k + 1):
-            _, rows, drop = _subsets(N, j)
-            minors = sum((-1.0) ** (i + j - 1) * cols[rows[:, i], :, j - 1] * minors[drop[:, i]]
-                         for i in range(j))
-        acc = minors @ val
-    else:
-        dense = np.zeros((N,) * k)
-        for perm in permutations(range(k)):
-            sign = (-1.0) ** sum(x > y for x, y in combinations(perm, 2))
-            dense[tuple(idx[:, perm].T)] = sign * val
-        dense = dense.reshape(N, -1)
-        for _ in range(k):
-            # contract the first slot with a and rotate it to the back
-            dense = (dense.T @ a.T).reshape(N, -1)
-        acc = dense.reshape((N,) * k)[tuple(_subsets(N, k)[1].T)]
-    tuples = _subsets(N, k)[0]
+    if np.any(idx[:, 1:] <= idx[:, :-1]):
+        # a key that is not strictly increasing: sort it with its sign and merge
+        return apply_exterior(a, Multivector._of(p.n, k, _collect(idx, val)))
+    used = np.zeros(N, dtype=bool)
+    used[idx] = True
+    cols = np.flatnonzero(used)
+    u = len(cols)
+    strides, signs = _permuted_strides(k)
+    # every term laid out in all k! orders; the keys are strictly increasing
+    # and distinct here, so no two layouts share an entry
+    dense = np.zeros(u ** k)
+    dense[(np.cumsum(used) - 1)[idx] @ u ** strides] = np.outer(val, signs)
+    a_used = a[:, cols].T
+    for _ in range(k - 1):
+        # contract the first slot with a and rotate it to the back
+        dense = dense.reshape(u, -1).T @ a_used
+    tuples, prefixes, at = _subsets(N, k)
+    acc = (dense.reshape(u, -1)[:, prefixes].T @ a_used).ravel()[at]
     nz = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
     return Multivector._of(p.n, k, dict(zip([tuples[r] for r in nz.tolist()],
                                             acc[nz].tolist())))
 
 
 @lru_cache(maxsize=None)
+def _permuted_strides(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! layouts s of a term's factors and their signs (exactly +-1, as
+    determinants): factor j takes the slot of stride u ** table[j, s]."""
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    return (k - 1 - perms).T, np.linalg.det(np.eye(k)[perms])
+
+
+@lru_cache(maxsize=None)
 def _subsets(N: int, k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The k-subsets of range(N) in lexicographic order, as tuples and as a
-    (C(N, k), k) array, and for k >= 2 the (C(N, k), k) table of the rank of
-    each subset without its i-th element among the (k - 1)-subsets."""
+    """The k-subsets of range(N) in lexicographic order, as tuples; the flat
+    indices into an (N,) * (k - 1) array of their distinct (k - 1)-prefixes;
+    and, for each subset, (rank of its prefix) * N + its last element."""
     tuples = tuple(combinations(range(N), k))
-    drop = None
-    if k >= 2:
-        rank = {t: r for r, t in enumerate(_subsets(N, k - 1)[0])}
-        drop = np.array([[rank[t[:i] + t[i + 1:]] for i in range(k)] for t in tuples],
-                        dtype=np.intp).reshape(len(tuples), k)
-    return tuples, np.array(tuples, dtype=np.intp).reshape(len(tuples), k), drop
+    rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)
+    prefixes = rows[new, :-1] @ N ** np.arange(k - 2, -1, -1)
+    return tuples, prefixes, (np.cumsum(new) - 1) * N + rows[:, -1]
 
 
 def ad_group(g: QMatrix, p: Multivector, tol: float = 1e-8) -> Multivector:

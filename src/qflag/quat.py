@@ -66,12 +66,6 @@ class Quaternion:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return Quaternion(self.re / n2, -self.i / n2, -self.j / n2, -self.k / n2)
 
-    def real_part(self) -> float:
-        return self.re
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

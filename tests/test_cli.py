@@ -165,6 +165,22 @@ def test_profile_bad_range_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, bound", [
+    (["profile", "--rho-min", "1", "--rho-max", "inf", "--steps", "2"], "rho-max < inf"),
+    (["profile", "--rho-min", "1", "--rho-max", "2", "--steps", "2", "--directions", "0"],
+     "directions >= 1"),
+    (["verify", "schouten", "--n", "1"], "needs 2 <= n <= inf"),
+    (["verify", "leaves", "--n", "0"], "needs 1 <= n <= inf"),
+    (["verify", "dressing", "--n", "0"], "needs 1 <= n <= inf"),
+    (["verify", "hp1", "--n", "7"], "needs 2 <= n <= 2"),
+], ids=["rho-max-inf", "directions-0", "schouten-n1", "leaves-n0", "dressing-n0", "hp1-n7"])
+def test_out_of_range_input_exit_1(argv, bound, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert bound in captured.err and captured.out == ""
+
+
 def test_leaf_command(tmp_path, capsys):
     assert cli.main(["leaf", "--word", "1 2 1", "--n", "3", "--seed", "0"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qflag.quat import Quaternion
 
 from util import (
     ad_group_oracle,
+    apply_exterior_laplace,
     apply_exterior_oracle,
     four_bracket_oracle,
     leibniz_oracle,
@@ -29,6 +31,7 @@ from util import (
     random_multivector,
     random_unit_quaternion,
     schouten_oracle,
+    struct_oracle,
     wedge_oracle,
     wedge_tuples,
 )
@@ -321,15 +324,17 @@ def test_ad_group_composition(n):
 
 
 def test_apply_exterior_dense_and_sparse_paths_agree():
+    # linearity: the 60 terms at once (which touch most basis columns) equal
+    # the sum of the terms one at a time (each touching 3 columns)
     rng = np.random.default_rng(12)
     b = sp_basis(2)
     a = rng.normal(size=(b.dim, b.dim))
-    big = random_multivector(2, 3, rng, nterms=60)  # dense path
+    big = random_multivector(2, 3, rng, nterms=60)
     small_sum = Multivector.zero(2, 3)
     acc = Multivector.zero(2, 3)
     for t, c in big.coeffs.items():
         small_sum = small_sum + Multivector(2, 3, {t: c})
-        acc = acc + apply_exterior(a, Multivector(2, 3, {t: c}))  # sparse path
+        acc = acc + apply_exterior(a, Multivector(2, 3, {t: c}))
     dense = apply_exterior(a, big)
     assert (dense - acc).max_abs() <= 1e-10 * max(1.0, dense.max_abs())
 
@@ -372,15 +377,48 @@ def test_leibniz_and_apply_exterior_match_oracles(n):
 
 
 @pytest.mark.parametrize("n, grade", [(2, 2), (2, 4), (3, 3), (4, 1), (4, 4)])
-@pytest.mark.parametrize("nterms", [32, 33])
+@pytest.mark.parametrize("nterms", [0, 1, 3, 32, 33])
 def test_apply_exterior_both_branches_match_oracle(n, grade, nterms):
-    # up to 32 terms a Laplace expansion of the minors, beyond a dense tensor
+    # one path for every term count; 32 and 33 are where a split by term
+    # count would part, so both sides must match the Laplace expansion and
+    # the per-term determinants
     rng = np.random.default_rng(40 + n + grade)
     a = rng.normal(size=(sp_basis(n).dim,) * 2)
     p = random_multivector(n, grade, rng, nterms=nterms)
-    expect = apply_exterior_oracle(a, p)
-    diff = max_coeff_diff(apply_exterior(a, p), expect)
-    assert diff <= ORACLE_TOL * max(1.0, expect.max_abs())
+    got = apply_exterior(a, p)
+    for expect in (apply_exterior_laplace(a, p), apply_exterior_oracle(a, p)):
+        assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
+
+
+@pytest.mark.parametrize("n, grade", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_apply_exterior_on_every_subset_matches_oracles(n, grade):
+    # all C(N, k) terms, so the tensor spans every column of a (u = N)
+    rng = np.random.default_rng(70 + 10 * n + grade)
+    dim = sp_basis(n).dim
+    a = rng.normal(size=(dim, dim))
+    p = Multivector(n, grade, {t: float(rng.normal()) for t in combinations(range(dim), grade)})
+    got = apply_exterior(a, p)
+    for expect in (apply_exterior_laplace(a, p), apply_exterior_oracle(a, p)):
+        assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(3, 1): 2.0, (0, 4): 1.0},  # unsorted
+    {(1, 1): 1.0},  # a repeated factor
+    {(0, 1): 1.0, (1, 0): 1.0},  # two keys for one subset
+    {(2, 0, 5): 1.5, (0, 2, 5): 0.5, (1, 1, 3): 3.0},
+])
+def test_apply_exterior_on_keys_that_are_not_strictly_increasing(coeffs):
+    a = np.random.default_rng(80).normal(size=(10, 10))
+    p = Multivector(2, len(next(iter(coeffs))), coeffs)
+    got, expect = apply_exterior(a, p), apply_exterior_oracle(a, p)
+    assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
+    assert all(list(t) == sorted(set(t)) for t in got.coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_struct_equals_per_pair_commutators(n):
+    assert np.array_equal(sp_basis(n).struct, struct_oracle(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -2,6 +2,7 @@
 oracles implemented separately from the library code they check."""
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -157,6 +158,52 @@ def apply_exterior_oracle(a: np.ndarray, p: Multivector) -> Multivector:
     for t, c in p.coeffs.items():
         acc += c * np.linalg.det(a[:, list(t)][rows])
     return Multivector(p.n, k, {subsets[r]: float(acc[r]) for r in range(len(subsets))})
+
+
+def apply_exterior_laplace(a: np.ndarray, p: Multivector) -> Multivector:
+    """The k x k minors of every term at once, by Laplace expansion along the
+    last column: minors[r, t] is the minor of a on the rows of the r-th
+    j-subset and the first j columns of term t."""
+    N, k = a.shape[0], p.grade
+    if k == 0:
+        return p.copy()
+    idx = np.array(list(p.coeffs), dtype=np.intp).reshape(len(p.coeffs), k)
+    val = np.array(list(p.coeffs.values()), dtype=float)
+    cols = a[:, idx]
+    minors = cols[:, :, 0]
+    for j in range(2, k + 1):
+        rows, drop = _laplace_tables(N, j)
+        minors = sum((-1.0) ** (i + j - 1) * cols[rows[:, i], :, j - 1] * minors[drop[:, i]]
+                     for i in range(j))
+    acc = minors @ val
+    subsets = list(combinations(range(N), k))
+    return Multivector(p.n, k, {subsets[r]: float(acc[r]) for r in range(len(subsets))})
+
+
+@lru_cache(maxsize=None)
+def _laplace_tables(N: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The j-subsets of range(N) as a (C(N, j), j) array, and the table of the
+    rank of each subset without its i-th element among the (j - 1)-subsets."""
+    subsets = list(combinations(range(N), j))
+    rank = {t: r for r, t in enumerate(combinations(range(N), j - 1))}
+    drop = [[rank[t[:i] + t[i + 1:]] for i in range(j)] for t in subsets]
+    return np.array(subsets, dtype=np.intp), np.array(drop, dtype=np.intp)
+
+
+def struct_oracle(n: int) -> np.ndarray:
+    """Structure constants from one QMatrix commutator per pair of basis elements."""
+    basis = sp_basis(n)
+    N = basis.dim
+    tab = np.zeros((N, N, N))
+    for a in range(N):
+        ma = basis.mats[a]
+        for b in range(a + 1, N):
+            mb = basis.mats[b]
+            coeffs = basis.project(ma @ mb - mb @ ma)
+            coeffs[np.abs(coeffs) < 1e-14] = 0.0
+            tab[a, b] = coeffs
+            tab[b, a] = -coeffs
+    return tab
 
 
 def four_bracket_oracle(zs, n: int) -> np.ndarray:
