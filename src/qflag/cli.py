@@ -13,7 +13,8 @@ import csv
 import json
 import os
 import sys
-from itertools import combinations, permutations
+from itertools import permutations
+from math import comb
 
 import numpy as np
 
@@ -147,10 +148,12 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _random_multivector(n: int, grade: int, rng, nterms: int = 4) -> liealg.Multivector:
-    basis = liealg.sp_basis(n)
-    combos = list(combinations(range(basis.dim), grade))
-    picks = rng.choice(len(combos), size=min(nterms, len(combos)), replace=False)
-    return liealg.Multivector(n, grade, {combos[i]: float(rng.normal()) for i in picks})
+    dim = liealg.sp_basis(n).dim
+    terms: dict[tuple[int, ...], float] = {}  # drawn without listing the C(dim, grade) subsets
+    while len(terms) < min(nterms, comb(dim, grade)):
+        t = tuple(sorted(int(i) for i in rng.choice(dim, size=grade, replace=False)))
+        terms.setdefault(t, float(rng.normal()))
+    return liealg.Multivector(n, grade, terms)
 
 
 def suite_schouten(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["schouten_identity"],

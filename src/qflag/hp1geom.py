@@ -26,12 +26,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
 from .hmat import QMatrix
-from .liealg import Multivector, ad_group_matrix, lambda_element, sp_basis
+from .liealg import (Multivector, _arrays, _canonicalize, _factors, ad_group_matrix,
+                     ad_multivector, lambda_element, sp_basis)
 from .quat import Quaternion, qinv, qnorm2, qprod
 
 __all__ = [
@@ -100,17 +100,11 @@ class FieldSample:
 
 
 def south_coord(m: QMatrix) -> Quaternion:
-    denom = m[1, 0]
-    if denom.norm() <= CHART_EPS:
-        raise ChartBoundaryError("South chart undefined: |M21| below threshold")
-    return denom.inverse() * m[1, 1]
+    return Quaternion.from_array(_chart_map(Chart.SOUTH, m.data[None])[1][0])
 
 
 def north_coord(m: QMatrix) -> Quaternion:
-    denom = m[1, 1]
-    if denom.norm() <= CHART_EPS:
-        raise ChartBoundaryError("North chart undefined: |M22| below threshold")
-    return denom.inverse() * m[1, 0]
+    return Quaternion.from_array(_chart_map(Chart.NORTH, m.data[None])[1][0])
 
 
 def _coset_reps(chart: Chart, coords: np.ndarray) -> np.ndarray:
@@ -126,14 +120,23 @@ def _coset_reps(chart: Chart, coords: np.ndarray) -> np.ndarray:
     return reps
 
 
+def _chart_map(chart: Chart, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a^{-1}`` and the coordinate ``a^{-1} b`` of the ``(m, 2, 2, 4)``
+    matrices k, with ``(a, b) = (k21, k22)`` on the South chart and
+    ``(k22, k21)`` on the North."""
+    ia, ib = (0, 1) if chart is Chart.SOUTH else (1, 0)
+    if np.any(np.sqrt(qnorm2(reps[:, 1, ia])) <= CHART_EPS):
+        raise ChartBoundaryError(
+            f"{chart.value} chart undefined: denominator entry at most {CHART_EPS:g}")
+    ai = qinv(reps[:, 1, ia])
+    return ai, qprod(ai, reps[:, 1, ib])
+
+
 def _jacobians(chart: Chart, reps: np.ndarray, side: str) -> np.ndarray:
     """``(m, 4, dim)`` Jacobians at the ``(m, 2, 2, 4)`` matrices k of
     ``X -> d/dt chart(exp(tX) k)`` (side "action") or ``chart(k exp(tX))``
-    (side "flow") at t = 0.
-
-    The coordinate is ``a^{-1} b``, with ``(a, b) = (k21, k22)`` on the South
-    chart and ``(k22, k21)`` on the North; along a velocity ``kdot`` its
-    derivative is ``a^{-1} (bdot - adot a^{-1} b)``.
+    (side "flow") at t = 0.  Along a velocity ``kdot`` the derivative of the
+    coordinate ``a^{-1} b`` (:func:`_chart_map`) is ``a^{-1} (bdot - adot a^{-1} b)``.
     """
     basis = sp_basis(2).data
     if side == "action":  # row 2 of B k, for every basis element B
@@ -141,20 +144,14 @@ def _jacobians(chart: Chart, reps: np.ndarray, side: str) -> np.ndarray:
     else:  # row 2 of k B
         row = qprod(reps[:, None, 1, :, None], basis[None]).sum(axis=2)
     ia, ib = (0, 1) if chart is Chart.SOUTH else (1, 0)
-    a = reps[:, 1, ia]
-    if np.any(np.sqrt(qnorm2(a)) <= CHART_EPS):
-        raise ChartBoundaryError(
-            f"{chart.value} chart undefined: denominator entry at most {CHART_EPS:g}")
-    ai = qinv(a)[:, None]
-    coord = qprod(ai, reps[:, None, 1, ib])
+    ai, coord = (x[:, None] for x in _chart_map(chart, reps))
     return qprod(ai, row[..., ib, :] - qprod(row[..., ia, :], coord)).swapaxes(1, 2)
 
 
 def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
     """Coefficients of d1^d2^d3^d4 in the images of a grade-4 multivector
     under ``(..., 4, dim)`` Jacobians: the minors of its terms' columns."""
-    terms = np.array(list(mv.coeffs), dtype=np.intp).reshape(-1, 4)
-    coeffs = np.fromiter(mv.coeffs.values(), dtype=float, count=len(terms))
+    terms, coeffs = _arrays(mv.coeffs, 4)
     return np.linalg.det(np.moveaxis(jac[..., terms], -2, -3)) @ coeffs
 
 
@@ -214,31 +211,27 @@ def invariant_field(p: ChartPoint) -> FieldSample:
 
 def fourvector_rank(coeffs: dict[tuple[int, ...], float], dim: int,
                     rel_cutoff: float = 1e-9) -> int:
-    """Rank of the contraction map Lambda^3 V* -> V of a constant 4-vector.
-
-    Builds the C(dim,3) x dim matrix of contractions with basis 3-covectors
-    and counts singular values above ``rel_cutoff`` times the largest.
-    """
-    rows = list(combinations(range(dim), 3))
-    row_index = {t: r for r, t in enumerate(rows)}
-    mat = np.zeros((len(rows), dim))
-    for t, c in coeffs.items():
-        for pos in range(4):
-            m = t[pos]
-            rest = t[:pos] + t[pos + 1:]
-            # pairing sign: parity of moving slot `pos` past the others
-            sign = 1.0 if pos % 2 == 0 else -1.0
-            mat[row_index[rest], m] += sign * c
-    if not np.any(mat):
+    """Rank of the contraction map Lambda^3 V* -> V of a constant 4-vector,
+    with its terms canonical as in :class:`Multivector`: the singular values
+    above ``rel_cutoff`` times the largest of the matrix of contractions with
+    the basis 3-covectors, which has nonzero rows only for the 3-subsets the
+    terms leave after dropping one factor."""
+    idx, val = _arrays(_canonicalize(coeffs, 4, dim), 4)
+    if not len(val):
         return 0
+    # pairing sign: parity of moving the dropped factor past the others
+    col, rest, signed = _factors(idx, val)
+    subsets, row = np.unique(rest, axis=0, return_inverse=True)
+    mat = np.zeros((len(subsets), dim))
+    mat[row.ravel(), col] = signed  # one term per (subset, column): no collisions
     sv = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sv > rel_cutoff * sv[0]))
 
 
 def rank_at(p: ChartPoint) -> int:
-    """Rank of the chart 4-vector of the pushed-forward field at p."""
-    f = bruhat_field(p).coeff
-    return fourvector_rank({(0, 1, 2, 3): f}, 4)
+    """Rank of the chart 4-vector f d1^d2^d3^d4 of the pushed-forward field at
+    p: 4 where f is nonzero, and 0 where the field vanishes exactly."""
+    return 4 if bruhat_field(p).coeff != 0.0 else 0
 
 
 def hamiltonian_field(p: ChartPoint, df1, df2, df3) -> np.ndarray:
@@ -273,8 +266,6 @@ def lie_derivative_check(p: ChartPoint, x: Multivector, h: float = 1e-3) -> floa
     """
     if p.chart is not Chart.SOUTH:
         raise ValueError("lie_derivative_check works on the South chart")
-    from .liealg import ad_multivector
-
     steps = h * np.array([1.0, -1.0, 2.0, -2.0])
     # row 1 + 4 s + m is the centre moved by steps[s] along coordinate m
     offsets = np.concatenate([np.zeros((1, 4)), (steps[:, None, None] * np.eye(4)).reshape(16, 4)])

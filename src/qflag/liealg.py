@@ -11,15 +11,16 @@ spheroid algebra (purely imaginary diagonal matrices).
 
 Multivectors are sparse: a grade-k element of the exterior algebra stores a
 map from strictly increasing k-tuples of basis indices to real coefficients,
-with coefficients below 1e-14 pruned after every operation.  The kernels work
-on whole arrays: ``wedge``, ``schouten`` and the Leibniz derivative write each
-product term as an unsorted index row, and one pass (:func:`_collect`) sorts
-the rows with the sign of the sort, drops repeats and merges equal rows.  The
-tables they read are built lazily and cached per n: a padded sparse table of
-structure constants, ad_{B_c} Lambda for every c, and the k-subsets of the
-basis.  :class:`SpBasis` holds chi of the basis once, and both the structure
-constants and Ad_g are products with it.  :func:`apply_exterior` has one path,
-a dense antisymmetric tensor over the basis elements its terms use.
+with coefficients below 1e-14 pruned; every Multivector is in this canonical
+form from construction on.  ``wedge``, ``schouten``, the Leibniz derivative and
+the constructor work on whole arrays: they write each term as an unsorted index
+row, and one pass (:func:`_collect`) sorts the rows with the sign of the sort,
+drops repeats and merges equal rows.  The tables the kernels read are built
+lazily and cached per n: a padded sparse table of structure constants,
+ad_{B_c} Lambda for every c, and the k-subsets of the basis.  :class:`SpBasis`
+holds chi of the basis once, and both the structure constants and Ad_g are
+products with it.  :func:`apply_exterior` has one path, a dense antisymmetric
+tensor over the basis elements its terms use.
 
 The Schouten bracket follows the convention in which the three identities
 
@@ -166,10 +167,10 @@ def _struct_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _collect(idx: np.ndarray, val: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Sum terms into a pruned dict.  Row r of ``idx`` (m, k) stands for
+    """Sum terms into a canonical dict.  Row r of ``idx`` (m, k) stands for
     ``val[r]`` times the wedge of its basis elements in row order: it is sorted
     with the sign of the sort, vanishes if it repeats an index, and equal rows
-    are merged."""
+    are merged; the keys come out in lexicographic order."""
     k = idx.shape[1]
     if k > 1:
         inversions = np.zeros(len(idx), dtype=np.intp)
@@ -188,34 +189,57 @@ def _collect(idx: np.ndarray, val: np.ndarray) -> dict[tuple[int, ...], float]:
     return dict(zip(map(tuple, idx[starts[keep]].tolist()), acc[keep].tolist()))
 
 
+def _canonicalize(coeffs: dict, k: int, dim: int) -> dict[tuple[int, ...], float]:
+    """Grade-k coefficients over a basis of dim elements in canonical form;
+    ValueError for a key that is not k indices in range(dim)."""
+    for t in coeffs:
+        if len(t) != k or not all(0 <= i < dim for i in t):
+            raise ValueError(f"key {t}: need {k} basis indices in range({dim})")
+    return _collect(*_arrays(coeffs, k))
+
+
+def _arrays(coeffs: dict, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of grade-k coefficients as an (m, k) index array and m coefficients."""
+    m = len(coeffs)
+    idx = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=m * k)
+    return idx.reshape(m, k), np.fromiter(coeffs.values(), dtype=float, count=m)
+
+
+def _factors(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every (term, position) of (m, k) terms, k >= 1: the factor there,
+    the rest of the term, and the term's coefficient times (-1)^position."""
+    m, k = idx.shape
+    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
+    signed = val[:, None] * np.where(np.arange(k) % 2, -1.0, 1.0)
+    return idx.ravel(), idx[:, others].reshape(m * k, k - 1), signed.ravel()
+
+
 @dataclass
 class Multivector:
-    """Grade-k element of the exterior algebra of sp(n), sparse over tuples."""
+    """Grade-k element of the exterior algebra of sp(n), sparse over canonical
+    tuples; ValueError for a key that is not ``grade`` indices into the basis."""
 
     n: int
     grade: int
     coeffs: dict[tuple[int, ...], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.prune()
+        if self.coeffs:
+            self.coeffs = _canonicalize(self.coeffs, self.grade, sp_basis(self.n).dim)
 
     @staticmethod
     def zero(n: int, grade: int) -> "Multivector":
-        return Multivector(n, grade, {})
-
-    def prune(self) -> "Multivector":
-        self.coeffs = {t: c for t, c in self.coeffs.items() if abs(c) > PRUNE_TOL}
-        return self
+        return Multivector._of(n, grade, {})
 
     @classmethod
     def _of(cls, n: int, grade: int, coeffs: dict) -> "Multivector":
-        """Wrap coefficients that are already pruned, skipping the prune."""
+        """Wrap coefficients that are already canonical, skipping the constructor."""
         out = cls.__new__(cls)
         out.n, out.grade, out.coeffs = n, grade, coeffs
         return out
 
     def copy(self) -> "Multivector":
-        return Multivector(self.n, self.grade, dict(self.coeffs))
+        return Multivector._of(self.n, self.grade, dict(self.coeffs))
 
     def max_abs(self) -> float:
         return max(map(abs, self.coeffs.values()), default=0.0)
@@ -240,13 +264,14 @@ class Multivector:
         return Multivector._of(self.n, self.grade, out)
 
     def scale(self, r: float) -> "Multivector":
-        return Multivector(self.n, self.grade, {t: c * r for t, c in self.coeffs.items()})
+        return Multivector._of(self.n, self.grade, {t: c * r for t, c in self.coeffs.items()
+                                                    if abs(c * r) > PRUNE_TOL})
 
     def wedge(self, other: "Multivector") -> "Multivector":
         if self.n != other.n:
             raise ValueError("mismatched n")
-        i1, v1 = self._arrays()
-        i2, v2 = other._arrays()
+        i1, v1 = _arrays(self.coeffs, self.grade)
+        i2, v2 = _arrays(other.coeffs, other.grade)
         rows = np.concatenate([np.repeat(i1, len(v2), axis=0), np.tile(i2, (len(v1), 1))],
                               axis=1)
         return Multivector._of(self.n, self.grade + other.grade,
@@ -256,26 +281,11 @@ class Multivector:
         if self.n != other.n or self.grade != other.grade:
             raise ValueError("mismatched n or grade")
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The terms as an (m, grade) index array and m coefficients."""
-        m, k = len(self.coeffs), self.grade
-        idx = np.fromiter(chain.from_iterable(self.coeffs), dtype=np.intp, count=m * k)
-        return idx.reshape(m, k), np.fromiter(self.coeffs.values(), dtype=float, count=m)
-
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For every (term, position), grade >= 1: the factor there, the rest
-        of the term, and the term's coefficient times (-1)^position."""
-        idx, val = self._arrays()
-        m, k = idx.shape
-        others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
-        signed = val[:, None] * np.where(np.arange(k) % 2, -1.0, 1.0)
-        return idx.ravel(), idx[:, others].reshape(m * k, k - 1), signed.ravel()
-
     def as_vector(self) -> np.ndarray:
         """Grade-1 only: dense coordinate vector over the basis."""
         if self.grade != 1:
             raise ValueError("as_vector requires grade 1")
-        idx, val = self._arrays()
+        idx, val = _arrays(self.coeffs, 1)
         return np.bincount(idx[:, 0], weights=val, minlength=sp_basis(self.n).dim)
 
     # -- serialization -----------------------------------------------------
@@ -331,8 +341,8 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
     if p.grade == 0 or q.grade == 0:
         return Multivector.zero(p.n, max(p.grade + q.grade - 1, 0))
     col, val = _struct_table(p.n)
-    a, rest_p, cp = p._factors()
-    b, rest_q, cq = q._factors()
+    a, rest_p, cp = _factors(*_arrays(p.coeffs, p.grade))
+    b, rest_q, cq = _factors(*_arrays(q.coeffs, q.grade))
     i, j, s = np.nonzero(val[a[:, None], b[None, :]])
     rows = np.concatenate([col[a[i], b[j], s][:, None], rest_p[i], rest_q[j]], axis=1)
     pref = -1.0 if p.grade % 2 == 0 else 1.0  # (-1)^{p+1}
@@ -353,7 +363,7 @@ def lambda_element(n: int) -> Multivector:
                 for nm in (f"E({p},{q})", f"S(i;{p},{q})", f"S(j;{p},{q})", f"S(k;{p},{q})")
             ))
             coeffs[t] = 1.0
-    return Multivector(n, 4, coeffs)
+    return Multivector._of(n, 4, coeffs)
 
 
 def ad_multivector(x: Multivector, p: Multivector) -> Multivector:
@@ -371,17 +381,16 @@ def _leibniz_apply(a: np.ndarray, p: Multivector) -> Multivector:
     the factor at position pos gives the rows (new, rest) with sign (-1)^pos."""
     if p.grade == 0:
         return Multivector.zero(p.n, 0)
-    x, rest, coef = p._factors()
+    x, rest, coef = _factors(*_arrays(p.coeffs, p.grade))
     cols = a[:, x]
     new, f = np.nonzero(np.abs(cols) > PRUNE_TOL)
     rows = np.concatenate([new[:, None], rest[f]], axis=1)
     return Multivector._of(p.n, p.grade, _collect(rows, coef[f] * cols[new, f]))
 
 
-def intrinsic_derivative(x: Multivector, n: int | None = None) -> Multivector:
+def intrinsic_derivative(x: Multivector) -> Multivector:
     """d_e of the multiplicative field in the right trivialization: ad_X Lambda."""
-    n = x.n if n is None else n
-    return ad_multivector(x, lambda_element(n))
+    return ad_multivector(x, lambda_element(x.n))
 
 
 @dataclass
@@ -403,19 +412,18 @@ def _intrinsic_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ad_{B_c} Lambda for every basis element c, as COO triples: the basis
     element c, the 4-tuple of the term and its coefficient."""
     basis = sp_basis(n)
-    parts = [intrinsic_derivative(basis.element(nm))._arrays() for nm in basis.names]
+    parts = [_arrays(intrinsic_derivative(basis.element(nm)).coeffs, 4) for nm in basis.names]
     rows = np.repeat(np.arange(basis.dim), [len(v) for _, v in parts])
     return rows, np.concatenate([t for t, _ in parts]), np.concatenate([v for _, v in parts])
 
 
-def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector,
-                 n: int | None = None) -> DualVector:
+def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector) -> DualVector:
     """Dual of the intrinsic derivative on quadruples of covectors.
 
     <result, X> = <z1^z2^z3^z4, ad_X Lambda> for every basis element X.
     """
     zs = (z1, z2, z3, z4)
-    n = z1.n if n is None else n
+    n = z1.n
     if any(z.n != n for z in zs):
         raise ValueError("mismatched n")
     rows, terms, coef = _intrinsic_table(n)
@@ -462,17 +470,14 @@ def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     N, k = a.shape[0], p.grade
     if k == 0 or not p.coeffs:
         return p.copy()
-    idx, val = p._arrays()
-    if np.any(idx[:, 1:] <= idx[:, :-1]):
-        # a key that is not strictly increasing: sort it with its sign and merge
-        return apply_exterior(a, Multivector._of(p.n, k, _collect(idx, val)))
+    idx, val = _arrays(p.coeffs, k)
     used = np.zeros(N, dtype=bool)
     used[idx] = True
     cols = np.flatnonzero(used)
     u = len(cols)
     strides, signs = _permuted_strides(k)
-    # every term laid out in all k! orders; the keys are strictly increasing
-    # and distinct here, so no two layouts share an entry
+    # every term laid out in all k! orders; the keys are canonical, so no two
+    # layouts share an entry
     dense = np.zeros(u ** k)
     dense[(np.cumsum(used) - 1)[idx] @ u ** strides] = np.outer(val, signs)
     a_used = a[:, cols].T

@@ -1,5 +1,6 @@
 import csv
 import inspect
+import itertools
 import json
 
 import numpy as np
@@ -195,3 +196,18 @@ def test_output_file_option(tmp_path):
     out = tmp_path / "r.json"
     assert cli.main(["ddet", "--input", inp, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["dieudonne_det"] == 1.0
+
+
+def test_random_multivector_draws_without_listing_subsets(monkeypatch):
+    def listing(*args):
+        raise AssertionError("listed every subset")
+
+    monkeypatch.setattr(cli, "combinations", listing, raising=False)
+    monkeypatch.setattr(itertools, "combinations", listing)
+    rng = np.random.default_rng(0)
+    for grade in (1, 2, 3, 4):
+        mv = cli._random_multivector(3, grade, rng)
+        assert mv.grade == grade and len(mv.coeffs) == 4
+        assert all(list(t) == sorted(set(t)) and t[-1] < 21 for t in mv.coeffs)
+    # sp(1) has one 3-subset of its 3 basis elements
+    assert len(cli._random_multivector(1, 3, rng).coeffs) == 1

@@ -152,6 +152,17 @@ def test_pushforward_linearity_and_kernel():
     assert abs(pushforward_coeff(p, p4)) <= 1e-9
 
 
+def test_pushforward_of_shuffled_keys_equals_sorted():
+    rng = np.random.default_rng(16)
+    p = ChartPoint.south(random_quaternion(rng))
+    mv = random_multivector(2, 4, rng, nterms=8)
+    shuffled = {(0, 0, 1, 2): 5.0}  # a repeated factor: zero
+    for t, c in mv.coeffs.items():
+        perm = rng.permutation(4)
+        shuffled[tuple(t[i] for i in perm)] = c * round(np.linalg.det(np.eye(4)[perm]))
+    assert pushforward_coeff(p, Multivector(2, 4, shuffled)) == pushforward_coeff(p, mv)
+
+
 # -- the batched path against the per-point oracle ----------------------------
 
 def rel_err(got, want):
@@ -314,6 +325,15 @@ def test_fourvector_rank_divisible_by_four(dim):
                   for b in range(k)}
         assert fourvector_rank(coeffs, dim) == 4 * k
     assert fourvector_rank({}, dim) == 0
+
+
+def test_fourvector_rank_on_keys_that_are_not_strictly_increasing():
+    assert fourvector_rank({(1, 0, 2, 3): 1.0}, 4) == 4
+    assert fourvector_rank({(1, 0, 2, 3): 1.0, (0, 1, 2, 3): 1.0}, 4) == 0
+    assert fourvector_rank({(0, 0, 1, 2): 1.0}, 4) == 0
+    for bad in ({(0, 1, 2): 1.0, (0, 1, 2, 3, 4): 1.0}, {(0, 1, 2, 5): 1.0}):
+        with pytest.raises(ValueError):
+            fourvector_rank(bad, 5)
 
 
 def test_rank_at():

@@ -152,10 +152,29 @@ def test_wedge_anticommutes_and_kills_repeats():
     assert lam.wedge(lam).max_abs() == 0.0  # repeated factors
 
 
+def test_constructor_canonicalizes_keys():
+    # one subset under two keys, and a difference of two equal elements: both zero
+    assert Multivector(2, 2, {(0, 1): 1.0, (1, 0): 1.0}).max_abs() == 0.0
+    assert (Multivector(2, 2, {(1, 0): -1.0}) - Multivector(2, 2, {(0, 1): 1.0})).max_abs() == 0.0
+    assert Multivector(2, 2, {(0, 1): 1.0, (1, 0): 1.0}).to_json()["terms"] == []
+    assert Multivector(2, 2, {(1, 1): 3.0}).coeffs == {}
+    assert Multivector(2, 3, {(5, 0, 2): 1.5, (0, 2, 5): 0.5, (2, 0, 5): 4.0}).coeffs == {
+        (0, 2, 5): -2.0}
+    assert Multivector(2, -1, {}).coeffs == {}
+
+
+@pytest.mark.parametrize("key", [(0, 1, 2), (3,), (0, 10), (-1, 3)],
+                         ids=["too-long", "too-short", "index-dim", "index-negative"])
+def test_constructor_rejects_malformed_keys(key):
+    with pytest.raises(ValueError, match="basis indices in range"):
+        Multivector(2, 2, {(0, 1): 1.0, key: 1.0})
+
+
 def test_sums_prune_cancelled_terms():
     rng = np.random.default_rng(13)
     p = random_multivector(3, 2, rng, nterms=6)
     assert (p - p).coeffs == {} and (p + p.scale(-1.0)).coeffs == {}
+    assert p.scale(0.0).coeffs == {} and p.scale(1e-16).coeffs == {}
     q = Multivector(3, 2, {t: c + 1e-15 for t, c in p.coeffs.items()})
     assert (q - p).coeffs == {}
 
