@@ -256,10 +256,14 @@ SUITES = {
     "dressing": suite_dressing,
 }
 
-# The sizes each suite is defined on, (least n, most n): Lambda needs n >= 2,
-# the Schouten draws go up to grade 4 > dim sp(1), and HP^1 sits in Sp(2).
-SUITE_N = {"schouten": (2, np.inf), "lambda": (2, np.inf), "spheroid": (2, np.inf),
-           "hp1": (2, 2), "leaves": (1, np.inf), "dressing": (1, np.inf)}
+# The sizes each suite runs on, (least n, most n): Lambda needs n >= 2, the
+# Schouten draws go up to grade 4 > dim sp(1), and HP^1 sits in Sp(2).  The
+# upper bounds keep a run under about a second and 50 MiB: the sp(n) suites
+# build the structure constants, whose peak memory grows as n^6 (41 MiB at
+# n = 6, 100 MiB at n = 7); `leaves` checks all n! words; and `dressing`
+# runs 100 Iwasawa factorizations of size n.
+SUITE_N = {"schouten": (2, 6), "lambda": (2, 6), "spheroid": (2, 6),
+           "hp1": (2, 2), "leaves": (1, 6), "dressing": (1, 32)}
 
 
 def cmd_verify(args) -> int:

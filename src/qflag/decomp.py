@@ -6,8 +6,11 @@ determinant, the Iwasawa decomposition G = K R Uu with K symplectic, the
 dressing action (G, K) -> K' defined by G K = K' R U, and leaf signatures
 (w, diagonal phases).
 
-All elimination steps place scalar inverses explicitly on the left or right;
-the order matters because H is non-commutative.
+The Bruhat form comes from row reduction of [G | I] alone: the reduced left
+half is U^{-1} G = D P_w V, from which D and V are read, and U is the LAPACK
+inverse of the reduced right half.  Each elimination step places a scalar
+inverse explicitly on the left or right; the order matters because H is
+non-commutative.
 """
 
 from __future__ import annotations
@@ -79,15 +82,14 @@ class LeafSignature:
 def bruhat(g: QMatrix) -> BruhatForm:
     """Strict Bruhat normal form of an invertible matrix.
 
-    Columns are processed left to right.  The pivot of column j is the
-    bottom-most not-yet-assigned row with a nonzero entry; entries below the
-    pivot (necessarily in already-assigned rows) are cleared by column
-    operations that add earlier columns to column j (building V), entries
-    above the pivot by row operations that add the pivot row to higher rows
-    (building U).  The V so produced automatically satisfies the strictness
-    condition that P_w V P_w^{-1} is lower unit triangular.  Within a
-    column, every row operation uses the same pivot row and every column
-    operation a different earlier column, so each side is one batched update.
+    Row reduction of ``[G | I]``, held as the (z1, z2) pairs of the top rows
+    of :func:`chi`.  The pivot of column j is the bottom-most not-yet-assigned
+    row with a nonzero entry, and one batched row operation adds multiples
+    of it to the rows above it.  The left half ends as ``U^{-1} G = D P_w V``,
+    so row w(j) is ``d_j V[j, :]``; V keeps only the entries allowed by
+    strictness (``P_w V P_w^{-1}`` lower unit triangular), the rest being
+    rounding residue.  U is the inverse of the right half.  G is first scaled
+    by a power of two near its largest entry, exactly, and D is scaled back.
 
     Raises ``ValueError`` on a non-finite entry and
     :class:`SingularMatrixError` when a column has no pivot above the
@@ -95,43 +97,44 @@ def bruhat(g: QMatrix) -> BruhatForm:
     """
     require_square_finite(g, "bruhat")
     n = g.n_rows
-    thresh = PIVOT_RTOL * max(g.frobenius(), 1e-300)
-
-    a = g.data.copy()
-    u_acc = QMatrix.identity(n).data
-    v_acc = QMatrix.identity(n).data
+    cols = np.arange(n)
+    _, scale = np.frexp(np.abs(g.data).max())
+    a = np.zeros((n, 2 * n, 4))
+    a[:, :n] = np.ldexp(g.data, -scale)
+    a[cols, n + cols, 0] = 1.0
+    z = a.view(complex)  # (n, 2n, 2): the (z1, z2) pair of each entry
+    rows = z.reshape(n, 4 * n)
+    thresh = PIVOT_RTOL * np.sqrt(np.sum(a[:, :n] * a[:, :n]))
+    p_chi = np.empty((2, 2 * n, 2), dtype=complex)  # chi of the pivot row
     w_of = np.empty(n, dtype=int)  # w_of[j] = pivot row of column j
-    pivot_col = np.full(n, -1)     # pivot_col[r] = column whose pivot sits in row r
+    free = np.ones(n, dtype=bool)  # rows that are no column's pivot yet
 
     for j in range(n):
-        live = np.sqrt(qnorm2(a[:, j])) > thresh
-        free = np.flatnonzero(live & (pivot_col < 0))
-        if free.size == 0:
+        norm2 = qnorm2(a[:, j])
+        live = np.sqrt(norm2) > thresh
+        cand = (live & free).nonzero()[0]
+        if cand.size == 0:
             raise SingularMatrixError("matrix is singular: no Bruhat pivot in column")
-        piv = free[-1]
-        w_of[j] = piv
-        pivot_col[piv] = j
+        piv = w_of[j] = cand[-1]
+        free[piv] = False
+        if piv:
+            # a_r -= (a_rj q^{-1}) a_piv above the pivot, for q = a_piv,j and
+            # live rows r only: on pairs, a_rj times chi(q)^{-1} chi(a_piv),
+            # where chi(q) is block j of chi(a_piv), chi(q)^{-1} = chi(q)^H / |q|^2
+            p_chi[0] = z[piv]
+            np.conj(z[piv, :, ::-1], out=p_chi[1])
+            p_chi[1, :, 0] *= -1.0
+            q_inv = p_chi[:, j].T.conj() / norm2[piv]
+            rows[:piv] -= (z[:piv, j] * live[:piv, None]) @ (q_inv @ p_chi.reshape(2, 4 * n))
 
-        above = np.flatnonzero(live[:piv])
-        if above.size:
-            # rows above the pivot: row operations adding multiples of the
-            # pivot row; U <- U (I + e_r c_r e_piv^T) for each such row r
-            c = qprod(a[above, j], qinv(a[piv, j]))
-            a[above] -= qprod(c[:, None], a[piv])
-            u_acc[:, piv] += qprod(u_acc[:, above], c).sum(axis=1)
-        below = piv + 1 + np.flatnonzero(live[piv + 1:])
-        if below.size:
-            # assigned rows below the pivot: column operations adding the
-            # columns jp of their pivots to column j; V <- (I + e_jp c e_j^T) V,
-            # and row j of V is still e_j, so each c lands at V[jp, j]
-            jp = pivot_col[below]
-            c = qprod(qinv(a[below, jp]), a[below, j])
-            a[:, j] -= qprod(a[:, jp], c).sum(axis=1)
-            v_acc[jp, j] = c
-
-    d = QMatrix.zeros(n, n)
-    d.data[w_of, w_of] = a[w_of, np.arange(n)]
-    return BruhatForm(U=QMatrix(u_acc), D=d, w=Permutation(w_of), V=QMatrix(v_acc))
+    d = a[w_of, cols]
+    v = qprod(qinv(d)[:, None], a[w_of, :n])
+    v[~((cols[:, None] < cols) & (w_of[:, None] > w_of))] = 0.0
+    v[cols, cols, 0] = 1.0
+    dd = np.zeros((n, n, 4))
+    dd[w_of, w_of] = np.ldexp(d, scale)
+    u = unchi(np.linalg.inv(chi(a[:, n:])))
+    return BruhatForm(U=QMatrix(u), D=QMatrix(dd), w=Permutation(w_of), V=QMatrix(v))
 
 
 def dieudonne_det(g: QMatrix) -> float:

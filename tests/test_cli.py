@@ -171,15 +171,27 @@ def test_profile_bad_range_exit_1(capsys):
     (["profile", "--rho-min", "1", "--rho-max", "inf", "--steps", "2"], "rho-max < inf"),
     (["profile", "--rho-min", "1", "--rho-max", "2", "--steps", "2", "--directions", "0"],
      "directions >= 1"),
-    (["verify", "schouten", "--n", "1"], "needs 2 <= n <= inf"),
-    (["verify", "leaves", "--n", "0"], "needs 1 <= n <= inf"),
-    (["verify", "dressing", "--n", "0"], "needs 1 <= n <= inf"),
+    (["verify", "schouten", "--n", "1"], "needs 2 <= n <= 6"),
+    (["verify", "leaves", "--n", "0"], "needs 1 <= n <= 6"),
+    (["verify", "dressing", "--n", "0"], "needs 1 <= n <= 32"),
     (["verify", "hp1", "--n", "7"], "needs 2 <= n <= 2"),
 ], ids=["rho-max-inf", "directions-0", "schouten-n1", "leaves-n0", "dressing-n0", "hp1-n7"])
 def test_out_of_range_input_exit_1(argv, bound, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert bound in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES))
+def test_verify_size_guard_starts_no_work(suite, monkeypatch, capsys):
+    def work(*args):
+        raise AssertionError("the suite started")
+
+    monkeypatch.setitem(cli.SUITES, suite, work)
+    least, most = cli.SUITE_N[suite]
+    assert cli.main(["verify", suite, "--n", str(most + 1)]) == 1
+    captured = capsys.readouterr()
+    assert f"needs {least} <= n <= {most}" in captured.err and captured.out == ""
 
 
 def test_leaf_command(tmp_path, capsys):

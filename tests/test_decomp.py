@@ -11,7 +11,7 @@ from qflag.decomp import (
     iwasawa,
     leaf_signature,
 )
-from qflag.flags import cell_of
+from qflag.flags import cell_of, leaf_point
 from qflag.hmat import (
     Permutation,
     QMatrix,
@@ -23,6 +23,7 @@ from qflag.quat import J, K, ONE, Quaternion
 
 from util import (
     bruhat_ddet,
+    bruhat_oracle,
     gram_schmidt_iwasawa,
     in_vw,
     is_unit_upper,
@@ -84,6 +85,71 @@ def test_bruhat_structural_invariants(n):
                    if form.V[i, j].norm() > 1e-10)
         assert free <= form.w.length()
         assert frob(form.reconstruct() - g) <= 1e-9 * frob(g)
+
+
+def assert_matches_oracle(g):
+    form, ref = bruhat(g), bruhat_oracle(g)
+    assert form.w == ref.w
+    assert in_vw(form.V, form.w, tol=0.0)  # strictness holds exactly, as in the oracle
+    tol = 1e-10 * frob(g)
+    assert frob(form.U - ref.U) <= tol
+    assert frob(form.D - ref.D) <= tol
+    assert frob(form.V - ref.V) <= tol
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+def test_bruhat_matches_oracle_on_random_matrices(n):
+    rng = np.random.default_rng(50 + n)
+    for _ in range(3 if n == 32 else 10):
+        assert_matches_oracle(random_invertible(n, rng))
+
+
+def test_bruhat_matches_oracle_on_permutation_matrices():
+    for ol in permutations(range(4)):
+        assert_matches_oracle(Permutation(ol).matrix())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_bruhat_matches_oracle_in_every_cell(n):
+    rng = np.random.default_rng(60 + n)
+    for ol in permutations(range(n)):
+        *_, g = random_bruhat_factors(n, rng, w=Permutation(ol))
+        assert_matches_oracle(g)
+
+
+def test_bruhat_matches_oracle_on_leaf_points():
+    rng = np.random.default_rng(70)
+    for ol in permutations(range(3)):
+        word = Permutation(ol).reduced_word()
+        params = [Quaternion.from_array(x) for x in rng.normal(size=(len(word), 4))]
+        assert_matches_oracle(leaf_point(word, params, 3).matrix)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_bruhat_is_scale_safe(scale):
+    # ||G||_F overflows at 1e155 and the squared entries underflow at 1e-170
+    g = QMatrix.identity(3).scale(scale)
+    form = bruhat(g)
+    assert form.w == Permutation.identity(3)
+    assert frob(form.U - QMatrix.identity(3)) == 0.0
+    assert frob(form.V - QMatrix.identity(3)) == 0.0
+    assert np.array_equal(form.D.data, g.data)
+
+
+@pytest.mark.parametrize("factor", [1.01, 0.99])
+def test_bruhat_pivot_threshold(factor):
+    # an entry above PIVOT_RTOL * ||G||_F moves G to the big cell; one below
+    # it counts as zero, and U D P_w V misses G by about that entry
+    g = QMatrix.identity(2)
+    g.data[1, 0, 0] = eps = factor * PIVOT_RTOL * np.sqrt(2.0)
+    assert abs(eps / (factor * PIVOT_RTOL * frob(g)) - 1.0) <= 1e-15
+    form = bruhat(g)
+    if factor > 1.0:
+        assert form.w == Permutation([1, 0])
+    else:
+        assert form.w == Permutation.identity(2)
+        assert frob(form.V - QMatrix.identity(2)) == 0.0  # V_id = {I}
+        assert frob(form.reconstruct() - g) <= eps
 
 
 def test_bruhat_dimension_bookkeeping():

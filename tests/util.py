@@ -7,8 +7,8 @@ from itertools import combinations
 
 import numpy as np
 
-from qflag.decomp import bruhat
-from qflag.hmat import Permutation, QMatrix
+from qflag.decomp import PIVOT_RTOL, BruhatForm, bruhat
+from qflag.hmat import Permutation, QMatrix, SingularMatrixError
 from qflag.hp1geom import Chart, ChartPoint
 from qflag.liealg import Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion
@@ -48,15 +48,16 @@ def random_vw(w: Permutation, rng, scale=0.7):
     return v
 
 
-def random_bruhat_factors(n, rng):
-    """Valid (U, D, w, V) with moderate conditioning, and the product G."""
+def random_bruhat_factors(n, rng, w=None):
+    """Valid (U, D, w, V) with moderate conditioning, and the product G; the
+    cell w is drawn at random unless given."""
     u = random_unit_upper(n, rng)
     d_entries = []
     for _ in range(n):
         q = random_quaternion(rng)
         d_entries.append(q * (float(rng.uniform(0.5, 2.0)) / q.norm()))
     d = QMatrix.diag(d_entries)
-    w = Permutation(rng.permutation(n))
+    w = Permutation(rng.permutation(n)) if w is None else w
     v = random_vw(w, rng)
     g = u @ d @ w.matrix() @ v
     return u, d, w, v, g
@@ -283,8 +284,9 @@ def schouten_oracle(p: Multivector, q: Multivector) -> Multivector:
 # ---------------------------------------------------------------------------
 # Independent decomposition oracles: the hand-written Gauss-Jordan inverse and
 # modified Gram-Schmidt Iwasawa factorization that the LAPACK kernels on the
-# complex adjoint replaced.  They use their own Hamilton product, so they share
-# no arithmetic with the library's kernels.
+# complex adjoint replaced, and the Bruhat loop of row and column operations
+# that row reduction of [G | I] replaced.  They use their own Hamilton product,
+# so they share no arithmetic with the library's kernels.
 # ---------------------------------------------------------------------------
 
 def hamilton(a, b):
@@ -300,9 +302,8 @@ def hamilton(a, b):
 
 
 def _qinverse(q):
-    out = -q / np.sum(q * q)
-    out[0] = -out[0]
-    return out
+    """Inverse of each quaternion of a (..., 4) array."""
+    return q * np.array([1.0, -1.0, -1.0, -1.0]) / np.sum(q * q, axis=-1, keepdims=True)
 
 
 def gauss_jordan_inverse(m: QMatrix) -> QMatrix:
@@ -355,6 +356,46 @@ def gram_schmidt_iwasawa(g: QMatrix):
     r = t[np.arange(n), np.arange(n), 0]
     rr = QMatrix.diag([float(x) for x in r])
     return QMatrix(k), rr, QMatrix(t / r[:, None, None])
+
+
+def bruhat_oracle(g: QMatrix) -> BruhatForm:
+    """Strict Bruhat form by row and column operations, accumulating U and V.
+
+    The pivot rule and liveness test are those of ``decomp.bruhat``.  Entries
+    above the pivot are cleared by row operations (building U), live entries
+    below it, in already-assigned rows, by column operations that add the
+    columns of their pivots to column j (building V), so the reduced matrix
+    is D P_w.
+    """
+    n = g.n_rows
+    thresh = PIVOT_RTOL * max(g.frobenius(), 1e-300)
+    a = g.data.copy()
+    u_acc = QMatrix.identity(n).data
+    v_acc = QMatrix.identity(n).data
+    w_of = np.empty(n, dtype=int)
+    pivot_col = np.full(n, -1)
+    for j in range(n):
+        live = np.sqrt(np.sum(a[:, j] ** 2, axis=-1)) > thresh
+        free = np.flatnonzero(live & (pivot_col < 0))
+        if free.size == 0:
+            raise SingularMatrixError("oracle: no Bruhat pivot in column")
+        piv = free[-1]
+        w_of[j] = piv
+        pivot_col[piv] = j
+        above = np.flatnonzero(live[:piv])
+        if above.size:
+            c = hamilton(a[above, j], _qinverse(a[piv, j]))
+            a[above] -= hamilton(c[:, None], a[piv])
+            u_acc[:, piv] += hamilton(u_acc[:, above], c).sum(axis=1)
+        below = piv + 1 + np.flatnonzero(live[piv + 1:])
+        if below.size:
+            jp = pivot_col[below]
+            c = hamilton(_qinverse(a[below, jp]), a[below, j])
+            a[:, j] -= hamilton(a[:, jp], c).sum(axis=1)
+            v_acc[jp, j] = c
+    d = QMatrix.zeros(n, n)
+    d.data[w_of, w_of] = a[w_of, np.arange(n)]
+    return BruhatForm(U=QMatrix(u_acc), D=d, w=Permutation(w_of), V=QMatrix(v_acc))
 
 
 def random_multivector(n, grade, rng, nterms=4):
