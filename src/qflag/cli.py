@@ -50,22 +50,8 @@ def _load_matrix(path: str) -> QMatrix:
         return QMatrix.from_json(json.load(fh))
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
-
-
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(_sanitize(obj), indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -182,10 +168,7 @@ def suite_schouten(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["schouten_
 def suite_lambda(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["lambda_vanishing"]) -> dict:
     lam = liealg.lambda_element(n)
     br = liealg.schouten(lam, lam)
-    if n == 2:
-        ok = br.max_abs() <= tol
-    else:
-        ok = br.max_abs() > 1e-3  # genuinely nonzero for n > 2
+    ok = br.max_abs() <= tol if n == 2 else br.max_abs() > 1e-3  # nonzero for n > 2
     return {"suite": "lambda", "n": n, "seed": seed,
             "bracket_max_coeff": br.max_abs(), "ok": bool(ok)}
 
@@ -218,7 +201,7 @@ def suite_leaves(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     checked = []
     ok = True
-    for word in _reduced_words(n):
+    for word in (Permutation(perm).reduced_word() for perm in permutations(range(n))):
         w = len(word)
         params = [Quaternion.from_array(x)
                   for x in rng.normal(size=(w, 4)) * 0.7]
@@ -228,11 +211,6 @@ def suite_leaves(n: int, seed: int) -> dict:
         ok = ok and good
         checked.append({"word": [r + 1 for r in word], "cell_ok": good})
     return {"suite": "leaves", "n": n, "seed": seed, "words": checked, "ok": ok}
-
-
-def _reduced_words(n: int):
-    for perm in permutations(range(n)):
-        yield Permutation(perm).reduced_word()
 
 
 def suite_dressing(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["phase_deviation"],

@@ -8,9 +8,9 @@ dressing action (G, K) -> K' defined by G K = K' R U, and leaf signatures
 
 The Bruhat form comes from row reduction of [G | I] alone: the reduced left
 half is U^{-1} G = D P_w V, from which D and V are read, and U is the LAPACK
-inverse of the reduced right half.  Each elimination step places a scalar
-inverse explicitly on the left or right; the order matters because H is
-non-commutative.
+inverse of the reduced right half; leaf signatures and cells stop at the
+reduction.  Each elimination step places a scalar inverse explicitly on the
+left or right; the order matters because H is non-commutative.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hmat import (Permutation, QMatrix, SingularMatrixError, chi, is_symplectic,
-                   require_square_finite, unchi)
+from .hmat import (Permutation, QMatrix, SingularMatrixError, chi, pow2_scaled,
+                   require_square_finite, require_symplectic, unchi)
 from .quat import Quaternion, qinv, qnorm2, qprod
 
 __all__ = [
@@ -57,12 +57,7 @@ class BruhatForm:
         return [self.D[i, i] for i in range(self.D.n_rows)]
 
     def to_json(self) -> dict:
-        return {
-            "U": self.U.to_json(),
-            "D": self.D.to_json(),
-            "w": self.w.to_json(),
-            "V": self.V.to_json(),
-        }
+        return {name: getattr(self, name).to_json() for name in ("U", "D", "w", "V")}
 
 
 @dataclass
@@ -79,32 +74,20 @@ class LeafSignature:
         return max((p - q).norm() for p, q in zip(self.phases, other.phases))
 
 
-def bruhat(g: QMatrix) -> BruhatForm:
-    """Strict Bruhat normal form of an invertible matrix.
-
-    Row reduction of ``[G | I]``, held as the (z1, z2) pairs of the top rows
-    of :func:`chi`.  The pivot of column j is the bottom-most not-yet-assigned
-    row with a nonzero entry, and one batched row operation adds multiples
-    of it to the rows above it.  The left half ends as ``U^{-1} G = D P_w V``,
-    so row w(j) is ``d_j V[j, :]``; V keeps only the entries allowed by
-    strictness (``P_w V P_w^{-1}`` lower unit triangular), the rest being
-    rounding residue.  U is the inverse of the right half.  G is first scaled
-    by a power of two near its largest entry, exactly, and D is scaled back.
-
-    Raises ``ValueError`` on a non-finite entry and
-    :class:`SingularMatrixError` when a column has no pivot above the
-    threshold.
-    """
-    require_square_finite(g, "bruhat")
+def _row_reduce(g: QMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row reduction of ``[2^-e G | I]`` for square finite G: the reduced
+    ``(n, 2n, 4)`` array, the pivot row ``w_of[j]`` of each column j, and e.
+    The pivot of column j is the bottom-most not-yet-assigned row with a
+    nonzero entry, and one batched row operation adds multiples of it to the
+    rows above it; SingularMatrixError when a column has none."""
     n = g.n_rows
-    cols = np.arange(n)
-    _, scale = np.frexp(np.abs(g.data).max())
+    scaled, e = pow2_scaled(g.data)
     a = np.zeros((n, 2 * n, 4))
-    a[:, :n] = np.ldexp(g.data, -scale)
-    a[cols, n + cols, 0] = 1.0
+    a[:, :n] = scaled
+    a[np.arange(n), n + np.arange(n), 0] = 1.0
     z = a.view(complex)  # (n, 2n, 2): the (z1, z2) pair of each entry
     rows = z.reshape(n, 4 * n)
-    thresh = PIVOT_RTOL * np.sqrt(np.sum(a[:, :n] * a[:, :n]))
+    thresh = PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled))
     p_chi = np.empty((2, 2 * n, 2), dtype=complex)  # chi of the pivot row
     w_of = np.empty(n, dtype=int)  # w_of[j] = pivot row of column j
     free = np.ones(n, dtype=bool)  # rows that are no column's pivot yet
@@ -126,13 +109,33 @@ def bruhat(g: QMatrix) -> BruhatForm:
             p_chi[1, :, 0] *= -1.0
             q_inv = p_chi[:, j].T.conj() / norm2[piv]
             rows[:piv] -= (z[:piv, j] * live[:piv, None]) @ (q_inv @ p_chi.reshape(2, 4 * n))
+    return a, w_of, e
 
+
+def bruhat(g: QMatrix) -> BruhatForm:
+    """Strict Bruhat normal form of an invertible matrix.
+
+    Row reduction of ``[G | I]`` (:func:`_row_reduce`), held as the (z1, z2)
+    pairs of the top rows of :func:`chi`.  The left half ends as ``U^{-1} G =
+    D P_w V``, so row w(j) is ``d_j V[j, :]``; V keeps only the entries
+    allowed by strictness (``P_w V P_w^{-1}`` lower unit triangular), the rest
+    being rounding residue.  U is the inverse of the right half.  G is first
+    scaled by a power of two, exactly, and D is scaled back.
+
+    Raises ``ValueError`` on a non-finite entry and
+    :class:`SingularMatrixError` when a column has no pivot above the
+    threshold.
+    """
+    require_square_finite(g.data, "bruhat")
+    a, w_of, e = _row_reduce(g)
+    n = g.n_rows
+    cols = np.arange(n)
     d = a[w_of, cols]
     v = qprod(qinv(d)[:, None], a[w_of, :n])
     v[~((cols[:, None] < cols) & (w_of[:, None] > w_of))] = 0.0
     v[cols, cols, 0] = 1.0
     dd = np.zeros((n, n, 4))
-    dd[w_of, w_of] = np.ldexp(d, scale)
+    dd[w_of, w_of] = np.ldexp(d, e)
     u = unchi(np.linalg.inv(chi(a[:, n:])))
     return BruhatForm(U=QMatrix(u), D=QMatrix(dd), w=Permutation(w_of), V=QMatrix(v))
 
@@ -151,7 +154,7 @@ def dieudonne_det(g: QMatrix) -> float:
     :class:`SingularMatrixError` when some |T_ii| is at most
     ``PIVOT_RTOL * ||G||_F``, the breakdown rule of :func:`iwasawa`.
     """
-    require_square_finite(g, "dieudonne_det")
+    require_square_finite(g.data, "dieudonne_det")
     mag = np.abs(np.diagonal(np.linalg.qr(chi(g.data), mode="r")))
     if mag.min() <= PIVOT_RTOL * g.frobenius():
         raise SingularMatrixError("matrix is singular: QR breakdown")
@@ -164,27 +167,33 @@ def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     LAPACK's QR of the complex adjoint ``chi(G) = Q T``, with the phases of
     T's diagonal moved from T's rows into Q's columns so that T's diagonal is
     positive; by uniqueness of that QR, ``Q = chi(K)`` and ``T = chi(R Uu)``
-    (Bunse-Gerstner, Byers and Mehrmann, Numer. Math. 55, 1989).  Raises
-    ``ValueError`` on a non-finite entry and :class:`SingularMatrixError`
-    when a diagonal entry of T is at most ``PIVOT_RTOL * ||G||_F``.
+    (Bunse-Gerstner, Byers and Mehrmann, Numer. Math. 55, 1989), of G scaled
+    by a power of two, exactly, with R scaled back.  Raises ``ValueError`` on
+    a non-finite entry and :class:`SingularMatrixError` when a diagonal entry
+    of T is at most ``PIVOT_RTOL * ||G||_F``.
     """
-    require_square_finite(g, "iwasawa")
+    require_square_finite(g.data, "iwasawa")
     n = g.n_rows
-    q, t = np.linalg.qr(chi(g.data))
+    scaled, e = pow2_scaled(g.data)
+    q, t = np.linalg.qr(chi(scaled))
     d = np.diagonal(t)
     mag = np.abs(d)
-    if mag.min() <= PIVOT_RTOL * g.frobenius():
+    if mag.min() <= PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled)):
         raise SingularMatrixError("matrix is singular: QR breakdown")
     phase = d / mag
     r = mag[0::2]
     uu = unchi(phase.conj()[:, None] * t) / r[:, None, None]
     uu[np.arange(n), np.arange(n)] = (1.0, 0.0, 0.0, 0.0)
     rr = QMatrix.zeros(n, n)
-    rr.data[np.arange(n), np.arange(n), 0] = r
+    rr.data[np.arange(n), np.arange(n), 0] = np.ldexp(r, e)
     return QMatrix(unchi(q * phase)), rr, QMatrix(uu)
 
 
-def dress(g: QMatrix, k: QMatrix, tol: float = 1e-10) -> QMatrix:
+# G's parts off RU up to RU_RTOL * ||G||_F are dressed as if they were zero
+RU_RTOL = 1e-10
+
+
+def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     """Dressing action: (G, K) -> K' where G K = K' R U.
 
     G must be upper triangular with positive real diagonal (an element of RU)
@@ -192,30 +201,23 @@ def dress(g: QMatrix, k: QMatrix, tol: float = 1e-10) -> QMatrix:
     decomposition of the product, which re-projects onto the group manifold
     and keeps iterated orbits from drifting.
     """
-    require_square_finite(g, "dress")
-    require_square_finite(k, "dress")
-    _require_ru(g, tol)
-    if not is_symplectic(k, tol=max(tol, 1e-8)):
-        raise ValueError("dress requires a symplectic K")
-    k2, _, _ = iwasawa(g @ k)
-    return k2
-
-
-def _require_ru(g: QMatrix, tol: float) -> None:
+    require_square_finite(g.data, "dress")
+    require_symplectic(k.data, "dress")
     n = g.n_rows
-    lim = tol * max(g.frobenius(), 1e-300)
+    lim = RU_RTOL * max(g.frobenius(), 1e-300)
     diag = g.data[np.arange(n), np.arange(n)]
     if np.any(diag[:, 0] <= 0) or np.any(np.sqrt(qnorm2(diag[:, 1:])) > lim):
         raise ValueError("G must have positive real diagonal")
     if np.any(np.sqrt(qnorm2(g.data[np.tril_indices(n, -1)])) > lim):
         raise ValueError("G must be upper triangular")
+    return iwasawa(g @ k)[0]
 
 
-def leaf_signature(k: QMatrix, tol: float = 1e-8) -> LeafSignature:
-    """(w, phases) of a symplectic matrix, via its strict Bruhat form."""
-    require_square_finite(k, "leaf_signature")
-    if not is_symplectic(k, tol=tol):
-        raise ValueError("leaf_signature requires a symplectic matrix")
-    form = bruhat(k)
-    phases = [q * (1.0 / q.norm()) for q in form.diagonal()]
-    return LeafSignature(w=form.w, phases=phases)
+def leaf_signature(k: QMatrix) -> LeafSignature:
+    """(w, phases) of a symplectic matrix: the permutation and the normalized
+    diagonal of its strict Bruhat form, read off the row reduction."""
+    require_symplectic(k.data, "leaf_signature")
+    a, w_of, e = _row_reduce(k)
+    diag = np.ldexp(a[np.arange(k.n_rows), np.argsort(w_of)], e)  # D[i, i] = d_{w^-1(i)}
+    phases = [q * (1.0 / q.norm()) for q in map(Quaternion.from_array, diag)]
+    return LeafSignature(w=Permutation(w_of), phases=phases)

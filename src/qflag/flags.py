@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import LeafSignature, bruhat, dress, leaf_signature
-from .hmat import (Permutation, QMatrix, embed_sp2, is_symplectic, require_square_finite,
-                   word_to_permutation)
+from .decomp import _row_reduce, dress, leaf_signature
+from .hmat import Permutation, QMatrix, embed_sp2, require_symplectic, word_to_permutation
 from .hp1geom import ChartPoint, coset_rep, south_coord
 from .liealg import sp_basis
 from .quat import Quaternion
@@ -59,51 +58,51 @@ def leaf_point(word, params, n: int) -> LeafPoint:
     return LeafPoint(n=n, word=word, params=params, matrix=m)
 
 
-def cell_of(k: QMatrix, tol: float = 1e-8) -> Permutation:
-    """Bruhat cell (permutation type) of a symplectic matrix."""
-    require_square_finite(k, "cell_of")
-    if not is_symplectic(k, tol=tol):
-        raise ValueError("cell_of requires a symplectic matrix")
-    return bruhat(k).w
+def cell_of(k: QMatrix) -> Permutation:
+    """Bruhat cell (permutation type) of a symplectic matrix, read off the
+    row reduction of its Bruhat form."""
+    require_symplectic(k.data, "cell_of")
+    return Permutation(_row_reduce(k)[1])
 
 
-def leaf_dimension(word, n: int, probes: int = 1, seed: int = 0,
-                   h: float = 1e-5, sv_cutoff: float = 1e-7) -> int:
+# leaf_dimension's step: the Jacobian errs by h^2 and eps / h, which can cross LEAF_SV_RTOL
+LEAF_FD_STEP = 1e-5
+LEAF_SV_RTOL = 1e-7  # leaf_dimension misses a direction weaker than this, relative
+
+
+def leaf_dimension(word, n: int, seed: int = 0) -> int:
     """Numerical rank of the differential of the word product map.
 
-    Finite differences in all 4m real parameters at a random base point; the
-    difference quotients are pulled back to sp(n) coordinates through right
-    translation, and the rank of the resulting (4m) x dim sp(n) matrix is
-    returned (singular values above sv_cutoff * max).  Expected 4m for a
-    reduced word.
+    Central differences (step LEAF_FD_STEP) in all 4m real parameters at a
+    random base point; the difference quotients are pulled back to sp(n)
+    coordinates through right translation, and the rank of the resulting
+    (4m) x dim sp(n) matrix is returned (singular values above LEAF_SV_RTOL
+    times the largest).  Expected 4m for a reduced word.
     """
     word = [int(r) for r in word]
     m = len(word)
     if m == 0:
         return 0
     rng = np.random.default_rng(seed)
-    rank = 0
-    for _ in range(max(probes, 1)):
-        base = rng.normal(size=(m, 4))
-        base *= (0.3 + 0.9 * rng.random((m, 1))) / np.linalg.norm(base, axis=1, keepdims=True)
+    base = rng.normal(size=(m, 4))
+    base *= (0.3 + 0.9 * rng.random((m, 1))) / np.linalg.norm(base, axis=1, keepdims=True)
 
-        def at(flat):
-            ps = [Quaternion.from_array(flat[4 * i:4 * i + 4]) for i in range(m)]
-            return leaf_point(word, ps, n).matrix
+    def at(flat):
+        ps = [Quaternion.from_array(flat[4 * i:4 * i + 4]) for i in range(m)]
+        return leaf_point(word, ps, n).matrix
 
-        flat0 = base.reshape(-1)
-        k0_inv = at(flat0).conj_transpose()  # symplectic inverse
-        basis = sp_basis(n)
-        cols = []
-        for a in range(4 * m):
-            e = np.zeros(4 * m)
-            e[a] = h
-            diff = (at(flat0 + e) - at(flat0 - e)).scale(1.0 / (2 * h))
-            cols.append(basis.project(diff @ k0_inv))
-        jac = np.stack(cols)  # (4m, dim sp(n))
-        sv = np.linalg.svd(jac, compute_uv=False)
-        rank = max(rank, int(np.sum(sv > sv_cutoff * sv[0])))
-    return rank
+    flat0 = base.reshape(-1)
+    k0_inv = at(flat0).conj_transpose()  # symplectic inverse
+    basis = sp_basis(n)
+    cols = []
+    for a in range(4 * m):
+        e = np.zeros(4 * m)
+        e[a] = LEAF_FD_STEP
+        diff = (at(flat0 + e) - at(flat0 - e)).scale(1.0 / (2 * LEAF_FD_STEP))
+        cols.append(basis.project(diff @ k0_inv))
+    jac = np.stack(cols)  # (4m, dim sp(n))
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return int(np.sum(sv > LEAF_SV_RTOL * sv[0]))
 
 
 def random_ru(n: int, rng: np.random.Generator) -> QMatrix:
@@ -112,8 +111,7 @@ def random_ru(n: int, rng: np.random.Generator) -> QMatrix:
     g = QMatrix.zeros(n, n)
     for i in range(n):
         g.data[i, i, 0] = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
-        for j in range(i + 1, n):
-            g.data[i, j] = rng.normal(scale=0.5, size=4)
+        g.data[i, i + 1:] = rng.normal(scale=0.5, size=(n - 1 - i, 4))
     return g
 
 
@@ -123,8 +121,7 @@ def orbit_probe(k: QMatrix, samples: int, seed: int) -> dict:
     For n = 2 with base point in the 4-cell, also reports the worst
     reconstruction error of orbit points against the k_v chart form.
     """
-    if not is_symplectic(k, tol=1e-8):
-        raise ValueError("orbit_probe requires a symplectic base point")
+    require_symplectic(k.data, "orbit_probe")
     n = k.n_rows
     rng = np.random.default_rng(seed)
     sig0 = leaf_signature(k)

@@ -10,6 +10,7 @@ The single matrix norm used everywhere is the Frobenius norm
 
 Products, inverses and exponentials run through BLAS/LAPACK on the complex
 adjoint (:func:`chi`), and their results are converted back once per call.
+Membership in Sp(n) is one test with one tolerance, :func:`require_symplectic`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ __all__ = [
 
 
 INV_COND_MAX = 1e12  # largest ||M||_F * ||M^{-1}||_F that QMatrix.inverse accepts
+
+# largest ||M* M - I||_F taken as Sp(n): callers using M^{-1} = M* err by as much
+SYMPLECTIC_TOL = 1e-8
+EXPM_TERM_CUTOFF = 1e-13  # expm's series stops below this term norm, its truncation error
 
 
 class SingularMatrixError(ValueError):
@@ -67,12 +72,35 @@ def unchi(c: np.ndarray) -> np.ndarray:
     return z.view(float)
 
 
-def require_square_finite(m: "QMatrix", op: str) -> None:
-    """Raise ``ValueError`` naming ``op`` unless ``m`` is square and finite."""
-    if m.n_rows != m.n_cols:
+def require_square_finite(data: np.ndarray, op: str) -> None:
+    """Raise ``ValueError`` naming ``op`` unless ``data`` is square and finite."""
+    if data.shape[-3] != data.shape[-2]:
         raise ValueError(f"{op} requires a square matrix")
-    if not np.isfinite(m.data).all():
+    if not np.isfinite(data).all():
         raise ValueError(f"{op}: matrix has a non-finite entry")
+
+
+def symplectic_residual(c: np.ndarray) -> np.ndarray:
+    """||M* M - I||_F of each M from ``c = chi(M)``, which doubles ||.||_F^2."""
+    return np.linalg.norm(c.conj().swapaxes(-1, -2) @ c - np.eye(c.shape[-1]),
+                          axis=(-2, -1)) / math.sqrt(2.0)
+
+
+def require_symplectic(data: np.ndarray, op: str) -> np.ndarray:
+    """chi of a ``(..., n, n, 4)`` array; ``ValueError`` naming ``op`` unless
+    each matrix is square, finite and within SYMPLECTIC_TOL of Sp(n)."""
+    require_square_finite(data, op)
+    c = chi(data)
+    if not np.all(symplectic_residual(c) <= SYMPLECTIC_TOL):
+        raise ValueError(f"{op} requires a symplectic matrix")
+    return c
+
+
+def pow2_scaled(data: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(data * 2**-e, e)`` with the largest scaled component in [1/2, 1), so no
+    squared norm overflows or underflows; exact, and LAPACK commutes with it."""
+    _, e = np.frexp(np.abs(data).max())
+    return np.ldexp(data, -e), int(e)
 
 
 class QMatrix:
@@ -110,11 +138,8 @@ class QMatrix:
 
     @staticmethod
     def from_rows(rows) -> "QMatrix":
-        arr = np.array(
-            [[(e.to_array() if isinstance(e, Quaternion) else Quaternion(e).to_array())
-              for e in row] for row in rows]
-        )
-        return QMatrix(arr)
+        return QMatrix(np.array([[(e if isinstance(e, Quaternion) else Quaternion(e)).to_array()
+                                  for e in row] for row in rows]))
 
     # -- shape and entries -------------------------------------------------
 
@@ -167,22 +192,24 @@ class QMatrix:
         return float(np.sqrt(np.sum(self.data * self.data)))
 
     def inverse(self) -> "QMatrix":
-        """Inverse by LAPACK (``np.linalg.inv``) on the complex adjoint.
+        """Inverse by LAPACK (``np.linalg.inv``) on the complex adjoint of
+        ``2^-e M`` (:func:`pow2_scaled`), scaled back by ``2^-e``.
 
         Raises ``ValueError`` on a non-finite entry, and
         :class:`SingularMatrixError` when LAPACK meets an exactly zero pivot
-        or when the Frobenius condition number ``||M||_F * ||M^{-1}||_F``
-        exceeds ``INV_COND_MAX`` (1e12).
+        or when the Frobenius condition number ``||M||_F * ||M^{-1}||_F``,
+        which the scaling leaves unchanged, exceeds ``INV_COND_MAX`` (1e12).
         """
-        require_square_finite(self, "inverse")
+        require_square_finite(self.data, "inverse")
+        scaled, e = pow2_scaled(self.data)
         try:
-            inv = QMatrix(unchi(np.linalg.inv(chi(self.data))))
+            inv = unchi(np.linalg.inv(chi(scaled)))
         except np.linalg.LinAlgError:
             raise SingularMatrixError("matrix is singular: zero pivot") from None
-        if not self.frobenius() * inv.frobenius() <= INV_COND_MAX:  # also when inf
+        if not np.linalg.norm(scaled) * np.linalg.norm(inv) <= INV_COND_MAX:  # also when inf
             raise SingularMatrixError("matrix is singular to working precision: "
                                       f"condition number above {INV_COND_MAX:g}")
-        return inv
+        return QMatrix(np.ldexp(inv, -e))
 
     # -- serialization -----------------------------------------------------
 
@@ -217,27 +244,26 @@ class QMatrix:
         return f"QMatrix({self.n_rows}x{self.n_cols})"
 
 
-def is_symplectic(m: QMatrix, tol: float = 1e-10) -> bool:
+def is_symplectic(m: QMatrix, tol: float = SYMPLECTIC_TOL) -> bool:
     """True iff ||M* M - I||_F <= tol."""
     if m.n_rows != m.n_cols:
         raise ValueError("is_symplectic requires a square matrix")
-    res = m.conj_transpose() @ m - QMatrix.identity(m.n_rows)
-    return res.frobenius() <= tol
+    return bool(symplectic_residual(chi(m.data)) <= tol)
 
 
-def expm(m: QMatrix, term_cutoff: float = 1e-13) -> QMatrix:
+def expm(m: QMatrix) -> QMatrix:
     """Matrix exponential by scaling-and-squaring with a truncated series.
 
     The series and the squarings run on the complex adjoint ``chi(X)``,
     converted back once.  Raises ``ValueError`` on a non-finite entry; the
     exponential has no singular case.
     """
-    require_square_finite(m, "expm")
+    require_square_finite(m.data, "expm")
     norm = m.frobenius()
     s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
     x = chi(m.data) * 0.5 ** s
     # ||chi(Y)||_F = sqrt(2) ||Y||_F: the cutoff stays on the quaternion norm.
-    cutoff = math.sqrt(2.0) * term_cutoff
+    cutoff = math.sqrt(2.0) * EXPM_TERM_CUTOFF
     acc = term = np.eye(len(x), dtype=complex)
     for kfac in range(1, 62):  # the series converges long before 61 terms
         term = (term @ x) / kfac
@@ -249,14 +275,14 @@ def expm(m: QMatrix, term_cutoff: float = 1e-13) -> QMatrix:
     return QMatrix(unchi(acc))
 
 
-def random_sp_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> QMatrix:
-    """Random element of sp(n): X = (A - A*)/2 for Gaussian A."""
-    a = QMatrix(rng.normal(scale=scale, size=(n, n, 4)))
+def random_sp_algebra(n: int, rng: np.random.Generator) -> QMatrix:
+    """Random element of sp(n): X = (A - A*)/2 for standard Gaussian A."""
+    a = QMatrix(rng.normal(size=(n, n, 4)))
     return (a - a.conj_transpose()).scale(0.5)
 
 
-def random_symplectic(n: int, rng: np.random.Generator, scale: float = 1.0) -> QMatrix:
-    return expm(random_sp_algebra(n, rng, scale=scale))
+def random_symplectic(n: int, rng: np.random.Generator) -> QMatrix:
+    return expm(random_sp_algebra(n, rng))
 
 
 class Permutation:

@@ -60,6 +60,12 @@ __all__ = [
 # (rho >= ~1e10) is off the chart: a batch holding one raises
 # ChartBoundaryError as a whole, with no partial result, and the CLI exits 2.
 CHART_EPS = 1e-10
+# fourvector_rank misses a contraction direction weaker than this, relative
+RANK_RTOL = 1e-9
+# lie_derivative_check's step: its residual grows as h^4 and as eps / h
+LIE_FD_STEP = 1e-3
+# bruhat_normalization reads the field here; every profile ratio inherits its error
+NORM_RHO_REF = 1e-3
 
 
 class Chart(enum.Enum):
@@ -160,7 +166,7 @@ def _bruhat_coeffs(chart: Chart, reps: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``(m, 2, 2, 4)`` matrices k, and the ``(m, 4, dim)`` products J Ad_k, which
     push forward Ad_k P for any P.  At k = I the coefficient is exactly 0."""
     jac = _jacobians(chart, reps, "action")
-    jad = jac @ ad_group_matrix(reps, tol=1e-8)
+    jad = jac @ ad_group_matrix(reps)
     lam = lambda_element(2)
     return _pushforward(jad, lam) - _pushforward(jac, lam), jad
 
@@ -209,11 +215,10 @@ def invariant_field(p: ChartPoint) -> FieldSample:
 # Rank of 4-vectors via the contraction map
 # ---------------------------------------------------------------------------
 
-def fourvector_rank(coeffs: dict[tuple[int, ...], float], dim: int,
-                    rel_cutoff: float = 1e-9) -> int:
+def fourvector_rank(coeffs: dict[tuple[int, ...], float], dim: int) -> int:
     """Rank of the contraction map Lambda^3 V* -> V of a constant 4-vector,
     with its terms canonical as in :class:`Multivector`: the singular values
-    above ``rel_cutoff`` times the largest of the matrix of contractions with
+    above ``RANK_RTOL`` times the largest of the matrix of contractions with
     the basis 3-covectors, which has nonzero rows only for the 3-subsets the
     terms leave after dropping one factor."""
     idx, val = _arrays(_canonicalize(coeffs, 4, dim), 4)
@@ -225,7 +230,7 @@ def fourvector_rank(coeffs: dict[tuple[int, ...], float], dim: int,
     mat = np.zeros((len(subsets), dim))
     mat[row.ravel(), col] = signed  # one term per (subset, column): no collisions
     sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > rel_cutoff * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def rank_at(p: ChartPoint) -> int:
@@ -240,39 +245,33 @@ def hamiltonian_field(p: ChartPoint, df1, df2, df3) -> np.ndarray:
     Trilinear and alternating in the covector arguments; the orientation
     convention is fixed by X^m = f * det(rows df1, df2, df3, e_m).
     """
-    f = bruhat_field(p).coeff
-    dfs = [np.asarray(d, dtype=float) for d in (df1, df2, df3)]
-    out = np.zeros(4)
-    for m in range(4):
-        em = np.zeros(4)
-        em[m] = 1.0
-        out[m] = f * float(np.linalg.det(np.stack(dfs + [em])))
-    return out
+    dfs = np.broadcast_to(np.array([df1, df2, df3], dtype=float), (4, 3, 4))
+    return bruhat_field(p).coeff * np.linalg.det(np.concatenate([dfs, np.eye(4)[:, None]], 1))
 
 
 # ---------------------------------------------------------------------------
 # Lie-derivative check of the multiplicative-action identity
 # ---------------------------------------------------------------------------
 
-def lie_derivative_check(p: ChartPoint, x: Multivector, h: float = 1e-3) -> float:
+def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     """|LHS - RHS| for the identity L_{gamma(X)} xi = wedge^4 gamma(ad_X Lambda).
 
     LHS is the Lie derivative of the chart field f * d^4 along the chart
     vector field b of the right action of X, b . grad f - f div b, with the
     fourth-order central difference (8 (g(+h) - g(-h)) - (g(+2h) - g(-2h))) / 12h,
-    the Richardson extrapolation of the second-order one.  RHS pushes
+    the Richardson extrapolation of the second-order one, h = LIE_FD_STEP.  RHS pushes
     Ad_k (ad_X Lambda) through the same trivialization.  The 17 stencil
     points are one batch.
     """
     if p.chart is not Chart.SOUTH:
         raise ValueError("lie_derivative_check works on the South chart")
-    steps = h * np.array([1.0, -1.0, 2.0, -2.0])
+    steps = LIE_FD_STEP * np.array([1.0, -1.0, 2.0, -2.0])
     # row 1 + 4 s + m is the centre moved by steps[s] along coordinate m
     offsets = np.concatenate([np.zeros((1, 4)), (steps[:, None, None] * np.eye(4)).reshape(16, 4)])
     reps = _coset_reps(Chart.SOUTH, p.coord.to_array() + offsets)
     f, jad = _bruhat_coeffs(Chart.SOUTH, reps)
     b = _jacobians(Chart.SOUTH, reps, "flow") @ x.as_vector()
-    weights = np.array([8.0, -8.0, -1.0, 1.0]) / (12.0 * h)
+    weights = np.array([8.0, -8.0, -1.0, 1.0]) / (12.0 * LIE_FD_STEP)
     grad_f = weights @ f[1:].reshape(4, 4)
     div_b = float(np.sum(weights @ np.diagonal(b[1:].reshape(4, 4, 4), axis1=1, axis2=2)))
     lhs = float(b[0] @ grad_f - f[0] * div_b)
@@ -285,14 +284,14 @@ def lie_derivative_check(p: ChartPoint, x: Multivector, h: float = 1e-3) -> floa
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def bruhat_normalization(rho_ref: float = 1e-3) -> float:
+def bruhat_normalization() -> float:
     """Constant scaling the Bruhat coefficient to 1 at the v -> 0 limit.
 
-    Evaluated at a small reference radius and divided by the analytic radial
-    profile there, so the returned constant carries no O(rho_ref^2) bias.
+    Evaluated at the radius NORM_RHO_REF and divided by the analytic radial
+    profile there, so the returned constant carries no O(rho^2) bias.
     """
-    ref = bruhat_field(ChartPoint.south(Quaternion(rho_ref))).coeff
-    return ref / ((1.0 + rho_ref ** 2) * (1.0 + 3.0 * rho_ref ** 4))
+    ref = bruhat_field(ChartPoint.south(Quaternion(NORM_RHO_REF))).coeff
+    return ref / ((1.0 + NORM_RHO_REF ** 2) * (1.0 + 3.0 * NORM_RHO_REF ** 4))
 
 
 def radial_profile(rhos, directions: int, seed: int):

@@ -12,15 +12,17 @@ spheroid algebra (purely imaginary diagonal matrices).
 Multivectors are sparse: a grade-k element of the exterior algebra stores a
 map from strictly increasing k-tuples of basis indices to real coefficients,
 with coefficients below 1e-14 pruned; every Multivector is in this canonical
-form from construction on.  ``wedge``, ``schouten``, the Leibniz derivative and
-the constructor work on whole arrays: they write each term as an unsorted index
-row, and one pass (:func:`_collect`) sorts the rows with the sign of the sort,
-drops repeats and merges equal rows.  The tables the kernels read are built
-lazily and cached per n: a padded sparse table of structure constants,
-ad_{B_c} Lambda for every c, and the k-subsets of the basis.  :class:`SpBasis`
-holds chi of the basis once, and both the structure constants and Ad_g are
-products with it.  :func:`apply_exterior` has one path, a dense antisymmetric
-tensor over the basis elements its terms use.
+form from construction on.  ``wedge``, ``schouten`` and the constructor work
+on whole arrays: they write each term as an unsorted index row, and one pass
+(:func:`_collect`) sorts the rows with the sign of the sort, drops repeats and
+merges equal rows.  ``schouten`` is the one bracket kernel: ``lie_bracket``
+and ad_X P (:func:`ad_multivector`, the derivative d_e Lambda(X) = ad_X
+Lambda) are the bracket with a grade-1 argument.  The tables the kernels read
+are built lazily and cached per n: a padded sparse table of structure
+constants, ad_{B_c} Lambda for every c, and the k-subsets of the basis.
+:class:`SpBasis` holds chi of the basis once, and both the structure constants
+and Ad_g are products with it.  :func:`apply_exterior` has one path, a dense
+antisymmetric tensor over the basis elements its terms use.
 
 The Schouten bracket follows the convention in which the three identities
 
@@ -44,7 +46,7 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from .hmat import QMatrix, chi, unchi
+from .hmat import QMatrix, chi, require_symplectic, unchi
 
 __all__ = [
     "SpBasis",
@@ -141,10 +143,6 @@ class SpBasis:
             comm = unchi(prod - prod.swapaxes(0, 1)).reshape(N, N, -1)
             self._struct = comm @ self._flat.T / self._norm2
         return self._struct
-
-    def ad_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad_X on the basis, for X with coordinates x."""
-        return np.einsum("a,abc->cb", np.asarray(x, dtype=float), self.struct)
 
 
 @lru_cache(maxsize=None)
@@ -324,11 +322,9 @@ class Multivector:
 
 def lie_bracket(x: Multivector, y: Multivector) -> Multivector:
     """Lie bracket of two grade-1 elements, in basis coordinates."""
-    if x.n != y.n:
-        raise ValueError("mismatched n")
     if x.grade != 1 or y.grade != 1:
         raise ValueError("lie_bracket expects grade-1 elements")
-    return schouten(x, y)
+    return schouten(x, y)  # which checks n
 
 
 def schouten(p: Multivector, q: Multivector) -> Multivector:
@@ -367,25 +363,13 @@ def lambda_element(n: int) -> Multivector:
 
 
 def ad_multivector(x: Multivector, p: Multivector) -> Multivector:
-    """Leibniz extension of ad_X: sum over factor positions of [X, factor]."""
+    """Leibniz extension of ad_X, the sum over factor positions of [X, factor]:
+    the Schouten bracket [X, P] for grade-1 X."""
     if x.n != p.n:
         raise ValueError("mismatched n")
     if x.grade != 1:
         raise ValueError("ad_multivector expects a grade-1 first argument")
-    ad = sp_basis(x.n).ad_matrix(x.as_vector())
-    return _leibniz_apply(ad, p)
-
-
-def _leibniz_apply(a: np.ndarray, p: Multivector) -> Multivector:
-    """Derivative of the exterior power: replace one factor by its a-image;
-    the factor at position pos gives the rows (new, rest) with sign (-1)^pos."""
-    if p.grade == 0:
-        return Multivector.zero(p.n, 0)
-    x, rest, coef = _factors(*_arrays(p.coeffs, p.grade))
-    cols = a[:, x]
-    new, f = np.nonzero(np.abs(cols) > PRUNE_TOL)
-    rows = np.concatenate([new[:, None], rest[f]], axis=1)
-    return Multivector._of(p.n, p.grade, _collect(rows, coef[f] * cols[new, f]))
+    return schouten(x, p)
 
 
 def intrinsic_derivative(x: Multivector) -> Multivector:
@@ -436,26 +420,20 @@ def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector)
 # Group-level adjoint action
 # ---------------------------------------------------------------------------
 
-def ad_group_matrix(g, tol: float = 1e-8) -> np.ndarray:
+def ad_group_matrix(g) -> np.ndarray:
     """Matrix of Ad_g = g (.) g^{-1} on the basis of sp(n); g symplectic.
 
     ``g`` is a :class:`QMatrix` or a ``(..., n, n, 4)`` array of them, giving
     an ``(N, N)`` or ``(..., N, N)`` result; ``ValueError`` unless every g
-    has ``||g* g - I||_F <= tol``."""
+    passes :func:`require_symplectic`."""
     data = g.data if isinstance(g, QMatrix) else np.asarray(g, dtype=float)
+    cg = require_symplectic(data, "ad_group_matrix")
     lead, n = data.shape[:-3], data.shape[-2]
-    if data.shape[-3] != n:
-        raise ValueError("ad_group requires a square g")
     basis = sp_basis(n)
     N, m = basis.dim, 2 * n
-    cg = chi(data)
-    cgh = cg.conj().swapaxes(-1, -2)
-    # chi doubles the squared Frobenius norm; "not <=" also catches NaN
-    if not np.all(np.sum(np.abs(cgh @ cg - np.eye(m)) ** 2, axis=(-2, -1)) <= 2 * tol * tol):
-        raise ValueError("ad_group requires a symplectic g")
     # g B_c g* for all c in two products: g [B_1 | ... | B_N], then its blocks stacked, times g*
     gb = (cg @ basis.chi).reshape(*lead, m, N, m).swapaxes(-3, -2).reshape(*lead, N * m, m)
-    flat = unchi(gb @ cgh).reshape(*lead, N, 4 * n * n)
+    flat = unchi(gb @ cg.conj().swapaxes(-1, -2)).reshape(*lead, N, 4 * n * n)
     return (flat @ basis._flat.T / basis._norm2).swapaxes(-1, -2)
 
 
@@ -512,8 +490,8 @@ def _subsets(N: int, k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return tuples, prefixes, (np.cumsum(new) - 1) * N + rows[:, -1]
 
 
-def ad_group(g: QMatrix, p: Multivector, tol: float = 1e-8) -> Multivector:
+def ad_group(g: QMatrix, p: Multivector) -> Multivector:
     """Ad_g applied factor-wise to a multivector; Ad_{gh} = Ad_g Ad_h."""
     if g.n_rows != p.n:
         raise ValueError("mismatched n")
-    return apply_exterior(ad_group_matrix(g, tol=tol), p)
+    return apply_exterior(ad_group_matrix(g), p)

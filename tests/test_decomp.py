@@ -232,6 +232,24 @@ def test_iwasawa_random(n):
         assert frob(k @ r @ u - g) <= 1e-9 * frob(g)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_iwasawa_is_scale_safe(scale):
+    # ||G||_F overflows at 1e155 and the squared entries underflow at 1e-170
+    g = QMatrix.identity(3).scale(scale)
+    k, r, u = iwasawa(g)
+    assert frob(k - QMatrix.identity(3)) == 0.0
+    assert frob(u - QMatrix.identity(3)) == 0.0
+    assert np.array_equal(r.data, g.data)
+    # a power-of-two multiple of G gives K and U bit for bit, and R scaled
+    e = int(np.log2(scale))
+    g = random_invertible(3, np.random.default_rng(280))
+    far = iwasawa(QMatrix(np.ldexp(g.data, e)))
+    near = iwasawa(g)
+    assert np.array_equal(far[0].data, near[0].data)
+    assert np.array_equal(far[1].data, np.ldexp(near[1].data, e))
+    assert np.array_equal(far[2].data, near[2].data)
+
+
 def test_iwasawa_build_then_decompose():
     rng = np.random.default_rng(70)
     n = 3
@@ -380,6 +398,33 @@ def test_leaf_signature_examples():
     sig = leaf_signature(QMatrix.diag(sigma) @ w.matrix())
     assert sig.w == w
     assert max((p - s).norm() for p, s in zip(sig.phases, sigma)) <= 1e-12
+
+
+def _symplectic_samples():
+    """All permutation matrices of S_3 and S_4, leaf points of the six words
+    of S_3, and random symplectic matrices at n = 2, 3 and 8."""
+    rng = np.random.default_rng(110)
+    for n in (3, 4):
+        for ol in permutations(range(n)):
+            yield Permutation(ol).matrix()
+    for ol in permutations(range(3)):
+        word = Permutation(ol).reduced_word()
+        params = [Quaternion.from_array(x) for x in rng.normal(size=(len(word), 4))]
+        yield leaf_point(word, params, 3).matrix
+    for n in (2, 3, 8):
+        for _ in range(5):
+            yield random_symplectic(n, rng)
+
+
+def test_leaf_signature_and_cell_equal_the_bruhat_form_exactly():
+    # both stop at the row reduction; they must read what bruhat reads
+    for k in _symplectic_samples():
+        form = bruhat(k)
+        sig = leaf_signature(k)
+        assert sig.w == form.w
+        assert cell_of(k) == form.w
+        expect = [q * (1.0 / q.norm()) for q in form.diagonal()]
+        assert [p.to_json() for p in sig.phases] == [q.to_json() for q in expect]
 
 
 def test_leaf_signature_deviation_infinite_on_cell_mismatch():

@@ -4,18 +4,24 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from qflag.decomp import dress, leaf_signature
+from qflag.flags import cell_of, orbit_probe
 from qflag.hmat import (
     INV_COND_MAX,
+    SYMPLECTIC_TOL,
     Permutation,
     QMatrix,
     SingularMatrixError,
+    chi,
     embed_sp2,
     expm,
     is_symplectic,
     random_sp_algebra,
     random_symplectic,
+    symplectic_residual,
     word_to_permutation,
 )
+from qflag.liealg import ad_group_matrix
 from qflag.quat import I, J, K, ONE, Quaternion
 
 from util import gauss_jordan_inverse, random_invertible
@@ -89,6 +95,16 @@ def test_inverse_condition_threshold(factor, singular):
         assert frob(m.inverse() - expect) <= 1e-3 * frob(expect)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_inverse_is_scale_safe(scale):
+    # ||M||_F overflows at 1e155, and ||M^-1||_F at 1e-170
+    m = QMatrix.identity(3).scale(scale)
+    assert np.array_equal(m.inverse().data, QMatrix.identity(3).scale(1.0 / scale).data)
+    g = random_invertible(3, np.random.default_rng(220))
+    far = QMatrix(np.ldexp(g.data, int(np.log2(scale))))
+    assert np.array_equal(far.inverse().data, np.ldexp(g.inverse().data, -int(np.log2(scale))))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_inverse_and_expm_reject_non_finite(bad):
     m = QMatrix.identity(3)
@@ -115,6 +131,46 @@ def test_symplectic_closure(n):
         assert is_symplectic(g.conj_transpose(), tol=1e-10)
         # conj_transpose is the group inverse
         assert frob(g @ g.conj_transpose() - QMatrix.identity(n)) <= 1e-10
+
+
+# every caller that requires a symplectic matrix, with the name its errors carry
+SYMPLECTIC_CALLERS = [
+    ("dress", lambda m: dress(QMatrix.identity(m.n_rows), m)),
+    ("leaf_signature", leaf_signature),
+    ("cell_of", cell_of),
+    ("orbit_probe", lambda m: orbit_probe(m, samples=2, seed=0)),
+    ("ad_group_matrix", ad_group_matrix),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("factor, inside", [(1 - 1e-3, True), (1 + 1e-3, False)])
+def test_symplectic_tol_edge(n, factor, inside):
+    # M = K diag(1 + d, 1, ...) has ||M* M - I||_F = 2d + d^2 = factor * SYMPLECTIC_TOL
+    target = factor * SYMPLECTIC_TOL
+    d = target / (1.0 + np.sqrt(1.0 + target))
+    k = random_symplectic(n, np.random.default_rng(240 + n))
+    m = k @ QMatrix.diag([1.0 + d] + [1.0] * (n - 1))
+    assert abs(symplectic_residual(chi(m.data)) / target - 1.0) <= 1e-6
+    assert is_symplectic(m) == inside
+    for op, fn in SYMPLECTIC_CALLERS:
+        if inside:
+            fn(m)
+        else:
+            with pytest.raises(ValueError, match=f"{op} requires a symplectic matrix"):
+                fn(m)
+    if not inside:  # one bad matrix in a stack fails the whole stack
+        with pytest.raises(ValueError, match="ad_group_matrix requires a symplectic"):
+            ad_group_matrix(np.stack([k.data, m.data]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symplectic_callers_reject_non_finite(bad):
+    m = random_symplectic(3, np.random.default_rng(250))
+    m.data[2, 1, 3] = bad
+    for op, fn in SYMPLECTIC_CALLERS:
+        with pytest.raises(ValueError, match=f"{op}: matrix has a non-finite entry"):
+            fn(m)
 
 
 def test_expm_matches_scalar_exponential():

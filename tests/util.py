@@ -207,14 +207,21 @@ def struct_oracle(n: int) -> np.ndarray:
     return tab
 
 
+def ad_matrix_oracle(x: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Matrix of ad_X on the basis, for X with coordinates x, from structure
+    constants st[a, b, c] (as built by :func:`struct_oracle`)."""
+    return np.einsum("a,abc->cb", np.asarray(x, dtype=float), st)
+
+
 def four_bracket_oracle(zs, n: int) -> np.ndarray:
     """<z1^z2^z3^z4, ad_X Lambda> for each basis element X, one at a time."""
     basis = sp_basis(n)
     lam = lambda_element(n)
+    st = struct_oracle(n)
     zmat = np.stack([z.coeffs for z in zs])
     out = np.zeros(basis.dim)
     for c in range(basis.dim):
-        dxi = leibniz_oracle(basis.ad_matrix(np.eye(basis.dim)[c]), lam)
+        dxi = leibniz_oracle(ad_matrix_oracle(np.eye(basis.dim)[c], st), lam)
         out[c] = sum(coeff * float(np.linalg.det(zmat[:, list(t)]))
                      for t, coeff in dxi.coeffs.items())
     return out
