@@ -1,9 +1,10 @@
 """Command-line front end: decompositions, verification suites, CSV profiles.
 
 Exit codes: 0 success, 1 usage/parse error, 2 mathematical failure
-(singular input, a point at a chart boundary, or a failed assertion).  Every
-command is deterministic given its input and seed; QFLAG_SEED is the only
-environment fallback.
+(singular input, a Dieudonne determinant outside the normal float range, a
+point at a chart boundary, or a failed assertion).  Every command is
+deterministic given its input and seed; QFLAG_SEED is the only environment
+fallback.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 
-# The default tolerance of each verification suite.
+# The tolerance of each verification suite.
 DEFAULT_TOLERANCES = {
     "schouten_identity": 1e-10,
     "lambda_vanishing": 1e-12,
@@ -39,6 +40,10 @@ DEFAULT_TOLERANCES = {
     "profile_ratio": 1e-6,
     "phase_deviation": 1e-8,
 }
+# Random trials of the schouten and spheroid suites, orbit samples of dressing
+SCHOUTEN_TRIALS = 25
+SPHEROID_TRIALS = 50
+DRESSING_SAMPLES = 100
 
 
 def _default_seed() -> int:
@@ -142,11 +147,10 @@ def _random_multivector(n: int, grade: int, rng, nterms: int = 4) -> liealg.Mult
     return liealg.Multivector(n, grade, terms)
 
 
-def suite_schouten(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["schouten_identity"],
-                   trials: int = 25) -> dict:
+def suite_schouten(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(SCHOUTEN_TRIALS):
         p, q, r = (int(x) for x in rng.integers(1, 5, size=3))
         P = _random_multivector(n, p, rng)
         Q = _random_multivector(n, q, rng)
@@ -161,38 +165,38 @@ def suite_schouten(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["schouten_
                + liealg.schouten(R, liealg.schouten(P, Q)).scale((-1.0) ** (r * (q - 1)))
                ).max_abs()
         worst = max(worst, anti, leib, jac)
-    return {"suite": "schouten", "n": n, "seed": seed, "trials": trials,
-            "max_residual": worst, "ok": worst <= tol}
+    return {"suite": "schouten", "n": n, "seed": seed, "trials": SCHOUTEN_TRIALS,
+            "max_residual": worst, "ok": worst <= DEFAULT_TOLERANCES["schouten_identity"]}
 
 
-def suite_lambda(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["lambda_vanishing"]) -> dict:
+def suite_lambda(n: int, seed: int) -> dict:
     lam = liealg.lambda_element(n)
     br = liealg.schouten(lam, lam)
-    ok = br.max_abs() <= tol if n == 2 else br.max_abs() > 1e-3  # nonzero for n > 2
+    ok = (br.max_abs() <= DEFAULT_TOLERANCES["lambda_vanishing"] if n == 2
+          else br.max_abs() > 1e-3)  # nonzero for n > 2
     return {"suite": "lambda", "n": n, "seed": seed,
             "bracket_max_coeff": br.max_abs(), "ok": bool(ok)}
 
 
-def suite_spheroid(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["spheroid_invariance"],
-                   trials: int = 50) -> dict:
+def suite_spheroid(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     basis = liealg.sp_basis(n)
     lam = liealg.lambda_element(n)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(SPHEROID_TRIALS):
         coeffs = {(int(i),): float(rng.normal()) for i in basis.spheroid_indices}
         x = liealg.Multivector(n, 1, coeffs)
         worst = max(worst, liealg.ad_multivector(x, lam).max_abs())
-    return {"suite": "spheroid", "n": n, "seed": seed, "trials": trials,
-            "max_residual": worst, "ok": worst <= tol}
+    return {"suite": "spheroid", "n": n, "seed": seed, "trials": SPHEROID_TRIALS,
+            "max_residual": worst, "ok": worst <= DEFAULT_TOLERANCES["spheroid_invariance"]}
 
 
-def suite_hp1(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["profile_ratio"]) -> dict:
+def suite_hp1(n: int, seed: int) -> dict:
     rhos = [0.1, 0.25, 0.5, 1.0, 2.0, 3.0]
     rows = list(hp1geom.radial_profile(rhos, directions=5, seed=seed))
     worst = max(row["abs_err"] / row["expected_ratio"] for row in rows)
     north = abs(hp1geom.bruhat_field(hp1geom.ChartPoint.north(Quaternion())).coeff)
-    ok = worst <= tol and north <= 1e-10
+    ok = worst <= DEFAULT_TOLERANCES["profile_ratio"] and north <= 1e-10
     return {"suite": "hp1", "n": 2, "seed": seed, "max_rel_err": worst,
             "north_coeff": north, "ok": bool(ok)}
 
@@ -213,15 +217,15 @@ def suite_leaves(n: int, seed: int) -> dict:
     return {"suite": "leaves", "n": n, "seed": seed, "words": checked, "ok": ok}
 
 
-def suite_dressing(n: int, seed: int, tol: float = DEFAULT_TOLERANCES["phase_deviation"],
-                   samples: int = 100) -> dict:
+def suite_dressing(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     w = Permutation.longest(n)
     sigma = [Quaternion.from_array(x) for x in rng.normal(size=(n, 4))]
     sigma = [q * (1.0 / q.norm()) for q in sigma]
     k = QMatrix.diag(sigma) @ w.matrix()
-    report = flags.orbit_probe(k, samples=samples, seed=seed + 1)
-    report.update({"suite": "dressing", "ok": report["phase_dev"] <= tol})
+    report = flags.orbit_probe(k, samples=DRESSING_SAMPLES, seed=seed + 1)
+    report.update({"suite": "dressing",
+                   "ok": report["phase_dev"] <= DEFAULT_TOLERANCES["phase_deviation"]})
     return report
 
 
@@ -315,7 +319,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (SingularMatrixError, hp1geom.ChartBoundaryError) as exc:
+    except (SingularMatrixError, OverflowError, hp1geom.ChartBoundaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (json.JSONDecodeError, FileNotFoundError, ValueError) as exc:

@@ -39,6 +39,9 @@ __all__ = [
 # ``iwasawa`` and ``dieudonne_det`` raise SingularMatrixError when a diagonal
 # entry of the QR factor R of chi(G) is at most PIVOT_RTOL * ||G||_F.
 PIVOT_RTOL = 1e-10
+# dieudonne_det raises OverflowError when its logarithm is outside these, the
+# logarithms of the least and the largest normal float
+_LOG_NORMAL = np.log([np.finfo(float).tiny, np.finfo(float).max])
 
 
 @dataclass
@@ -149,16 +152,24 @@ def dieudonne_det(g: QMatrix) -> float:
 
     Computed without the Bruhat form: |det chi(G)| = Ddet(G)^2 is the
     product of |T_ii| over the triangular factor T of LAPACK's QR of
-    ``chi(G)``, summed as logarithms so that no partial product overflows.
-    Raises ``ValueError`` on a non-finite entry and
+    ``chi(G)``, of G scaled by a power of two, exactly, with the |T_ii|
+    scaled back and summed as logarithms so that no partial product
+    overflows.  Raises ``ValueError`` on a non-finite entry,
     :class:`SingularMatrixError` when some |T_ii| is at most
-    ``PIVOT_RTOL * ||G||_F``, the breakdown rule of :func:`iwasawa`.
+    ``PIVOT_RTOL * ||G||_F``, the breakdown rule of :func:`iwasawa`, and
+    ``OverflowError`` when the determinant is not a normal float.
     """
     require_square_finite(g.data, "dieudonne_det")
-    mag = np.abs(np.diagonal(np.linalg.qr(chi(g.data), mode="r")))
-    if mag.min() <= PIVOT_RTOL * g.frobenius():
+    scaled, e = pow2_scaled(g.data)
+    mag = np.abs(np.diagonal(np.linalg.qr(chi(scaled), mode="r")))
+    if mag.min() <= PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled)):
         raise SingularMatrixError("matrix is singular: QR breakdown")
-    return float(np.exp(0.5 * np.sum(np.log(mag))))
+    with np.errstate(over="ignore", divide="ignore"):  # out of range: caught below
+        log_det = 0.5 * np.sum(np.log(np.ldexp(mag, e)))
+    if not _LOG_NORMAL[0] <= log_det <= _LOG_NORMAL[1]:
+        raise OverflowError("dieudonne_det: determinant outside the normal float range "
+                            f"[{np.finfo(float).tiny:g}, {np.finfo(float).max:g}]")
+    return float(np.exp(log_det))
 
 
 def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:

@@ -169,7 +169,9 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch in quaternionic matmul")
-        top = chi(self.data)[0::2] @ chi(other.data)  # the (z1, z2) rows of the product
+        # the (z1, z2) rows of the product: row 2i of chi(A) is row i of A as pairs
+        pairs = np.ascontiguousarray(self.data).view(complex).reshape(self.n_rows, -1)
+        top = pairs @ chi(other.data)
         return QMatrix(top.view(float).reshape(self.n_rows, -1, 4))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":

@@ -8,17 +8,20 @@ quaternions.  Two charts cover it:
   identity coset (the North pole).
 
 Both maps are invariant under left multiplication by ``diag(unit, unit)``,
-so they are well defined on cosets.  The 4-vector field of interest is
-represented pointwise in the right-translation trivialization: its value
-over the coset of ``k`` is ``Ad_k Lambda - Lambda``, pushed to chart
-coordinates through the Jacobian J of ``X -> d/dt chart(exp(tX) k)``.
+so they are well defined on cosets.  The 4-vector field of interest is the
+multiplicative field ``(L_k)_* Lambda - (R_k)_* Lambda`` pushed to the chart.
+Its two translations are the two Jacobians at k, taken in one pass: the
+action J of ``X -> d/dt chart(exp(tX) k)`` and the flow J_flow of
+``X -> d/dt chart(k exp(tX))``.  Since ``exp(t Ad_k X) k = k exp(tX)``,
+``J Ad_k = J_flow``, so the field is ``J_flow Lambda - J Lambda``, which is
+``Ad_k Lambda - Lambda`` in the right-translation trivialization.
 
 Every evaluation runs on an array of points of one chart, an ``(m, 4)``
 array of coordinates; a function of one :class:`ChartPoint` is a batch of
-one.  By Cauchy-Binet the pushforward of ``Lambda^4 A . P``, for a 4-vector
-``P = sum_t c_t e_t``, is ``sum_t c_t det((J A)[:, t])``: the 4 x 4 minors of
-the 4 x dim matrix ``J A`` on the terms of ``P``, without expanding
-``Lambda^4 A . P`` over all C(dim, 4) subsets.
+one.  By Cauchy-Binet the pushforward of a 4-vector ``P = sum_t c_t e_t``
+through a 4 x dim Jacobian J is ``sum_t c_t det(J[:, t])``, the 4 x 4 minors
+of J on the terms of P; through J_flow it is that of ``Ad_k P``, without
+expanding ``Lambda^4 Ad_k . P`` over all C(dim, 4) subsets.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .hmat import QMatrix
-from .liealg import (Multivector, _arrays, _canonicalize, _factors, ad_group_matrix,
-                     ad_multivector, lambda_element, sp_basis)
+from .liealg import (Multivector, _arrays, _canonicalize, _factors, ad_multivector,
+                     lambda_element, sp_basis)
 from .quat import Quaternion, qinv, qnorm2, qprod
 
 __all__ = [
@@ -138,20 +141,20 @@ def _chart_map(chart: Chart, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ai, qprod(ai, reps[:, 1, ib])
 
 
-def _jacobians(chart: Chart, reps: np.ndarray, side: str) -> np.ndarray:
-    """``(m, 4, dim)`` Jacobians at the ``(m, 2, 2, 4)`` matrices k of
-    ``X -> d/dt chart(exp(tX) k)`` (side "action") or ``chart(k exp(tX))``
-    (side "flow") at t = 0.  Along a velocity ``kdot`` the derivative of the
-    coordinate ``a^{-1} b`` (:func:`_chart_map`) is ``a^{-1} (bdot - adot a^{-1} b)``.
+def _jacobians(chart: Chart, reps: np.ndarray) -> np.ndarray:
+    """``(m, 2, 4, dim)`` Jacobians at the ``(m, 2, 2, 4)`` matrices k: index 0
+    of ``X -> d/dt chart(exp(tX) k)`` (the action), index 1 of
+    ``X -> d/dt chart(k exp(tX))`` (the flow), at t = 0.  Along a velocity
+    ``kdot`` the derivative of the coordinate ``a^{-1} b`` (:func:`_chart_map`)
+    is ``a^{-1} (bdot - adot a^{-1} b)``.
     """
     basis = sp_basis(2).data
-    if side == "action":  # row 2 of B k, for every basis element B
-        row = qprod(basis[None, :, 1, :, None], reps[:, None]).sum(axis=2)
-    else:  # row 2 of k B
-        row = qprod(reps[:, None, 1, :, None], basis[None]).sum(axis=2)
+    row = np.stack([qprod(basis[None, :, 1, :, None], reps[:, None]),  # row 2 of B k
+                    qprod(reps[:, None, 1, :, None], basis[None])],    # row 2 of k B
+                   axis=1).sum(axis=3)  # for every basis element B
     ia, ib = (0, 1) if chart is Chart.SOUTH else (1, 0)
-    ai, coord = (x[:, None] for x in _chart_map(chart, reps))
-    return qprod(ai, row[..., ib, :] - qprod(row[..., ia, :], coord)).swapaxes(1, 2)
+    ai, coord = (x[:, None, None] for x in _chart_map(chart, reps))
+    return qprod(ai, row[..., ib, :] - qprod(row[..., ia, :], coord)).swapaxes(-1, -2)
 
 
 def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
@@ -162,13 +165,13 @@ def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
 
 
 def _bruhat_coeffs(chart: Chart, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``(m,)`` of Ad_k Lambda - Lambda pushed forward at the
-    ``(m, 2, 2, 4)`` matrices k, and the ``(m, 4, dim)`` products J Ad_k, which
-    push forward Ad_k P for any P.  At k = I the coefficient is exactly 0."""
-    jac = _jacobians(chart, reps, "action")
-    jad = jac @ ad_group_matrix(reps)
-    lam = lambda_element(2)
-    return _pushforward(jad, lam) - _pushforward(jac, lam), jad
+    """Coefficients ``(m,)`` of the Bruhat field at the ``(m, 2, 2, 4)``
+    matrices k, Lambda pushed through the flow minus through the action, and
+    the ``(m, 4, dim)`` flow Jacobians, which push forward Ad_k P for any P.
+    At k = I the two Jacobians are equal and the coefficient is exactly 0."""
+    jac = _jacobians(chart, reps)
+    pushed = _pushforward(jac, lambda_element(2))
+    return pushed[:, 1] - pushed[:, 0], jac[:, 1]
 
 
 def _at(p: ChartPoint) -> np.ndarray:
@@ -183,12 +186,12 @@ def coset_rep(p: ChartPoint) -> QMatrix:
 
 def action_jacobian(p: ChartPoint) -> np.ndarray:
     """4 x dim(sp(2)) real matrix of X -> d/dt chart(exp(tX) k) at t = 0."""
-    return _jacobians(p.chart, _at(p), "action")[0]
+    return _jacobians(p.chart, _at(p))[0, 0]
 
 
 def flow_jacobian(p: ChartPoint) -> np.ndarray:
     """Jacobian of the right action: X -> d/dt chart(k exp(tX)) at t = 0."""
-    return _jacobians(p.chart, _at(p), "flow")[0]
+    return _jacobians(p.chart, _at(p))[0, 1]
 
 
 def pushforward_coeff(p: ChartPoint, mv: Multivector) -> float:
@@ -199,7 +202,7 @@ def pushforward_coeff(p: ChartPoint, mv: Multivector) -> float:
 
 
 def bruhat_field(p: ChartPoint) -> FieldSample:
-    """Pushforward of Ad_k Lambda - Lambda at the coset of k = coset_rep(p)."""
+    """Pushforward of (L_k)_* Lambda - (R_k)_* Lambda at the coset of k = coset_rep(p)."""
     return FieldSample(at=p, coeff=float(_bruhat_coeffs(p.chart, _at(p))[0][0]))
 
 
@@ -257,11 +260,11 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     """|LHS - RHS| for the identity L_{gamma(X)} xi = wedge^4 gamma(ad_X Lambda).
 
     LHS is the Lie derivative of the chart field f * d^4 along the chart
-    vector field b of the right action of X, b . grad f - f div b, with the
-    fourth-order central difference (8 (g(+h) - g(-h)) - (g(+2h) - g(-2h))) / 12h,
-    the Richardson extrapolation of the second-order one, h = LIE_FD_STEP.  RHS pushes
-    Ad_k (ad_X Lambda) through the same trivialization.  The 17 stencil
-    points are one batch.
+    vector field b = J_flow X of the right action of X, b . grad f - f div b,
+    with the fourth-order central difference
+    (8 (g(+h) - g(-h)) - (g(+2h) - g(-2h))) / 12h, the Richardson extrapolation
+    of the second-order one, h = LIE_FD_STEP.  RHS pushes ad_X Lambda through
+    J_flow.  The 17 stencil points are one batch, and one Jacobian pass.
     """
     if p.chart is not Chart.SOUTH:
         raise ValueError("lie_derivative_check works on the South chart")
@@ -269,13 +272,13 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     # row 1 + 4 s + m is the centre moved by steps[s] along coordinate m
     offsets = np.concatenate([np.zeros((1, 4)), (steps[:, None, None] * np.eye(4)).reshape(16, 4)])
     reps = _coset_reps(Chart.SOUTH, p.coord.to_array() + offsets)
-    f, jad = _bruhat_coeffs(Chart.SOUTH, reps)
-    b = _jacobians(Chart.SOUTH, reps, "flow") @ x.as_vector()
+    f, flow = _bruhat_coeffs(Chart.SOUTH, reps)
+    b = flow @ x.as_vector()
     weights = np.array([8.0, -8.0, -1.0, 1.0]) / (12.0 * LIE_FD_STEP)
     grad_f = weights @ f[1:].reshape(4, 4)
     div_b = float(np.sum(weights @ np.diagonal(b[1:].reshape(4, 4, 4), axis1=1, axis2=2)))
     lhs = float(b[0] @ grad_f - f[0] * div_b)
-    rhs = float(_pushforward(jad[0], ad_multivector(x, lambda_element(2))))
+    rhs = float(_pushforward(flow[0], ad_multivector(x, lambda_element(2))))
     return abs(lhs - rhs)
 
 

@@ -420,21 +420,16 @@ def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector)
 # Group-level adjoint action
 # ---------------------------------------------------------------------------
 
-def ad_group_matrix(g) -> np.ndarray:
-    """Matrix of Ad_g = g (.) g^{-1} on the basis of sp(n); g symplectic.
-
-    ``g`` is a :class:`QMatrix` or a ``(..., n, n, 4)`` array of them, giving
-    an ``(N, N)`` or ``(..., N, N)`` result; ``ValueError`` unless every g
-    passes :func:`require_symplectic`."""
-    data = g.data if isinstance(g, QMatrix) else np.asarray(g, dtype=float)
-    cg = require_symplectic(data, "ad_group_matrix")
-    lead, n = data.shape[:-3], data.shape[-2]
-    basis = sp_basis(n)
-    N, m = basis.dim, 2 * n
+def ad_group_matrix(g: QMatrix) -> np.ndarray:
+    """Matrix of Ad_g = g (.) g^{-1} on the basis of sp(n); ``ValueError``
+    unless g passes :func:`require_symplectic`."""
+    cg = require_symplectic(g.data, "ad_group_matrix")
+    basis = sp_basis(g.n_rows)
+    N, m = basis.dim, 2 * g.n_rows
     # g B_c g* for all c in two products: g [B_1 | ... | B_N], then its blocks stacked, times g*
-    gb = (cg @ basis.chi).reshape(*lead, m, N, m).swapaxes(-3, -2).reshape(*lead, N * m, m)
-    flat = unchi(gb @ cg.conj().swapaxes(-1, -2)).reshape(*lead, N, 4 * n * n)
-    return (flat @ basis._flat.T / basis._norm2).swapaxes(-1, -2)
+    gb = (cg @ basis.chi).reshape(m, N, m).swapaxes(0, 1).reshape(N * m, m)
+    flat = unchi(gb @ cg.conj().T).reshape(N, -1)
+    return (flat @ basis._flat.T / basis._norm2).T
 
 
 def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:

@@ -16,15 +16,11 @@ has length 4; these back the dense matrix kernels in :mod:`qflag.hmat`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Quaternion",
-    "PureQuaternion",
-    "exp_pure",
-    "radial_split",
     "quaternion_from_json",
     "qprod",
     "qconj",
@@ -136,41 +132,6 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class PureQuaternion:
-    """A purely imaginary quaternion; exponentials of these are unit."""
-
-    im_i: float = 0.0
-    im_j: float = 0.0
-    im_k: float = 0.0
-
-    def norm(self) -> float:
-        return math.hypot(self.im_i, self.im_j, self.im_k)
-
-    def as_quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.im_i, self.im_j, self.im_k)
-
-    def __neg__(self) -> "PureQuaternion":
-        return PureQuaternion(-self.im_i, -self.im_j, -self.im_k)
-
-
-def exp_pure(s: PureQuaternion) -> Quaternion:
-    """exp(s) = cos|s| + (s/|s|) sin|s|; returns 1 for s = 0."""
-    t = s.norm()
-    if t == 0.0:
-        return Quaternion(1.0)
-    c = math.sin(t) / t
-    return Quaternion(math.cos(t), c * s.im_i, c * s.im_j, c * s.im_k)
-
-
-def radial_split(v: Quaternion) -> tuple[float, Quaternion]:
-    """Split v = rho * u with rho = |v| and u unit (u = 1 when v = 0)."""
-    rho = v.norm()
-    if rho == 0.0:
-        return 0.0, Quaternion(1.0)
-    return rho, v / rho  # 1 / rho overflows for subnormal rho
 
 
 def quaternion_from_json(obj) -> Quaternion:

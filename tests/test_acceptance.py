@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from qflag.decomp import bruhat, dieudonne_det, leaf_signature
+from qflag.decomp import bruhat, dieudonne_det
 from qflag.flags import leaf_dimension, orbit_probe
 from qflag.hmat import Permutation, QMatrix, embed_sp2, random_symplectic
 from qflag.hp1geom import (

@@ -18,9 +18,9 @@ def write_json(path, obj):
 
 
 def test_suite_tolerances_come_from_one_table():
-    defaults = [inspect.signature(fn).parameters["tol"].default
-                for fn in cli.SUITES.values() if "tol" in inspect.signature(fn).parameters]
-    assert sorted(defaults) == sorted(cli.DEFAULT_TOLERANCES.values())
+    # no suite takes a tolerance or a count of its own: they read the module's tables
+    for name, fn in cli.SUITES.items():
+        assert list(inspect.signature(fn).parameters) == ["n", "seed"], name
 
 
 def test_qflag_seed_fallback(monkeypatch):
@@ -88,6 +88,13 @@ def test_chart_boundary_exit_2(capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert "chart" in captured.err and captured.out == ""
+
+
+def test_ddet_out_of_float_range_exit_2(tmp_path, capsys):
+    inp = write_json(tmp_path / "m.json", QMatrix.identity(3).scale(1e155).to_json())
+    assert cli.main(["ddet", "--input", inp]) == 2
+    captured = capsys.readouterr()
+    assert "normal float range" in captured.err and captured.out == ""
 
 
 def test_ddet(tmp_path, capsys):

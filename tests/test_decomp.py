@@ -16,7 +16,6 @@ from qflag.hmat import (
     Permutation,
     QMatrix,
     SingularMatrixError,
-    is_symplectic,
     random_symplectic,
 )
 from qflag.quat import J, K, ONE, Quaternion
@@ -182,6 +181,17 @@ def test_ddet_matches_bruhat_diagonal_oracle(n):
 def test_ddet_does_not_overflow_when_its_value_fits():
     # |det chi(G)| = Ddet(G)^2 = 1e400 overflows; Ddet(G) = 1e200 does not
     assert abs(dieudonne_det(QMatrix.diag([1e100, 1e100])) / 1e200 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-170])
+def test_ddet_outside_the_float_range_raises(scale):
+    # 1e465 overflows and 1e-510 underflows, though each entry and each pivot fits
+    with pytest.raises(OverflowError, match="normal float range"):
+        dieudonne_det(QMatrix.identity(3).scale(scale))
+
+
+def test_ddet_is_scale_safe_when_its_value_fits():
+    assert abs(dieudonne_det(QMatrix.identity(1).scale(1e155)) / 1e155 - 1.0) <= 1e-14
 
 
 def test_ddet_symplectic_is_one():

@@ -28,7 +28,7 @@ from qflag.hp1geom import (
     _jacobians,
     _pushforward,
 )
-from qflag.liealg import Multivector, sp_basis
+from qflag.liealg import Multivector, ad_group_matrix, sp_basis
 from qflag.quat import Quaternion
 
 from util import (
@@ -191,12 +191,12 @@ def test_batch_matches_oracle_row_by_row(chart):
     coords = dirs * (rng.uniform(0.1, 3.0, size=12) / np.linalg.norm(dirs, axis=1))[:, None]
     points = [ChartPoint(chart, Quaternion.from_array(c)) for c in coords]
     reps = _coset_reps(chart, coords)
-    action = _jacobians(chart, reps, "action")
-    flow = _jacobians(chart, reps, "flow")
+    jac = _jacobians(chart, reps)
+    action, flow = jac[:, 0], jac[:, 1]
     coeffs = _bruhat_coeffs(chart, reps)[0]
     mv = random_multivector(2, 4, rng, nterms=6)
     pushed = _pushforward(action, mv)
-    assert reps.shape == (12, 2, 2, 4) and action.shape == flow.shape == (12, 4, 10)
+    assert reps.shape == (12, 2, 2, 4) and jac.shape == (12, 2, 4, 10)
     for r, p in enumerate(points):
         assert rel_err(reps[r], coset_rep_oracle(p).data) <= 1e-12
         assert rel_err(action[r], jacobian_oracle(p, "action")) <= 1e-12
@@ -204,6 +204,24 @@ def test_batch_matches_oracle_row_by_row(chart):
         assert rel_err(pushed[r], pushforward_oracle(p, mv)) <= 1e-12
         want = bruhat_field_oracle(p)
         assert abs(coeffs[r] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("chart", list(Chart))
+def test_flow_jacobian_is_action_jacobian_times_ad(chart):
+    # exp(t Ad_k X) k = k exp(tX), so J Ad_k = J_flow; Ad_k from the group, not the chart
+    rng = np.random.default_rng(32)
+    dirs = rng.normal(size=(64, 4))
+    coords = dirs * (np.logspace(-2, 2, 64) / np.linalg.norm(dirs, axis=1))[:, None]
+    reps = _coset_reps(chart, coords)
+    jac = _jacobians(chart, reps)
+    for r in range(len(reps)):
+        via_ad = jac[r, 0] @ ad_group_matrix(QMatrix(reps[r]))
+        assert rel_err(via_ad, jac[r, 1]) <= 1e-13
+    # at the North pole k = I, and the two translations agree exactly
+    pole = _coset_reps(Chart.NORTH, np.zeros((1, 4)))
+    jac = _jacobians(Chart.NORTH, pole)
+    assert np.array_equal(jac[0, 0], jac[0, 1])
+    assert _bruhat_coeffs(Chart.NORTH, pole)[0][0] == 0.0
 
 
 def test_chart_eps_edge_fails_the_whole_batch():
@@ -217,10 +235,9 @@ def test_chart_eps_edge_fails_the_whole_batch():
     assert m22[0] > CHART_EPS >= m22[1]
     inside = _bruhat_coeffs(Chart.NORTH, reps[:1])[0]
     assert np.isfinite(inside).all() and inside[0] != 0.0
-    for side in ("action", "flow"):
-        assert np.isfinite(_jacobians(Chart.NORTH, reps[:1], side)).all()
-        with pytest.raises(ChartBoundaryError):
-            _jacobians(Chart.NORTH, reps, side)
+    assert np.isfinite(_jacobians(Chart.NORTH, reps[:1])).all()
+    with pytest.raises(ChartBoundaryError):
+        _jacobians(Chart.NORTH, reps)
     with pytest.raises(ChartBoundaryError):
         _bruhat_coeffs(Chart.NORTH, reps)
     with pytest.raises(ChartBoundaryError):

@@ -19,7 +19,6 @@ from qflag.liealg import (
     schouten,
     sp_basis,
 )
-from qflag.quat import Quaternion
 
 from util import (
     ad_group_oracle,

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -10,14 +9,11 @@ from qflag.quat import (
     J,
     K,
     ONE,
-    PureQuaternion,
     Quaternion,
-    exp_pure,
     qconj,
     qnorm2,
     qprod,
     quaternion_from_json,
-    radial_split,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -66,33 +62,6 @@ def test_inverse(a):
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         Quaternion().inverse()
-
-
-def test_exp_pure_special_values():
-    assert close(exp_pure(PureQuaternion()), ONE)
-    assert close(exp_pure(PureQuaternion(im_i=math.pi / 2)), I)
-
-
-@given(st.builds(PureQuaternion, finite, finite, finite))
-def test_exp_pure_unit_and_inverse(s):
-    e = exp_pure(s)
-    assert abs(e.norm() - 1.0) <= 1e-12
-    assert close(e * exp_pure(-s), ONE)
-
-
-def test_radial_split():
-    rho, u = radial_split(2 * K)
-    assert rho == 2.0 and close(u, K)
-    rho, u = radial_split(Quaternion())
-    assert rho == 0.0 and close(u, ONE)
-
-
-@given(quats)
-def test_radial_split_reconstructs(v):
-    rho, u = radial_split(v)
-    assert close(u * rho, v, tol=1e-12 * max(1.0, v.norm()))
-    if rho > 0:
-        assert abs(u.norm() - 1.0) <= 1e-12
 
 
 def test_json_round_trip():

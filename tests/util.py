@@ -308,6 +308,12 @@ def hamilton(a, b):
     ], axis=-1)
 
 
+def exp_pure_oracle(s: Quaternion) -> Quaternion:
+    """exp(s) = cos|s| + (s/|s|) sin|s| of a purely imaginary s != 0, in closed form."""
+    t = s.norm()
+    return Quaternion(math.cos(t), *(s.to_array()[1:] * (math.sin(t) / t)))
+
+
 def _qinverse(q):
     """Inverse of each quaternion of a (..., 4) array."""
     return q * np.array([1.0, -1.0, -1.0, -1.0]) / np.sum(q * q, axis=-1, keepdims=True)
