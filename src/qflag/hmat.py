@@ -80,18 +80,17 @@ def require_square_finite(data: np.ndarray, op: str) -> None:
         raise ValueError(f"{op}: matrix has a non-finite entry")
 
 
-def symplectic_residual(c: np.ndarray) -> np.ndarray:
-    """||M* M - I||_F of each M from ``c = chi(M)``, which doubles ||.||_F^2."""
-    return np.linalg.norm(c.conj().swapaxes(-1, -2) @ c - np.eye(c.shape[-1]),
-                          axis=(-2, -1)) / math.sqrt(2.0)
+def symplectic_residual(c: np.ndarray) -> float:
+    """||M* M - I||_F of one matrix M from ``c = chi(M)``, which doubles ||.||_F^2."""
+    return float(np.linalg.norm(c.conj().T @ c - np.eye(len(c)), axis=(0, 1))) / math.sqrt(2.0)
 
 
 def require_symplectic(data: np.ndarray, op: str) -> np.ndarray:
-    """chi of a ``(..., n, n, 4)`` array; ``ValueError`` naming ``op`` unless
-    each matrix is square, finite and within SYMPLECTIC_TOL of Sp(n)."""
+    """chi of one ``(n, n, 4)`` matrix; ``ValueError`` naming ``op`` unless it
+    is square, finite and within SYMPLECTIC_TOL of Sp(n)."""
     require_square_finite(data, op)
     c = chi(data)
-    if not np.all(symplectic_residual(c) <= SYMPLECTIC_TOL):
+    if not symplectic_residual(c) <= SYMPLECTIC_TOL:
         raise ValueError(f"{op} requires a symplectic matrix")
     return c
 
@@ -250,7 +249,7 @@ def is_symplectic(m: QMatrix, tol: float = SYMPLECTIC_TOL) -> bool:
     """True iff ||M* M - I||_F <= tol."""
     if m.n_rows != m.n_cols:
         raise ValueError("is_symplectic requires a square matrix")
-    return bool(symplectic_residual(chi(m.data)) <= tol)
+    return symplectic_residual(chi(m.data)) <= tol
 
 
 def expm(m: QMatrix) -> QMatrix:

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hmat import QMatrix
-from .liealg import (Multivector, _arrays, _canonicalize, _factors, ad_multivector,
+from .liealg import (Multivector, _canonicalize, _factors, ad_multivector,
                      lambda_element, sp_basis)
 from .quat import Quaternion, qinv, qnorm2, qprod
 
@@ -160,7 +160,7 @@ def _jacobians(chart: Chart, reps: np.ndarray) -> np.ndarray:
 def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
     """Coefficients of d1^d2^d3^d4 in the images of a grade-4 multivector
     under ``(..., 4, dim)`` Jacobians: the minors of its terms' columns."""
-    terms, coeffs = _arrays(mv.coeffs, 4)
+    terms, coeffs = mv.terms()
     return np.linalg.det(np.moveaxis(jac[..., terms], -2, -3)) @ coeffs
 
 
@@ -224,7 +224,7 @@ def fourvector_rank(coeffs: dict[tuple[int, ...], float], dim: int) -> int:
     above ``RANK_RTOL`` times the largest of the matrix of contractions with
     the basis 3-covectors, which has nonzero rows only for the 3-subsets the
     terms leave after dropping one factor."""
-    idx, val = _arrays(_canonicalize(coeffs, 4, dim), 4)
+    _, val, idx = _canonicalize(coeffs, 4, dim)
     if not len(val):
         return 0
     # pairing sign: parity of moving the dropped factor past the others

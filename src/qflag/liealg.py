@@ -1,6 +1,6 @@
 """The Lie algebra sp(n), its exterior algebra, and the Schouten bracket.
 
-Basis of sp(n) (dimension n(2n+1)), for 1 <= p < q <= n and x in {i, j, k}:
+Basis of sp(n) (dimension N = n(2n+1)), for 1 <= p < q <= n and x in {i, j, k}:
 
 * ``E(p,q)``   : +1 at (p, q), -1 at (q, p);
 * ``S(x;p,q)`` : x at (p, q) and (q, p);
@@ -9,20 +9,18 @@ Basis of sp(n) (dimension n(2n+1)), for 1 <= p < q <= n and x in {i, j, k}:
 Names carry 1-based positions.  The diagonal elements ``Dg`` span the
 spheroid algebra (purely imaginary diagonal matrices).
 
-Multivectors are sparse: a grade-k element of the exterior algebra stores a
-map from strictly increasing k-tuples of basis indices to real coefficients,
-with coefficients below 1e-14 pruned; every Multivector is in this canonical
-form from construction on.  ``wedge``, ``schouten`` and the constructor work
-on whole arrays: they write each term as an unsorted index row, and one pass
-(:func:`_collect`) sorts the rows with the sign of the sort, drops repeats and
-merges equal rows.  ``schouten`` is the one bracket kernel: ``lie_bracket``
-and ad_X P (:func:`ad_multivector`, the derivative d_e Lambda(X) = ad_X
-Lambda) are the bracket with a grade-1 argument.  The tables the kernels read
-are built lazily and cached per n: a padded sparse table of structure
-constants, ad_{B_c} Lambda for every c, and the k-subsets of the basis.
-:class:`SpBasis` holds chi of the basis once, and both the structure constants
-and Ad_g are products with it.  :func:`apply_exterior` has one path, a dense
-antisymmetric tensor over the basis elements its terms use.
+A grade-k :class:`Multivector` holds its canonical terms as sorted int64 keys
+and float64 coefficients, none at most PRUNE_TOL.  The key of the basis indices
+a_0 < ... < a_{k-1} is their rank among the k-subsets of range(N) in
+lexicographic order, C(N, k) - 1 - sum_j C(N - 1 - a_j, k - j) (the
+combinatorial number system).  So key order is row order, a sum is one merge of
+sorted keys, and :func:`apply_exterior`, which fills the C(N, k) subsets in
+order, keys its output by position.  Kernels read index rows back from the
+keys; ``wedge``, ``schouten`` and the constructor write unsorted rows, and
+:func:`_collect` sorts them with the sign of the sort, drops repeats, ranks
+them and merges equal keys.  ``schouten`` is the one bracket kernel:
+``lie_bracket`` and ad_X P (:func:`ad_multivector`, the derivative
+d_e Lambda(X) = ad_X Lambda) are the bracket with a grade-1 argument.
 
 The Schouten bracket follows the convention in which the three identities
 
@@ -40,9 +38,10 @@ which reduces to the Lie bracket on grade-1 inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -164,11 +163,47 @@ def _struct_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 # Sparse multivectors
 # ---------------------------------------------------------------------------
 
-def _collect(idx: np.ndarray, val: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Sum terms into a canonical dict.  Row r of ``idx`` (m, k) stands for
-    ``val[r]`` times the wedge of its basis elements in row order: it is sorted
-    with the sign of the sort, vanishes if it repeats an index, and equal rows
-    are merged; the keys come out in lexicographic order."""
+@lru_cache(maxsize=None)
+def _binomials(dim: int, k: int) -> tuple[int, np.ndarray]:
+    """C(dim, k) and the (k, dim) table of C(b, k - j) at [j, b], which rank and
+    unrank grade-k keys; ValueError when a key could reach 2**63."""
+    count = math.comb(dim, max(k, 0))  # a negative grade has no terms to key
+    if count > 2 ** 63:
+        raise ValueError(f"grade {k} over {dim} basis elements has {count} keys, past 2**63")
+    tab = [[math.comb(b, k - j) for b in range(dim)] for j in range(k)]
+    return count, np.array(tab, dtype=np.int64).reshape(-1, dim)
+
+
+def _unrank(keys: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """The (m, k) index rows of m grade-k keys, the inverse of :func:`_collect`'s ranking."""
+    count, tab = _binomials(dim, k)
+    rest = count - 1 - keys  # sum_j C(dim - 1 - a_j, k - j), read off greedily
+    idx = np.empty((len(keys), len(tab)), dtype=np.intp)
+    for j, row in enumerate(tab):
+        b = np.searchsorted(row, rest, side="right") - 1  # the largest C(b, k - j) <= rest
+        idx[:, j], rest = dim - 1 - b, rest - row[b]
+    return idx
+
+
+def _sum_keys(keys: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical terms from keyed values: the sorted distinct keys, the sum of each
+    key's values in input order (sums at most PRUNE_TOL pruned), and the input
+    position of each kept key's first value."""
+    order = np.argsort(keys, kind="stable")
+    ordered, new = keys[order], np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]  # where each run of equal keys starts
+    starts = np.flatnonzero(new)
+    acc = np.add.reduceat(val[order], starts)
+    keep = np.abs(acc) > PRUNE_TOL
+    first = order[starts[keep]]
+    return keys[first], acc[keep], first
+
+
+def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """Sum terms into canonical keys, values and rows.  Row r of ``idx`` (m, k) stands
+    for ``val[r]`` times the wedge of its basis elements in row order: it is
+    sorted with the sign of the sort, vanishes if it repeats an index, and is
+    keyed by its rank among the k-subsets of range(dim); equal keys merge."""
     k = idx.shape[1]
     if k > 1:
         inversions = np.zeros(len(idx), dtype=np.intp)
@@ -177,30 +212,23 @@ def _collect(idx: np.ndarray, val: np.ndarray) -> dict[tuple[int, ...], float]:
         idx = np.sort(idx, axis=1)
         keep = np.all(idx[:, 1:] != idx[:, :-1], axis=1)
         idx, val = idx[keep], np.where(inversions % 2, -val, val)[keep]
-    order = np.lexsort(idx.T[::-1]) if k else slice(None)
-    idx, val = idx[order], val[order]
-    new = np.ones(len(idx), dtype=bool)
-    new[1:] = np.any(idx[1:] != idx[:-1], axis=1)
-    starts = np.flatnonzero(new)
-    acc = np.add.reduceat(val, starts)
-    keep = np.abs(acc) > PRUNE_TOL
-    return dict(zip(map(tuple, idx[starts[keep]].tolist()), acc[keep].tolist()))
+    count, tab = _binomials(dim, k)
+    keys, val, first = _sum_keys(count - 1 - tab[np.arange(k), dim - 1 - idx].sum(axis=1), val)
+    return keys, val, idx[first]
 
 
-def _canonicalize(coeffs: dict, k: int, dim: int) -> dict[tuple[int, ...], float]:
-    """Grade-k coefficients over a basis of dim elements in canonical form;
-    ValueError for a key that is not k indices in range(dim)."""
+def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Canonical keys, values and rows of grade-k coefficients over dim basis elements;
+    ValueError for a key that is not k indices in range(dim), or for a grade whose
+    keys could reach 2**63."""
+    coeffs = coeffs or {}
     for t in coeffs:
         if len(t) != k or not all(0 <= i < dim for i in t):
             raise ValueError(f"key {t}: need {k} basis indices in range({dim})")
-    return _collect(*_arrays(coeffs, k))
-
-
-def _arrays(coeffs: dict, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of grade-k coefficients as an (m, k) index array and m coefficients."""
     m = len(coeffs)
     idx = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=m * k)
-    return idx.reshape(m, k), np.fromiter(coeffs.values(), dtype=float, count=m)
+    val = np.fromiter(coeffs.values(), dtype=float, count=m)
+    return _collect(idx.reshape(m, max(k, 0)), val, dim)  # a negative grade has no terms
 
 
 def _factors(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,86 +240,108 @@ def _factors(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return idx.ravel(), idx[:, others].reshape(m * k, k - 1), signed.ravel()
 
 
-@dataclass
 class Multivector:
-    """Grade-k element of the exterior algebra of sp(n), sparse over canonical
-    tuples; ValueError for a key that is not ``grade`` indices into the basis."""
+    """Grade-k element of the exterior algebra of sp(n), held as canonical keys
+    and coefficients (see the module docstring); the constructor takes a dict
+    from index tuples to coefficients and raises ValueError for a key that is
+    not ``grade`` basis indices, or a grade whose keys could reach 2**63.
+    ``coeffs`` is a dict of the terms built on first read; it may be written,
+    and from then on every operation reads the terms back from it."""
 
-    n: int
-    grade: int
-    coeffs: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.coeffs:
-            self.coeffs = _canonicalize(self.coeffs, self.grade, sp_basis(self.n).dim)
+    def __init__(self, n: int, grade: int, coeffs: dict | None = None):
+        self.n, self.grade, self._dict = n, grade, None
+        self._keys, self._vals, self._rows = _canonicalize(coeffs, grade, sp_basis(n).dim)
 
     @staticmethod
     def zero(n: int, grade: int) -> "Multivector":
-        return Multivector._of(n, grade, {})
+        return Multivector(n, grade)
 
     @classmethod
-    def _of(cls, n: int, grade: int, coeffs: dict) -> "Multivector":
-        """Wrap coefficients that are already canonical, skipping the constructor."""
+    def _of(cls, n: int, grade: int, keys: np.ndarray, vals: np.ndarray,
+            rows: np.ndarray | None = None) -> "Multivector":
+        """Wrap canonical keys and values, and their rows if known, skipping the constructor."""
         out = cls.__new__(cls)
-        out.n, out.grade, out.coeffs = n, grade, coeffs
+        out.n, out.grade, out._dict = n, grade, None
+        out._keys, out._vals, out._rows = keys, vals, rows
         return out
 
+    def _keyed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical keys and values, read back from ``coeffs`` once handed out."""
+        if self._dict is not None:
+            self._keys, self._vals, self._rows = _canonicalize(self._dict, self.grade,
+                                                               sp_basis(self.n).dim)
+        return self._keys, self._vals
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms: an (m, grade) array of increasing index rows in key order and the
+        m coefficients.  They are the multivector's own arrays, to be read only."""
+        keys, vals = self._keyed()
+        if self._rows is None:
+            self._rows = _unrank(keys, self.grade, sp_basis(self.n).dim)
+        return self._rows, vals
+
+    def _as_dict(self) -> dict[tuple[int, ...], float]:
+        idx, vals = self.terms()
+        return dict(zip(map(tuple, idx.tolist()), vals.tolist()))
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], float]:
+        if self._dict is None:
+            self._dict = self._as_dict()
+        return self._dict
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Multivector) and (self.n, self.grade) == (other.n, other.grade)
+                and all(map(np.array_equal, self._keyed(), other._keyed())))
+
+    def __repr__(self) -> str:
+        return f"Multivector(n={self.n}, grade={self.grade}, coeffs={self._as_dict()!r})"
+
     def copy(self) -> "Multivector":
-        return Multivector._of(self.n, self.grade, dict(self.coeffs))
+        arrays = (*self._keyed(), self._rows)  # the rows only if known
+        return Multivector._of(self.n, self.grade, *(a.copy() for a in arrays if a is not None))
 
     def max_abs(self) -> float:
-        return max(map(abs, self.coeffs.values()), default=0.0)
+        return float(np.abs(self._keyed()[1]).max(initial=0.0))
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        return self._merge(other, 1.0)
+        if self.n != other.n or self.grade != other.grade:
+            raise ValueError("mismatched n or grade")
+        # one stable sort of the two sorted runs of keys, ours first
+        pairs = zip(self._keyed(), other._keyed())  # (keys, keys), (values, values)
+        return Multivector._of(self.n, self.grade, *_sum_keys(*map(np.concatenate, pairs))[:2])
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return self._merge(other, -1.0)
-
-    def _merge(self, other: "Multivector", sign: float) -> "Multivector":
-        # both operands are pruned, so only the keys merged can need pruning;
-        # a dict merge is cheaper here than sorting index rows again
-        self._check(other)
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            v = out.get(t, 0.0) + sign * c
-            if abs(v) > PRUNE_TOL:
-                out[t] = v
-            else:
-                out.pop(t, None)
-        return Multivector._of(self.n, self.grade, out)
+        return self + other.scale(-1.0)
 
     def scale(self, r: float) -> "Multivector":
-        return Multivector._of(self.n, self.grade, {t: c * r for t, c in self.coeffs.items()
-                                                    if abs(c * r) > PRUNE_TOL})
+        keys, vals = self._keyed()
+        keep = np.abs(vals * r) > PRUNE_TOL
+        return Multivector._of(self.n, self.grade, keys[keep], vals[keep] * r)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         if self.n != other.n:
             raise ValueError("mismatched n")
-        i1, v1 = _arrays(self.coeffs, self.grade)
-        i2, v2 = _arrays(other.coeffs, other.grade)
+        (i1, v1), (i2, v2) = self.terms(), other.terms()
         rows = np.concatenate([np.repeat(i1, len(v2), axis=0), np.tile(i2, (len(v1), 1))],
                               axis=1)
         return Multivector._of(self.n, self.grade + other.grade,
-                               _collect(rows, np.outer(v1, v2).ravel()))
-
-    def _check(self, other: "Multivector") -> None:
-        if self.n != other.n or self.grade != other.grade:
-            raise ValueError("mismatched n or grade")
+                               *_collect(rows, np.outer(v1, v2).ravel(), sp_basis(self.n).dim))
 
     def as_vector(self) -> np.ndarray:
         """Grade-1 only: dense coordinate vector over the basis."""
         if self.grade != 1:
             raise ValueError("as_vector requires grade 1")
-        idx, val = _arrays(self.coeffs, 1)
+        idx, val = self.terms()
         return np.bincount(idx[:, 0], weights=val, minlength=sp_basis(self.n).dim)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
         names = sp_basis(self.n).names
+        idx, vals = self.terms()
         terms = [{"idx": [names[c] for c in t], "c": v}
-                 for t, v in sorted(self.coeffs.items())]
+                 for t, v in zip(idx.tolist(), vals.tolist())]
         return {"n": self.n, "grade": self.grade, "terms": terms}
 
     @staticmethod
@@ -313,7 +363,7 @@ class Multivector:
             rows.append([basis.index[nm] for nm in names])
             vals.append(float(term["c"]))
         idx = np.array(rows, dtype=np.intp).reshape(len(rows), grade)
-        return Multivector._of(n, grade, _collect(idx, np.array(vals, dtype=float)))
+        return Multivector._of(n, grade, *_collect(idx, np.array(vals, dtype=float), basis.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +387,22 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
     if p.grade == 0 or q.grade == 0:
         return Multivector.zero(p.n, max(p.grade + q.grade - 1, 0))
     col, val = _struct_table(p.n)
-    a, rest_p, cp = _factors(*_arrays(p.coeffs, p.grade))
-    b, rest_q, cq = _factors(*_arrays(q.coeffs, q.grade))
+    a, rest_p, cp = _factors(*p.terms())
+    b, rest_q, cq = _factors(*q.terms())
     i, j, s = np.nonzero(val[a[:, None], b[None, :]])
     rows = np.concatenate([col[a[i], b[j], s][:, None], rest_p[i], rest_q[j]], axis=1)
     pref = -1.0 if p.grade % 2 == 0 else 1.0  # (-1)^{p+1}
     coef = pref * cp[i] * cq[j] * val[a[i], b[j], s]
-    return Multivector._of(p.n, p.grade + q.grade - 1, _collect(rows, coef))
+    return Multivector._of(p.n, p.grade + q.grade - 1, *_collect(rows, coef, sp_basis(p.n).dim))
 
 
 def lambda_element(n: int) -> Multivector:
     """Sum over p < q of E(p,q) ^ S(i;p,q) ^ S(j;p,q) ^ S(k;p,q)."""
+    return _lambda_element(n).copy()
+
+
+@lru_cache(maxsize=None)
+def _lambda_element(n: int) -> Multivector:
     if n < 2:
         raise ValueError("lambda_element requires n >= 2")
     basis = sp_basis(n)
@@ -359,7 +414,7 @@ def lambda_element(n: int) -> Multivector:
                 for nm in (f"E({p},{q})", f"S(i;{p},{q})", f"S(j;{p},{q})", f"S(k;{p},{q})")
             ))
             coeffs[t] = 1.0
-    return Multivector._of(n, 4, coeffs)
+    return Multivector(n, 4, coeffs)
 
 
 def ad_multivector(x: Multivector, p: Multivector) -> Multivector:
@@ -396,7 +451,7 @@ def _intrinsic_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ad_{B_c} Lambda for every basis element c, as COO triples: the basis
     element c, the 4-tuple of the term and its coefficient."""
     basis = sp_basis(n)
-    parts = [_arrays(intrinsic_derivative(basis.element(nm)).coeffs, 4) for nm in basis.names]
+    parts = [intrinsic_derivative(basis.element(nm)).terms() for nm in basis.names]
     rows = np.repeat(np.arange(basis.dim), [len(v) for _, v in parts])
     return rows, np.concatenate([t for t, _ in parts]), np.concatenate([v for _, v in parts])
 
@@ -441,9 +496,9 @@ def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     Cost below k u N^k multiply-adds, memory at most N^k floats.
     """
     N, k = a.shape[0], p.grade
-    if k == 0 or not p.coeffs:
+    idx, val = p.terms()
+    if k == 0 or not len(val):
         return p.copy()
-    idx, val = _arrays(p.coeffs, k)
     used = np.zeros(N, dtype=bool)
     used[idx] = True
     cols = np.flatnonzero(used)
@@ -457,11 +512,10 @@ def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     for _ in range(k - 1):
         # contract the first slot with a and rotate it to the back
         dense = dense.reshape(u, -1).T @ a_used
-    tuples, prefixes, at = _subsets(N, k)
+    prefixes, at = _subsets(N, k)
     acc = (dense.reshape(u, -1)[:, prefixes].T @ a_used).ravel()[at]
-    nz = np.flatnonzero(np.abs(acc) > PRUNE_TOL)
-    return Multivector._of(p.n, k, dict(zip([tuples[r] for r in nz.tolist()],
-                                            acc[nz].tolist())))
+    nz = np.flatnonzero(np.abs(acc) > PRUNE_TOL)  # the keys: acc runs over the subsets in order
+    return Multivector._of(p.n, k, nz, acc[nz])
 
 
 @lru_cache(maxsize=None)
@@ -473,16 +527,15 @@ def _permuted_strides(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _subsets(N: int, k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The k-subsets of range(N) in lexicographic order, as tuples; the flat
-    indices into an (N,) * (k - 1) array of their distinct (k - 1)-prefixes;
-    and, for each subset, (rank of its prefix) * N + its last element."""
-    tuples = tuple(combinations(range(N), k))
-    rows = np.array(tuples, dtype=np.intp).reshape(len(tuples), k)
+def _subsets(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the k-subsets of range(N) in key order: the flat indices into an
+    (N,) * (k - 1) array of their distinct (k - 1)-prefixes, and for each
+    subset, (rank of its prefix) * N + its last element."""
+    rows = _unrank(np.arange(_binomials(N, k)[0]), k, N)
     new = np.ones(len(rows), dtype=bool)
     new[1:] = np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)
     prefixes = rows[new, :-1] @ N ** np.arange(k - 2, -1, -1)
-    return tuples, prefixes, (np.cumsum(new) - 1) * N + rows[:, -1]
+    return prefixes, (np.cumsum(new) - 1) * N + rows[:, -1]
 
 
 def ad_group(g: QMatrix, p: Multivector) -> Multivector:

@@ -6,6 +6,7 @@ import pytest
 
 from qflag.hmat import QMatrix, expm, random_symplectic
 from qflag.liealg import (
+    PRUNE_TOL,
     DualVector,
     Multivector,
     ad_group,
@@ -28,6 +29,7 @@ from util import (
     four_bracket_oracle,
     leibniz_oracle,
     max_coeff_diff,
+    merge_oracle,
     random_multivector,
     random_unit_quaternion,
     schouten_oracle,
@@ -177,6 +179,114 @@ def test_sums_prune_cancelled_terms():
     assert p.scale(0.0).coeffs == {} and p.scale(1e-16).coeffs == {}
     q = Multivector(3, 2, {t: c + 1e-15 for t, c in p.coeffs.items()})
     assert (q - p).coeffs == {}
+
+
+def _merge_cases():
+    """(name, p, q) pairs of canonical operands for the sums."""
+    rng = np.random.default_rng(15)
+    p3 = random_multivector(3, 3, rng, nterms=8)
+    shared = list(p3.coeffs)[:4]
+    q3 = Multivector(3, 3, {**{t: float(rng.normal()) for t in shared[1:]},
+                            shared[0]: -p3.coeffs[shared[0]],  # cancels in p + q
+                            **random_multivector(3, 3, rng, nterms=3).coeffs})
+    lam4 = Multivector(3, 4, {t: float(rng.normal()) for t in combinations(range(21), 4)})
+    moved = ad_group(random_symplectic(3, rng), lambda_element(3))
+    return [
+        ("disjoint", Multivector(2, 2, {(0, 1): 1.0, (2, 3): -2.0}),
+         Multivector(2, 2, {(4, 5): 0.5, (1, 2): 3.0})),
+        ("overlapping", p3, q3),
+        ("empty-right", p3, Multivector.zero(3, 3)),
+        ("empty-left", Multivector.zero(3, 3), q3),
+        ("empty-both", Multivector.zero(2, 2), Multivector.zero(2, 2)),
+        ("grade-0", Multivector(2, 0, {(): 1.5}), Multivector(2, 0, {(): -0.25})),
+        ("grade-0-cancelling", Multivector(2, 0, {(): 1.5}), Multivector(2, 0, {(): 1.5})),
+        ("lambda4-sp3-self", lam4, lam4),
+        ("lambda4-sp3-moved", lam4, moved),
+    ]
+
+
+MERGE_CASES = _merge_cases()
+
+
+@pytest.mark.parametrize("name, p, q", MERGE_CASES, ids=[c[0] for c in MERGE_CASES])
+def test_sums_match_the_dict_merge_exactly(name, p, q):
+    # the kernels run first, on copies whose coeffs dict was never handed out
+    got_add, got_sub = p.copy() + q.copy(), p.copy() - q.copy()
+    assert got_add.coeffs == merge_oracle(p, q, 1.0)
+    assert got_sub.coeffs == merge_oracle(p, q, -1.0)
+    if name == "lambda4-sp3-self":
+        assert len(p.coeffs) == 5985 and got_sub.coeffs == {}
+
+
+@pytest.mark.parametrize("name, p, q", MERGE_CASES, ids=[c[0] for c in MERGE_CASES])
+@pytest.mark.parametrize("r", [2.0, -1.0, 0.3, 1e-15, 0.0])
+def test_scale_and_max_abs_match_the_dict_loops_exactly(name, p, q, r):
+    scaled, largest = p.copy().scale(r), p.copy().max_abs()
+    assert scaled.coeffs == {t: c * r for t, c in p.coeffs.items() if abs(c * r) > PRUNE_TOL}
+    assert largest == max(map(abs, p.coeffs.values()), default=0.0)
+
+
+def test_writes_through_coeffs_are_read_back():
+    rng = np.random.default_rng(14)
+    orig = random_multivector(2, 2, rng, nterms=5)
+    before = orig.to_json()
+    mv = orig.copy()
+    first, second = list(mv.coeffs)[:2]
+    mv.coeffs[first] += 0.5
+    mv.coeffs[(3, 8)] = -1.25
+    del mv.coeffs[second]
+    ref = Multivector(2, 2, dict(mv.coeffs))
+    other, x = random_multivector(2, 2, rng, nterms=3), random_multivector(2, 1, rng)
+    a = rng.normal(size=(10, 10))
+    assert mv + other == ref + other and mv - other == ref - other
+    assert mv.max_abs() == ref.max_abs()
+    assert apply_exterior(a, mv) == apply_exterior(a, ref)
+    assert schouten(x, mv) == schouten(x, ref)
+    assert mv.to_json() == ref.to_json()
+    # a later write is read back as well
+    mv.coeffs[first] = 7.0
+    assert mv.max_abs() == 7.0 and (mv - ref).coeffs == {first: 7.0 - ref.coeffs[first]}
+    assert orig.to_json() == before and orig == Multivector.from_json(before)
+
+
+def test_equality_and_repr_show_n_grade_and_terms():
+    p = Multivector(2, 2, {(2, 3): -2.0, (0, 1): 1.5})
+    assert p == Multivector(2, 2, {(1, 0): -1.5, (2, 3): -2.0})
+    assert p != Multivector(3, 2, {(0, 1): 1.5, (2, 3): -2.0})
+    assert p != Multivector(2, 2, {(0, 1): 1.5})
+    assert p != Multivector(2, 2, {(0, 1): 1.5, (2, 3): -2.0 + 1e-12})
+    assert Multivector.zero(2, 1) != Multivector.zero(2, 2) and p != p.coeffs
+    assert repr(p) == "Multivector(n=2, grade=2, coeffs={(0, 1): 1.5, (2, 3): -2.0})"
+
+
+@pytest.mark.parametrize("n, grade", [(2, 3), (3, 4)])
+def test_keys_follow_the_lexicographic_order_of_the_rows(n, grade):
+    rows = list(combinations(range(sp_basis(n).dim), grade))
+    mv = Multivector(n, grade, {t: float(i) for i, t in enumerate(reversed(rows), start=1)})
+    # the rows of a sum are read back from its keys
+    for got in (mv, mv + Multivector.zero(n, grade)):
+        idx, vals = got.terms()
+        assert idx.tolist() == [list(t) for t in rows]
+        assert vals.tolist() == [float(len(rows) - i) for i in range(len(rows))]
+
+
+def test_keys_fit_every_cli_grade_and_refuse_past_int64():
+    # verify schouten's Leibniz brackets reach grade 11 at n = 5 and 6, where
+    # dim ** 11 would pass 2**63; ranks among the k-subsets stay far below it
+    for n in range(2, 7):
+        dim = sp_basis(n).dim
+        for grade in range(1, min(dim, 11) + 1):
+            ends = {tuple(range(grade)): 1.0, tuple(range(dim - grade, dim)): -2.0}
+            mv = Multivector(n, grade, ends) + Multivector.zero(n, grade)
+            assert mv.coeffs == ends
+    # at dim 78, grade 21 is the last with at most 2**63 subsets
+    last = tuple(range(78 - 21, 78))
+    assert Multivector(6, 21, {last: 1.0}).copy().scale(2.0).coeffs == {last: 2.0}
+    big = Multivector(6, 11, {tuple(range(11)): 1.0})
+    for build in (lambda: Multivector(6, 22), lambda: Multivector(6, 22, {tuple(range(22)): 1.0}),
+                  lambda: big.wedge(Multivector(6, 11, {tuple(range(11, 22)): 1.0}))):
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            build()
 
 
 def test_multivector_json_round_trip():

@@ -10,7 +10,7 @@ import numpy as np
 from qflag.decomp import PIVOT_RTOL, BruhatForm, bruhat
 from qflag.hmat import Permutation, QMatrix, SingularMatrixError
 from qflag.hp1geom import Chart, ChartPoint
-from qflag.liealg import Multivector, lambda_element, sp_basis
+from qflag.liealg import PRUNE_TOL, Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion
 
 
@@ -130,6 +130,19 @@ def wedge_oracle(p: Multivector, q: Multivector) -> Multivector:
             if s:
                 out[t] = out.get(t, 0.0) + s * c1 * c2
     return Multivector(p.n, p.grade + q.grade, out)
+
+
+def merge_oracle(p: Multivector, q: Multivector, sign: float) -> dict:
+    """The terms of p + sign * q by a per-key dict merge of canonical operands:
+    p's terms, then each of q's added in turn, pruning only the keys it touches."""
+    out = dict(p.coeffs)
+    for t, c in q.coeffs.items():
+        v = out.get(t, 0.0) + sign * c
+        if abs(v) > PRUNE_TOL:
+            out[t] = v
+        else:
+            out.pop(t, None)
+    return out
 
 
 def leibniz_oracle(a: np.ndarray, p: Multivector) -> Multivector:
