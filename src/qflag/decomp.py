@@ -228,6 +228,11 @@ def leaf_signature(k: QMatrix) -> LeafSignature:
     """(w, phases) of a symplectic matrix: the permutation and the normalized
     diagonal of its strict Bruhat form, read off the row reduction."""
     require_symplectic(k.data, "leaf_signature")
+    return _leaf_signature(k)
+
+
+def _leaf_signature(k: QMatrix) -> LeafSignature:
+    """:func:`leaf_signature` of a matrix already known to be in Sp(n)."""
     a, w_of, e = _row_reduce(k)
     diag = np.ldexp(a[np.arange(k.n_rows), np.argsort(w_of)], e)  # D[i, i] = d_{w^-1(i)}
     phases = [q * (1.0 / q.norm()) for q in map(Quaternion.from_array, diag)]

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import _row_reduce, dress, leaf_signature
-from .hmat import Permutation, QMatrix, embed_sp2, require_symplectic, word_to_permutation
-from .hp1geom import ChartPoint, coset_rep, south_coord
+from .decomp import _leaf_signature, _row_reduce, iwasawa
+from .hmat import (Permutation, QMatrix, chi, embed_sp2, require_symplectic, unchi,
+                   word_to_permutation)
+from .hp1geom import Chart, ChartPoint, _coset_reps, coset_rep, south_coord
 from .liealg import sp_basis
-from .quat import Quaternion
+from .quat import Quaternion, qconj
 
 __all__ = [
     "LeafPoint",
@@ -65,20 +66,37 @@ def cell_of(k: QMatrix) -> Permutation:
     return Permutation(_row_reduce(k)[1])
 
 
-# leaf_dimension's step: the Jacobian errs by h^2 and eps / h, which can cross LEAF_SV_RTOL
-LEAF_FD_STEP = 1e-5
 LEAF_SV_RTOL = 1e-7  # leaf_dimension misses a direction weaker than this, relative
 
 
-def leaf_dimension(word, n: int, seed: int = 0) -> int:
-    """Numerical rank of the differential of the word product map.
+def _leaf_jacobian(word: list[int], base: np.ndarray, n: int) -> np.ndarray:
+    """(4m, dim sp(n)) differential of the word map at the (m, 4) parameters
+    ``base``, right-translated to sp(n) coordinates: row 4i + a is
+    ``Ad_P(dk_v/dv_a k_v*)`` for v = v_i and P the product of the blocks before
+    block i, of which only columns r_i, r_i + 1 enter.  By the closed form of
+    k_v (:func:`hp1geom._coset_reps`), ``dk_v/dv_a = s diag(-conj(e_a), e_a)
+    - v_a s^2 k_v`` with ``s = (1 + |v|^2)^(-1/2)``; the second term adds
+    ``-v_a s^2 C C*`` for those two columns C of P, which is Hermitian, so the
+    projection onto sp(n) drops it."""
+    units = np.zeros((4, 2, 2, 4))
+    units[:, 0, 0], units[:, 1, 1] = -qconj(np.eye(4)), np.eye(4)
+    units = chi(units)
+    basis = sp_basis(n)
+    prefix = np.eye(2 * n, dtype=complex)  # chi of the product of the blocks so far
+    rows = []
+    for r, v, k in zip(word, base, chi(_coset_reps(Chart.SOUTH, base))):
+        cols = prefix[:, 2 * r:2 * r + 4]
+        tangents = unchi(cols @ units @ k.conj().T @ cols.conj().T) / np.sqrt(1.0 + v @ v)
+        rows += [basis.project(QMatrix(t)) for t in tangents]
+        prefix[:, 2 * r:2 * r + 4] = cols @ k
+    return np.array(rows)
 
-    Central differences (step LEAF_FD_STEP) in all 4m real parameters at a
-    random base point; the difference quotients are pulled back to sp(n)
-    coordinates through right translation, and the rank of the resulting
-    (4m) x dim sp(n) matrix is returned (singular values above LEAF_SV_RTOL
-    times the largest).  Expected 4m for a reduced word.
-    """
+
+def leaf_dimension(word, n: int, seed: int = 0) -> int:
+    """Numerical rank of the differential of the word product map: the number
+    of singular values of :func:`_leaf_jacobian` at a random base point above
+    LEAF_SV_RTOL times the largest.  Expected 4m for a reduced word of length
+    m; ``ValueError`` for a word :func:`leaf_point` rejects."""
     word = [int(r) for r in word]
     m = len(word)
     if m == 0:
@@ -86,22 +104,8 @@ def leaf_dimension(word, n: int, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(m, 4))
     base *= (0.3 + 0.9 * rng.random((m, 1))) / np.linalg.norm(base, axis=1, keepdims=True)
-
-    def at(flat):
-        ps = [Quaternion.from_array(flat[4 * i:4 * i + 4]) for i in range(m)]
-        return leaf_point(word, ps, n).matrix
-
-    flat0 = base.reshape(-1)
-    k0_inv = at(flat0).conj_transpose()  # symplectic inverse
-    basis = sp_basis(n)
-    cols = []
-    for a in range(4 * m):
-        e = np.zeros(4 * m)
-        e[a] = LEAF_FD_STEP
-        diff = (at(flat0 + e) - at(flat0 - e)).scale(1.0 / (2 * LEAF_FD_STEP))
-        cols.append(basis.project(diff @ k0_inv))
-    jac = np.stack(cols)  # (4m, dim sp(n))
-    sv = np.linalg.svd(jac, compute_uv=False)
+    leaf_point(word, map(Quaternion.from_array, base), n)  # validates the word
+    sv = np.linalg.svd(_leaf_jacobian(word, base, n), compute_uv=False)
     return int(np.sum(sv > LEAF_SV_RTOL * sv[0]))
 
 
@@ -124,14 +128,13 @@ def orbit_probe(k: QMatrix, samples: int, seed: int) -> dict:
     require_symplectic(k.data, "orbit_probe")
     n = k.n_rows
     rng = np.random.default_rng(seed)
-    sig0 = leaf_signature(k)
+    sig0 = _leaf_signature(k)
     trivial_phases = all((p - Quaternion(1)).norm() < 1e-8 for p in sig0.phases)
     max_dev = 0.0
     max_recon = None
     for _ in range(samples):
-        g = random_ru(n, rng)
-        k2 = dress(g, k)
-        sig = leaf_signature(k2)
+        k2 = iwasawa(random_ru(n, rng) @ k)[0]  # dress, unchecked: RU by construction
+        sig = _leaf_signature(k2)
         max_dev = max(max_dev, sig0.deviation(sig))
         if n == 2 and sig0.w.length() == 1 and trivial_phases:
             v = south_coord(k2)

@@ -67,8 +67,6 @@ CHART_EPS = 1e-10
 RANK_RTOL = 1e-9
 # lie_derivative_check's step: its residual grows as h^4 and as eps / h
 LIE_FD_STEP = 1e-3
-# bruhat_normalization reads the field here; every profile ratio inherits its error
-NORM_RHO_REF = 1e-3
 
 
 class Chart(enum.Enum):
@@ -288,13 +286,10 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
 
 @lru_cache(maxsize=None)
 def bruhat_normalization() -> float:
-    """Constant scaling the Bruhat coefficient to 1 at the v -> 0 limit.
-
-    Evaluated at the radius NORM_RHO_REF and divided by the analytic radial
-    profile there, so the returned constant carries no O(rho^2) bias.
-    """
-    ref = bruhat_field(ChartPoint.south(Quaternion(NORM_RHO_REF))).coeff
-    return ref / ((1.0 + NORM_RHO_REF ** 2) * (1.0 + 3.0 * NORM_RHO_REF ** 4))
+    """The Bruhat coefficient at the South-chart origin v = 0, where its
+    closed-form profile (1 + rho^2)(1 + 3 rho^4) is 1: the constant that
+    scales the profile to 1 there."""
+    return bruhat_field(ChartPoint.south(Quaternion())).coeff
 
 
 def radial_profile(rhos, directions: int, seed: int):

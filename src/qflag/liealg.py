@@ -222,13 +222,15 @@ def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ..
     ValueError for a key that is not k indices in range(dim), or for a grade whose
     keys could reach 2**63."""
     coeffs = coeffs or {}
-    for t in coeffs:
-        if len(t) != k or not all(0 <= i < dim for i in t):
-            raise ValueError(f"key {t}: need {k} basis indices in range({dim})")
     m = len(coeffs)
-    idx = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=m * k)
+    idx = np.fromiter(chain.from_iterable(coeffs), dtype=float)
+    # an index is in range(dim) iff it equals the nearest integer in [0, dim - 1]
+    if set(map(len, coeffs)) - {k} or not (idx == idx.clip(0, dim - 1).round()).all():
+        t = next(t for t in coeffs
+                 if len(t) != k or not all(0 <= i < dim and i % 1 == 0 for i in t))
+        raise ValueError(f"key {t}: need {k} basis indices in range({dim})")
     val = np.fromiter(coeffs.values(), dtype=float, count=m)
-    return _collect(idx.reshape(m, max(k, 0)), val, dim)  # a negative grade has no terms
+    return _collect(idx.astype(np.intp).reshape(m, max(k, 0)), val, dim)  # no terms at k < 0
 
 
 def _factors(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -231,7 +231,7 @@ def test_criterion_08_dimension_formulas():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     record_criterion(8, ok,
-                     f"FD rank = 4*len(w) for all reduced words in S3, {elapsed:.2f}s")
+                     f"rank = 4*len(w) for all reduced words in S3, {elapsed:.2f}s")
     assert ok
 
 

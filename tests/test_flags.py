@@ -3,19 +3,24 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from qflag import decomp, flags
 from qflag.decomp import leaf_signature
 from qflag.flags import (
+    LEAF_SV_RTOL,
+    _leaf_jacobian,
     cell_of,
     leaf_dimension,
     leaf_point,
     orbit_probe,
     random_ru,
 )
-from qflag.hmat import Permutation, QMatrix, is_symplectic, word_to_permutation
+from qflag.hmat import (Permutation, QMatrix, is_symplectic, require_symplectic,
+                        word_to_permutation)
+from qflag.liealg import sp_basis
 from qflag.hp1geom import ChartPoint, coset_rep
 from qflag.quat import ONE, Quaternion
 
-from util import random_unit_quaternion
+from util import leaf_jacobian_fd_oracle, random_unit_quaternion, reduced_words
 
 
 def sized_params(word, rng):
@@ -81,6 +86,24 @@ def test_leaf_dimension():
     assert leaf_dimension([0, 1, 0], 3) == 12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_leaf_jacobian_matches_fd_oracle_on_every_reduced_word(n):
+    rng = np.random.default_rng(40 + n)
+    for word in reduced_words(n)[1:]:
+        base = np.array([q.to_array() for q in sized_params(word, rng)])
+        jac = _leaf_jacobian(word, base, n)
+        assert jac.shape == (4 * len(word), sp_basis(n).dim)
+        assert np.abs(jac - leaf_jacobian_fd_oracle(word, base, n)).max() <= 1e-9
+        sv = np.linalg.svd(jac, compute_uv=False)
+        assert np.sum(sv > LEAF_SV_RTOL * sv[0]) == 4 * len(word)
+        assert leaf_dimension(word, n, seed=n) == 4 * len(word)
+
+
+def test_leaf_dimension_rejects_unreduced_word():
+    with pytest.raises(ValueError, match="not reduced"):
+        leaf_dimension([0, 0], 3)
+
+
 def test_random_ru_structure():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -116,6 +139,19 @@ def test_orbit_probe_sigma_pw_n3():
         assert report["w"] == [i + 1 for i in w.one_line]
         assert report["phase_dev"] <= 1e-8
         assert "kv_reconstruction_err" not in report
+
+
+def test_orbit_probe_checks_its_input_once(monkeypatch):
+    calls = []
+
+    def counted(data, op):
+        calls.append(op)
+        return require_symplectic(data, op)
+
+    for module in (decomp, flags):
+        monkeypatch.setattr(module, "require_symplectic", counted)
+    orbit_probe(Permutation([1, 2, 0]).matrix(), samples=30, seed=0)
+    assert calls == ["orbit_probe"]
 
 
 def test_orbit_probe_requires_symplectic():

@@ -24,7 +24,7 @@ from qflag.hmat import (
 from qflag.liealg import ad_group_matrix
 from qflag.quat import I, J, ONE, Quaternion
 
-from util import exp_pure_oracle, gauss_jordan_inverse, random_invertible
+from util import exp_pure_oracle, expm_series_oracle, gauss_jordan_inverse, random_invertible
 
 
 def frob(m):
@@ -180,6 +180,31 @@ def test_expm_lands_in_group():
     x = random_sp_algebra(3, rng)
     assert frob(x + x.conj_transpose()) <= 1e-12
     assert is_symplectic(expm(x), tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
+def test_expm_matches_series_oracle(n):
+    x = random_sp_algebra(n, np.random.default_rng(260 + n))
+    k = expm(x)
+    assert frob(k - expm_series_oracle(x)) <= 1e-11
+    assert symplectic_residual(chi(k.data)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-3, 3.0], ids=["absolute", "relative"])
+@pytest.mark.parametrize("factor, inside", [(0.99, True), (1.01, False)])
+def test_expm_sp_rule_edge(scale, factor, inside):
+    # X + d I has ||(X + d I) + (X + d I)*||_F = 2 d sqrt(n), and Re tr X = 0, so
+    # ||X + d I||_F = sqrt(||X||_F^2 + n d^2), which moves the bound by far less than 1%
+    n = 3
+    x = random_sp_algebra(n, np.random.default_rng(280))
+    x = x.scale(scale / frob(x))
+    d = factor * SYMPLECTIC_TOL * max(1.0, scale) / (2.0 * np.sqrt(n))
+    y = x + QMatrix.identity(n).scale(d)
+    if inside:
+        assert frob(expm(y) - expm(x)) <= 1e-12
+    else:
+        with pytest.raises(ValueError, match="expm requires an element of sp"):
+            expm(y)
 
 
 def test_qmatrix_json_round_trip():

@@ -276,6 +276,11 @@ def test_invariant_field_values():
         invariant_field(ChartPoint.north(Quaternion()))
 
 
+def test_bruhat_normalization_is_the_field_at_the_south_origin():
+    assert bruhat_normalization() == bruhat_field(ChartPoint.south(Quaternion())).coeff
+    assert bruhat_normalization() == pytest.approx(2.0, abs=1e-15)
+
+
 def test_ratio_law_spot_values():
     norm = bruhat_normalization()
     for rho, expect in [(1.0, 0.5), (2.0, 49.0 / 125.0)]:

@@ -165,8 +165,9 @@ def test_constructor_canonicalizes_keys():
     assert Multivector(2, -1, {}).coeffs == {}
 
 
-@pytest.mark.parametrize("key", [(0, 1, 2), (3,), (0, 10), (-1, 3)],
-                         ids=["too-long", "too-short", "index-dim", "index-negative"])
+@pytest.mark.parametrize("key", [(0, 1, 2), (3,), (0, 10), (-1, 3), (0, 1.5)],
+                         ids=["too-long", "too-short", "index-dim", "index-negative",
+                              "index-non-integral"])
 def test_constructor_rejects_malformed_keys(key):
     with pytest.raises(ValueError, match="basis indices in range"):
         Multivector(2, 2, {(0, 1): 1.0, key: 1.0})

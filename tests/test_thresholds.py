@@ -1,0 +1,17 @@
+"""Every numerical threshold of the library is documented in README.md."""
+
+from pathlib import Path
+
+import pytest
+
+from qflag import decomp, flags, hmat, hp1geom, liealg
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+THRESHOLDS = sorted({(mod.__name__, name) for mod in (decomp, flags, hmat, hp1geom, liealg)
+                     for name, value in vars(mod).items()
+                     if name.isupper() and isinstance(value, float)})
+
+
+@pytest.mark.parametrize("module, name", THRESHOLDS, ids=[n for _, n in THRESHOLDS])
+def test_threshold_is_named_in_readme(module, name):
+    assert f"`{name}" in README, f"{module}.{name} has no entry in README.md"

@@ -8,7 +8,8 @@ from itertools import combinations
 import numpy as np
 
 from qflag.decomp import PIVOT_RTOL, BruhatForm, bruhat
-from qflag.hmat import Permutation, QMatrix, SingularMatrixError
+from qflag.flags import leaf_point
+from qflag.hmat import Permutation, QMatrix, SingularMatrixError, chi, unchi, word_to_permutation
 from qflag.hp1geom import Chart, ChartPoint
 from qflag.liealg import PRUNE_TOL, Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion
@@ -505,3 +506,52 @@ def bruhat_field_oracle(p: ChartPoint) -> float:
     lam = lambda_element(2)
     moved = apply_exterior_oracle(ad_group_oracle(coset_rep_oracle(p)), lam) - lam
     return pushforward_oracle(p, moved)
+
+
+# ---------------------------------------------------------------------------
+# The approximations that closed forms replaced: the matrix exponential by
+# scaling and squaring a truncated series, and the leaf differential by
+# central differences.
+# ---------------------------------------------------------------------------
+
+def expm_series_oracle(m: QMatrix) -> QMatrix:
+    """exp(X) of any square X: the Taylor series of chi(X 2^-s), ||X 2^-s||_F <= 1/2,
+    summed until a term's quaternion norm is below 1e-13, then squared s times."""
+    norm = m.frobenius()
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    x = chi(m.data) * 0.5 ** s
+    acc = term = np.eye(len(x), dtype=complex)
+    for kfac in range(1, 62):
+        term = (term @ x) / kfac
+        acc = acc + term
+        if np.linalg.norm(term) < math.sqrt(2.0) * 1e-13:  # ||chi(Y)||_F = sqrt(2) ||Y||_F
+            break
+    for _ in range(s):
+        acc = acc @ acc
+    return QMatrix(unchi(acc))
+
+
+def leaf_jacobian_fd_oracle(word, base: np.ndarray, n: int, h: float = 1e-5) -> np.ndarray:
+    """(4m, dim sp(n)) central-difference differential of the word map at the
+    (m, 4) parameters, right-translated: row a is the sp(n) coordinates of
+    (K(p + h e_a) - K(p - h e_a)) / 2h times K(p)*; errs by O(h^2) and eps / h."""
+    def at(flat):
+        return leaf_point(word, [Quaternion.from_array(q) for q in flat.reshape(-1, 4)], n).matrix
+
+    flat0 = np.asarray(base, dtype=float).reshape(-1)
+    k0_inv = at(flat0).conj_transpose()
+    rows = []
+    for e in np.eye(len(flat0)) * h:
+        diff = (at(flat0 + e) - at(flat0 - e)).scale(1.0 / (2 * h))
+        rows.append(sp_basis(n).project(diff @ k0_inv))
+    return np.array(rows)
+
+
+def reduced_words(n: int) -> list[list[int]]:
+    """Every reduced word (0-based letters) of every element of S_n, the empty one first."""
+    words, frontier = [[]], [[]]
+    while frontier:
+        frontier = [w + [r] for w in frontier for r in range(n - 1)
+                    if word_to_permutation(w + [r], n).length() == len(w) + 1]
+        words += frontier
+    return words
