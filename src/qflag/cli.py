@@ -241,9 +241,9 @@ SUITES = {
 # The sizes each suite runs on, (least n, most n): Lambda needs n >= 2, the
 # Schouten draws go up to grade 4 > dim sp(1), and HP^1 sits in Sp(2).  The
 # upper bounds keep a run under about a second and 50 MiB: the sp(n) suites
-# build the structure constants, whose peak memory grows as n^6 (41 MiB at
-# n = 6, 100 MiB at n = 7); `leaves` checks all n! words; and `dressing`
-# runs 100 Iwasawa factorizations of size n.
+# build the dense structure constants, n^6 floats, in 45 ms with an 11 MiB peak
+# at n = 6 (0.11 s, 28 MiB at n = 7); `leaves` checks all n! words; and
+# `dressing` runs 100 Iwasawa factorizations of size n.
 SUITE_N = {"schouten": (2, 6), "lambda": (2, 6), "spheroid": (2, 6),
            "hp1": (2, 2), "leaves": (1, 6), "dressing": (1, 32)}
 

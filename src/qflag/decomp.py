@@ -143,6 +143,19 @@ def bruhat(g: QMatrix) -> BruhatForm:
     return BruhatForm(U=QMatrix(u), D=QMatrix(dd), w=Permutation(w_of), V=QMatrix(v))
 
 
+def _chi_qr(g: QMatrix, op: str, mode: str) -> tuple:
+    """LAPACK's QR of ``chi(G 2^-e)`` (:func:`pow2_scaled`) in ``mode``, the moduli of
+    the diagonal of its triangular factor T, and e; ValueError naming ``op`` on a
+    non-finite entry, SingularMatrixError on a modulus at most PIVOT_RTOL * ||G||_F."""
+    require_square_finite(g.data, op)
+    scaled, e = pow2_scaled(g.data)
+    qr = np.linalg.qr(chi(scaled), mode=mode)
+    mag = np.abs(np.diagonal(qr if mode == "r" else qr[1]))
+    if mag.min() <= PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled)):
+        raise SingularMatrixError("matrix is singular: QR breakdown")
+    return qr, mag, e
+
+
 def dieudonne_det(g: QMatrix) -> float:
     """Product of |d_i| over the strict-form diagonal.
 
@@ -151,19 +164,12 @@ def dieudonne_det(g: QMatrix) -> float:
     because -1 is a commutator in H*.
 
     Computed without the Bruhat form: |det chi(G)| = Ddet(G)^2 is the
-    product of |T_ii| over the triangular factor T of LAPACK's QR of
-    ``chi(G)``, of G scaled by a power of two, exactly, with the |T_ii|
-    scaled back and summed as logarithms so that no partial product
-    overflows.  Raises ``ValueError`` on a non-finite entry,
-    :class:`SingularMatrixError` when some |T_ii| is at most
-    ``PIVOT_RTOL * ||G||_F``, the breakdown rule of :func:`iwasawa`, and
+    product of |T_ii| over T of :func:`_chi_qr`, scaled back and summed as
+    logarithms so that no partial product overflows.  Raises ``ValueError``
+    and :class:`SingularMatrixError` as :func:`iwasawa` does, and
     ``OverflowError`` when the determinant is not a normal float.
     """
-    require_square_finite(g.data, "dieudonne_det")
-    scaled, e = pow2_scaled(g.data)
-    mag = np.abs(np.diagonal(np.linalg.qr(chi(scaled), mode="r")))
-    if mag.min() <= PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled)):
-        raise SingularMatrixError("matrix is singular: QR breakdown")
+    _, mag, e = _chi_qr(g, "dieudonne_det", "r")
     with np.errstate(over="ignore", divide="ignore"):  # out of range: caught below
         log_det = 0.5 * np.sum(np.log(np.ldexp(mag, e)))
     if not _LOG_NORMAL[0] <= log_det <= _LOG_NORMAL[1]:
@@ -183,15 +189,9 @@ def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     a non-finite entry and :class:`SingularMatrixError` when a diagonal entry
     of T is at most ``PIVOT_RTOL * ||G||_F``.
     """
-    require_square_finite(g.data, "iwasawa")
     n = g.n_rows
-    scaled, e = pow2_scaled(g.data)
-    q, t = np.linalg.qr(chi(scaled))
-    d = np.diagonal(t)
-    mag = np.abs(d)
-    if mag.min() <= PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled)):
-        raise SingularMatrixError("matrix is singular: QR breakdown")
-    phase = d / mag
+    (q, t), mag, e = _chi_qr(g, "iwasawa", "reduced")
+    phase = np.diagonal(t) / mag
     r = mag[0::2]
     uu = unchi(phase.conj()[:, None] * t) / r[:, None, None]
     uu[np.arange(n), np.arange(n)] = (1.0, 0.0, 0.0, 0.0)

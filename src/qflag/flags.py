@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import _leaf_signature, _row_reduce, iwasawa
-from .hmat import (Permutation, QMatrix, chi, embed_sp2, require_symplectic, unchi,
+from .hmat import (Permutation, QMatrix, chi, embed_sp2, require_symplectic,
                    word_to_permutation)
 from .hp1geom import Chart, ChartPoint, _coset_reps, coset_rep, south_coord
 from .liealg import sp_basis
@@ -81,15 +81,13 @@ def _leaf_jacobian(word: list[int], base: np.ndarray, n: int) -> np.ndarray:
     units = np.zeros((4, 2, 2, 4))
     units[:, 0, 0], units[:, 1, 1] = -qconj(np.eye(4)), np.eye(4)
     units = chi(units)
-    basis = sp_basis(n)
     prefix = np.eye(2 * n, dtype=complex)  # chi of the product of the blocks so far
-    rows = []
+    tangents = []
     for r, v, k in zip(word, base, chi(_coset_reps(Chart.SOUTH, base))):
         cols = prefix[:, 2 * r:2 * r + 4]
-        tangents = unchi(cols @ units @ k.conj().T @ cols.conj().T) / np.sqrt(1.0 + v @ v)
-        rows += [basis.project(QMatrix(t)) for t in tangents]
+        tangents.append(cols @ units @ k.conj().T @ cols.conj().T / np.sqrt(1.0 + v @ v))
         prefix[:, 2 * r:2 * r + 4] = cols @ k
-    return np.array(rows)
+    return sp_basis(n).coords(np.reshape(tangents, (-1, 2 * n, 2 * n)))
 
 
 def leaf_dimension(word, n: int, seed: int = 0) -> int:

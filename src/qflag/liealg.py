@@ -45,7 +45,7 @@ from itertools import chain, permutations
 
 import numpy as np
 
-from .hmat import QMatrix, chi, require_symplectic, unchi
+from .hmat import QMatrix, chi, require_symplectic
 
 __all__ = [
     "SpBasis",
@@ -69,7 +69,10 @@ _UNITS = ("i", "j", "k")
 
 
 class SpBasis:
-    """Precomputed basis data for sp(n); shared read-only."""
+    """Precomputed basis data for sp(n); shared read-only.  The basis lists
+    E(p,q), S(i;p,q), S(j;p,q), S(k;p,q) together for each p < q in order, then
+    Dg(i;p), Dg(j;p), Dg(k;p) for each p; ``chi`` holds their complex adjoints,
+    ``(N, 2n, 2n)``, and chi is an isometry up to a factor 2 (see :meth:`coords`)."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -104,25 +107,27 @@ class SpBasis:
         assert self.dim == n * (2 * n + 1)
         self.spheroid_indices = tuple(c for c, nm in enumerate(names) if nm.startswith("Dg"))
 
-        # The basis matrices stacked.  Flattened, the real pairing
-        # <A, B> = Re tr(A* B) is the Euclidean inner product of the rows.
         self.data = np.stack([m.data for m in mats])  # (N, n, n, 4)
-        self._flat = self.data.reshape(self.dim, -1)
-        self._norm2 = np.sum(self._flat * self._flat, axis=1)
-        # chi of the basis laid side by side: [chi(B_1) | ... | chi(B_N)]
-        self.chi = chi(np.concatenate(self.data, axis=1))
+        self.chi = chi(self.data)
+        flat = self.chi.reshape(self.dim, -1)  # ||row c||^2 = 2 ||B_c||^2
+        self._coords = (flat.conj() / np.sum(np.abs(flat) ** 2, axis=1, keepdims=True)).T
 
         self._struct: np.ndarray | None = None
 
     # -- coordinates -------------------------------------------------------
 
+    def coords(self, c: np.ndarray) -> np.ndarray:
+        """``(..., N)`` basis coordinates of ``(..., 2n, 2n)`` complex adjoints of sp(n)
+        elements, Re<chi(B_c), .> / (2 ||B_c||^2) as Re tr chi(A)^H chi(B) = 2 Re tr(A* B):
+        exact on the span, and blind to a part orthogonal to chi(sp(n)), e.g. a Hermitian one."""
+        return (c.reshape(*c.shape[:-2], -1) @ self._coords).real
+
     def project(self, m: QMatrix) -> np.ndarray:
         """Basis coordinates of a matrix in sp(n) (exact on the span)."""
-        return (self._flat @ m.data.reshape(-1)) / self._norm2
+        return self.coords(chi(m.data))
 
     def matrix_of(self, coeffs) -> QMatrix:
-        coeffs = np.asarray(coeffs, dtype=float)
-        return QMatrix((coeffs @ self._flat).reshape(self.n, self.n, 4))
+        return QMatrix(np.tensordot(np.asarray(coeffs, dtype=float), self.data, axes=1))
 
     def element(self, name: str) -> "Multivector":
         """Grade-1 multivector for a named basis element."""
@@ -134,13 +139,8 @@ class SpBasis:
     def struct(self) -> np.ndarray:
         """struct[a, b, c] = coefficient of basis c in [B_a, B_b]."""
         if self._struct is None:
-            N, m = self.dim, 2 * self.n
-            # one product gives every chi(B_a) chi(B_b) as the (a, b) block;
-            # the entries are 0, +-1 and +-i, so all of it is exact
-            prod = self.chi.reshape(m, N, m).swapaxes(0, 1).reshape(N * m, m) @ self.chi
-            prod = prod.reshape(N, m, N, m).swapaxes(1, 2)
-            comm = unchi(prod - prod.swapaxes(0, 1)).reshape(N, N, -1)
-            self._struct = comm @ self._flat.T / self._norm2
+            # row a is [B_a, B_c] over all c, exact: chi's entries are 0, +-1 and +-i
+            self._struct = np.stack([self.coords(x @ self.chi - self.chi @ x) for x in self.chi])
         return self._struct
 
 
@@ -407,16 +407,8 @@ def lambda_element(n: int) -> Multivector:
 def _lambda_element(n: int) -> Multivector:
     if n < 2:
         raise ValueError("lambda_element requires n >= 2")
-    basis = sp_basis(n)
-    coeffs: dict[tuple[int, ...], float] = {}
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            t = tuple(sorted(
-                basis.index[nm]
-                for nm in (f"E({p},{q})", f"S(i;{p},{q})", f"S(j;{p},{q})", f"S(k;{p},{q})")
-            ))
-            coeffs[t] = 1.0
-    return Multivector(n, 4, coeffs)
+    # E(p,q), S(i;p,q), S(j;p,q), S(k;p,q) are consecutive in the basis for each p < q
+    return Multivector(n, 4, {(c, c + 1, c + 2, c + 3): 1.0 for c in range(0, 2 * n * (n - 1), 4)})
 
 
 def ad_multivector(x: Multivector, p: Multivector) -> Multivector:
@@ -482,11 +474,7 @@ def ad_group_matrix(g: QMatrix) -> np.ndarray:
     unless g passes :func:`require_symplectic`."""
     cg = require_symplectic(g.data, "ad_group_matrix")
     basis = sp_basis(g.n_rows)
-    N, m = basis.dim, 2 * g.n_rows
-    # g B_c g* for all c in two products: g [B_1 | ... | B_N], then its blocks stacked, times g*
-    gb = (cg @ basis.chi).reshape(m, N, m).swapaxes(0, 1).reshape(N * m, m)
-    flat = unchi(gb @ cg.conj().T).reshape(N, -1)
-    return (flat @ basis._flat.T / basis._norm2).T
+    return basis.coords(cg @ basis.chi @ cg.conj().T).T  # column c: g B_c g*
 
 
 def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:

@@ -1,0 +1,44 @@
+"""Every top-level import of the package and the tests is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted([*(ROOT / "src" / "qflag").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the module's top-level imports (``__future__`` aside) that
+    no expression reads and ``__all__`` does not list."""
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for stmt in tree.body
+             if isinstance(stmt, (ast.Import, ast.ImportFrom))
+             and getattr(stmt, "module", None) != "__future__"
+             for alias in stmt.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                for elt in stmt.value.elts}
+    return [name for name in bound if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(ROOT).as_posix() for p in MODULES])
+def test_every_top_level_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\n", ["os"]),
+    ("import os\nos = 1\n", ["os"]),
+    ("import os.path\nos.getcwd()\n", []),
+    ("from a import b as c, d\nd()\n", ["c"]),
+    ("from __future__ import annotations\n", []),
+    ("from .m import f\n__all__ = ['f']\n", []),
+    ("import numpy as np\ndef f(x: np.ndarray): pass\n", []),
+])
+def test_unused_imports_finds_exactly_the_unread_names(source, unused):
+    assert unused_imports(source) == unused

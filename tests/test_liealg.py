@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qflag.hmat import QMatrix, expm, random_symplectic
+from qflag.hmat import QMatrix, chi, expm, random_symplectic
 from qflag.liealg import (
     PRUNE_TOL,
     DualVector,
     Multivector,
+    SpBasis,
     ad_group,
     ad_group_matrix,
     ad_multivector,
@@ -27,9 +29,11 @@ from util import (
     apply_exterior_laplace,
     apply_exterior_oracle,
     four_bracket_oracle,
+    lambda_oracle,
     leibniz_oracle,
     max_coeff_diff,
     merge_oracle,
+    project_oracle,
     random_multivector,
     random_unit_quaternion,
     schouten_oracle,
@@ -85,6 +89,17 @@ def test_projection_is_exact_on_basis(n):
         expect[c] = 1.0
         assert np.array_equal(coords, expect)
         assert (b.matrix_of(coords) - b.mats[c]).frobenius() == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coords_match_real_form_projection(n):
+    b = sp_basis(n)
+    assert np.array_equal(b.coords(b.chi), np.eye(b.dim))
+    a = np.random.default_rng(90 + n).normal(size=(7, n, n, 4))
+    x = a - a.swapaxes(1, 2) * (1.0, -1.0, -1.0, -1.0)  # A - A*, in sp(n)
+    norms = np.sqrt(np.sum(x * x, axis=(1, 2, 3)))
+    err = np.abs(b.coords(chi(x)) - project_oracle(x, n)).max(axis=1)
+    assert np.all(err <= 1e-14 * norms)
 
 
 # -- the full E / S_x / H_x / M_x commutator table ---------------------------
@@ -328,6 +343,11 @@ def test_lambda_element_structure():
         lambda_element(1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lambda_element_matches_the_named_construction(n):
+    assert lambda_element(n) == lambda_oracle(n)
+
+
 # -- Schouten bracket -------------------------------------------------------
 
 def test_schouten_reduces_to_lie_bracket():
@@ -547,9 +567,20 @@ def test_apply_exterior_on_keys_that_are_not_strictly_increasing(coeffs):
     assert all(list(t) == sorted(set(t)) for t in got.coeffs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_struct_equals_per_pair_commutators(n):
     assert np.array_equal(sp_basis(n).struct, struct_oracle(n))
+
+
+def test_struct_build_peak_memory_at_n6():
+    # the table is 78^3 floats, 3.6 MiB; one complex array of N^2 (2n)^2 entries is 13.4 MiB
+    tracemalloc.start()
+    try:
+        SpBasis(6).struct
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

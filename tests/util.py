@@ -205,6 +205,24 @@ def _laplace_tables(N: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(subsets, dtype=np.intp), np.array(drop, dtype=np.intp)
 
 
+def project_oracle(x: np.ndarray, n: int) -> np.ndarray:
+    """Basis coordinates of a ``(..., n, n, 4)`` stack of elements of sp(n) in the
+    real form: flattened, <A, B> = Re tr(A* B) is the Euclidean inner product, so
+    coordinate c is flat(B_c) . flat(X) / ||B_c||^2."""
+    flat = np.stack([m.data.reshape(-1) for m in sp_basis(n).mats])
+    x = np.asarray(x, dtype=float)
+    return x.reshape(*x.shape[:-3], -1) @ flat.T / np.sum(flat * flat, axis=1)
+
+
+def lambda_oracle(n: int) -> Multivector:
+    """Lambda built by basis names: E(p,q) ^ S(i;p,q) ^ S(j;p,q) ^ S(k;p,q) over p < q."""
+    index = sp_basis(n).index
+    terms = {tuple(sorted(index[nm] for nm in (f"E({p},{q})", f"S(i;{p},{q})",
+                                               f"S(j;{p},{q})", f"S(k;{p},{q})"))): 1.0
+             for p in range(1, n + 1) for q in range(p + 1, n + 1)}
+    return Multivector(n, 4, terms)
+
+
 def struct_oracle(n: int) -> np.ndarray:
     """Structure constants from one QMatrix commutator per pair of basis elements."""
     basis = sp_basis(n)
@@ -214,7 +232,7 @@ def struct_oracle(n: int) -> np.ndarray:
         ma = basis.mats[a]
         for b in range(a + 1, N):
             mb = basis.mats[b]
-            coeffs = basis.project(ma @ mb - mb @ ma)
+            coeffs = project_oracle((ma @ mb - mb @ ma).data, n)
             coeffs[np.abs(coeffs) < 1e-14] = 0.0
             tab[a, b] = coeffs
             tab[b, a] = -coeffs
@@ -248,7 +266,7 @@ def ad_group_oracle(g: QMatrix) -> np.ndarray:
     cols = []
     for m in basis.mats:
         gb = hamilton(g.data[:, :, None], m.data[None, :, :]).sum(axis=1)
-        cols.append(basis.project(QMatrix(hamilton(gb[:, :, None], gstar[None]).sum(axis=1))))
+        cols.append(project_oracle(hamilton(gb[:, :, None], gstar[None]).sum(axis=1), g.n_rows))
     return np.stack(cols, axis=1)
 
 
@@ -258,9 +276,14 @@ def bruhat_ddet(g: QMatrix) -> float:
 
 
 def max_coeff_diff(p: Multivector, q: Multivector) -> float:
-    """Largest coefficient difference, over the union of the terms."""
-    return max((abs(p.coeffs.get(t, 0.0) - q.coeffs.get(t, 0.0))
-                for t in set(p.coeffs) | set(q.coeffs)), default=0.0)
+    """Largest coefficient difference, over the union of the terms; unlike
+    ``(p - q).max_abs()``, no difference is pruned."""
+    (ip, vp), (iq, vq) = p.terms(), q.terms()
+    rows = np.concatenate([ip, iq])
+    dims = (sp_basis(p.n).dim,) * rows.shape[1]
+    flat = np.ravel_multi_index(rows.T, dims) if dims else np.zeros(len(rows), dtype=int)
+    diff = np.bincount(np.unique(flat, return_inverse=True)[1], weights=np.concatenate([vp, -vq]))
+    return float(np.abs(diff).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +566,7 @@ def leaf_jacobian_fd_oracle(word, base: np.ndarray, n: int, h: float = 1e-5) -> 
     rows = []
     for e in np.eye(len(flat0)) * h:
         diff = (at(flat0 + e) - at(flat0 - e)).scale(1.0 / (2 * h))
-        rows.append(sp_basis(n).project(diff @ k0_inv))
+        rows.append(project_oracle((diff @ k0_inv).data, n))
     return np.array(rows)
 
 
