@@ -41,18 +41,22 @@ def _k_block(v: Quaternion) -> QMatrix:
     return coset_rep(ChartPoint.south(v))
 
 
+def _reduced_word(word, n: int) -> list[int]:
+    """The word's letters; ``ValueError`` unless they lie in range(n - 1) and it is reduced."""
+    word = [int(r) for r in word]
+    if bad := [r for r in word if not 0 <= r < n - 1]:
+        raise ValueError(f"word letter {bad[0]} out of range for n={n}")
+    if word_to_permutation(word, n).length() != len(word):
+        raise ValueError("word is not reduced")
+    return word
+
+
 def leaf_point(word, params, n: int) -> LeafPoint:
     """Product of embedded k_{v_i} blocks along a reduced word."""
-    word = [int(r) for r in word]
+    word = _reduced_word(word, n)
     params = list(params)
     if len(word) != len(params):
         raise ValueError("word and params must have the same length")
-    for r in word:
-        if not (0 <= r < n - 1):
-            raise ValueError(f"word letter {r} out of range for n={n}")
-    w = word_to_permutation(word, n)
-    if w.length() != len(word):
-        raise ValueError("word is not reduced")
     m = QMatrix.identity(n)
     for r, v in zip(word, params):
         m = m @ embed_sp2(_k_block(v), r, n)
@@ -64,9 +68,6 @@ def cell_of(k: QMatrix) -> Permutation:
     row reduction of its Bruhat form."""
     require_symplectic(k.data, "cell_of")
     return Permutation(_row_reduce(k)[1])
-
-
-LEAF_SV_RTOL = 1e-7  # leaf_dimension misses a direction weaker than this, relative
 
 
 def _leaf_jacobian(word: list[int], base: np.ndarray, n: int) -> np.ndarray:
@@ -91,20 +92,18 @@ def _leaf_jacobian(word: list[int], base: np.ndarray, n: int) -> np.ndarray:
 
 
 def leaf_dimension(word, n: int, seed: int = 0) -> int:
-    """Numerical rank of the differential of the word product map: the number
-    of singular values of :func:`_leaf_jacobian` at a random base point above
-    LEAF_SV_RTOL times the largest.  Expected 4m for a reduced word of length
-    m; ``ValueError`` for a word :func:`leaf_point` rejects."""
-    word = [int(r) for r in word]
+    """Numerical rank of the differential of the word product map, the exact
+    :func:`_leaf_jacobian` at a random base point, with numpy's default
+    tolerance ``sigma_max * max(M, N) * eps``.  Expected 4m for a reduced
+    word of length m; ``ValueError`` for a word :func:`leaf_point` rejects."""
+    word = _reduced_word(word, n)
     m = len(word)
     if m == 0:
         return 0
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(m, 4))
     base *= (0.3 + 0.9 * rng.random((m, 1))) / np.linalg.norm(base, axis=1, keepdims=True)
-    leaf_point(word, map(Quaternion.from_array, base), n)  # validates the word
-    sv = np.linalg.svd(_leaf_jacobian(word, base, n), compute_uv=False)
-    return int(np.sum(sv > LEAF_SV_RTOL * sv[0]))
+    return int(np.linalg.matrix_rank(_leaf_jacobian(word, base, n)))
 
 
 def random_ru(n: int, rng: np.random.Generator) -> QMatrix:

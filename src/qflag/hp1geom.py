@@ -10,11 +10,12 @@ quaternions.  Two charts cover it:
 Both maps are invariant under left multiplication by ``diag(unit, unit)``,
 so they are well defined on cosets.  The 4-vector field of interest is the
 multiplicative field ``(L_k)_* Lambda - (R_k)_* Lambda`` pushed to the chart.
-Its two translations are the two Jacobians at k, taken in one pass: the
-action J of ``X -> d/dt chart(exp(tX) k)`` and the flow J_flow of
-``X -> d/dt chart(k exp(tX))``.  Since ``exp(t Ad_k X) k = k exp(tX)``,
-``J Ad_k = J_flow``, so the field is ``J_flow Lambda - J Lambda``, which is
-``Ad_k Lambda - Lambda`` in the right-translation trivialization.
+Its two translations are two Jacobians at k in closed form: the action J,
+``X -> d/dt chart(exp(tX) k) = (1 + |c|^2) X21``, and the flow J_flow,
+``X -> d/dt chart(k exp(tX))``, the quaternionic Moebius field
+``X12 + c X22 - X11 c - c X21 c`` (South; indices 1, 2 swapped on the North).
+Since ``exp(t Ad_k X) k = k exp(tX)``, ``J Ad_k = J_flow``, so the field is
+``J_flow Lambda - J Lambda``: ``Ad_k Lambda - Lambda`` right-trivialized.
 
 Every evaluation runs on an array of points of one chart, an ``(m, 4)``
 array of coordinates; a function of one :class:`ChartPoint` is a batch of
@@ -57,11 +58,10 @@ __all__ = [
     "radial_profile",
 ]
 
-# Both chart maps and their derivatives divide by one entry of the matrix
-# (M21 on the South chart, M22 on the North), which is 1/sqrt(1 + rho^2) on
-# coset_rep, rho = |coordinate|.  A point whose entry is at most CHART_EPS
-# (rho >= ~1e10) is off the chart: a batch holding one raises
-# ChartBoundaryError as a whole, with no partial result, and the CLI exits 2.
+# Both chart maps divide by one entry of the matrix (M21 on the South chart,
+# M22 on the North), s = 1/sqrt(1 + rho^2) on coset_rep, rho = |coordinate|.
+# A point whose entry is at most CHART_EPS (rho >= ~1e10) is off the chart; a
+# batch holding one raises ChartBoundaryError as a whole (the CLI exits 2).
 CHART_EPS = 1e-10
 # fourvector_rank misses a contraction direction weaker than this, relative
 RANK_RTOL = 1e-9
@@ -107,11 +107,11 @@ class FieldSample:
 
 
 def south_coord(m: QMatrix) -> Quaternion:
-    return Quaternion.from_array(_chart_map(Chart.SOUTH, m.data[None])[1][0])
+    return _chart_map(Chart.SOUTH, m)
 
 
 def north_coord(m: QMatrix) -> Quaternion:
-    return Quaternion.from_array(_chart_map(Chart.NORTH, m.data[None])[1][0])
+    return _chart_map(Chart.NORTH, m)
 
 
 def _coset_reps(chart: Chart, coords: np.ndarray) -> np.ndarray:
@@ -127,32 +127,38 @@ def _coset_reps(chart: Chart, coords: np.ndarray) -> np.ndarray:
     return reps
 
 
-def _chart_map(chart: Chart, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a^{-1}`` and the coordinate ``a^{-1} b`` of the ``(m, 2, 2, 4)``
-    matrices k, with ``(a, b) = (k21, k22)`` on the South chart and
-    ``(k22, k21)`` on the North."""
-    ia, ib = (0, 1) if chart is Chart.SOUTH else (1, 0)
-    if np.any(np.sqrt(qnorm2(reps[:, 1, ia])) <= CHART_EPS):
+def _require_on_chart(chart: Chart, denom: np.ndarray) -> None:
+    """Fail the whole batch if any chart denominator ``|a|`` is at most CHART_EPS."""
+    if np.any(denom <= CHART_EPS):
         raise ChartBoundaryError(
             f"{chart.value} chart undefined: denominator entry at most {CHART_EPS:g}")
-    ai = qinv(reps[:, 1, ia])
-    return ai, qprod(ai, reps[:, 1, ib])
 
 
-def _jacobians(chart: Chart, reps: np.ndarray) -> np.ndarray:
-    """``(m, 2, 4, dim)`` Jacobians at the ``(m, 2, 2, 4)`` matrices k: index 0
-    of ``X -> d/dt chart(exp(tX) k)`` (the action), index 1 of
-    ``X -> d/dt chart(k exp(tX))`` (the flow), at t = 0.  Along a velocity
-    ``kdot`` the derivative of the coordinate ``a^{-1} b`` (:func:`_chart_map`)
-    is ``a^{-1} (bdot - adot a^{-1} b)``.
-    """
-    basis = sp_basis(2).data
-    row = np.stack([qprod(basis[None, :, 1, :, None], reps[:, None]),  # row 2 of B k
-                    qprod(reps[:, None, 1, :, None], basis[None])],    # row 2 of k B
-                   axis=1).sum(axis=3)  # for every basis element B
-    ia, ib = (0, 1) if chart is Chart.SOUTH else (1, 0)
-    ai, coord = (x[:, None, None] for x in _chart_map(chart, reps))
-    return qprod(ai, row[..., ib, :] - qprod(row[..., ia, :], coord)).swapaxes(-1, -2)
+def _chart_map(chart: Chart, m: QMatrix) -> Quaternion:
+    """The coordinate ``a^{-1} b`` of M, with ``(a, b) = (M21, M22)`` on the
+    South chart and ``(M22, M21)`` on the North."""
+    a, b = m.data[1] if chart is Chart.SOUTH else m.data[1, ::-1]
+    _require_on_chart(chart, np.sqrt(qnorm2(a)))
+    return Quaternion.from_array(qprod(qinv(a), b))
+
+
+def _jacobians(chart: Chart, coords: np.ndarray) -> np.ndarray:
+    """``(m, 2, 4, dim)`` Jacobians of the action (index 0) and the flow
+    (index 1) at the coset representatives k of the ``(m, 4)`` coordinates c.
+    On the South chart ``k = s [[-conj(c), 1], [1, c]]``, so along ``kdot``
+    the coordinate ``a^{-1} b`` moves by ``(bdot - adot c) / s``, where:
+    row 2 of X k is ``s (X22 - X21 conj(c), X21 + X22 c)``: ``(1 + |c|^2) X21``;
+    row 2 of k X is ``s (X11 + c X21, X12 + c X22)``: ``X12 + c X22 - X11 c - c X21 c``.
+    The North k is the South one times ``P = [[0, 1], [1, 0]]``, read in swapped
+    order: the same action, and the flow of ``P X P`` (indices 1, 2 swapped)."""
+    rho2 = qnorm2(coords)
+    _require_on_chart(chart, 1.0 / np.sqrt(1.0 + rho2))  # k's denominator is s
+    x = np.moveaxis(sp_basis(2).data, 0, 2)  # x[i, j]: entry (i, j) of every basis element
+    p, q = (0, 1) if chart is Chart.SOUTH else (1, 0)
+    c = coords[:, None]
+    action = (1.0 + rho2)[:, None, None] * x[1, 0]
+    flow = x[p, q] + qprod(c, x[q, q]) - qprod(x[p, p], c) - qprod(qprod(c, x[q, p]), c)
+    return np.stack([action, flow], axis=1).swapaxes(-1, -2)
 
 
 def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
@@ -162,34 +168,29 @@ def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
     return np.linalg.det(np.moveaxis(jac[..., terms], -2, -3)) @ coeffs
 
 
-def _bruhat_coeffs(chart: Chart, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``(m,)`` of the Bruhat field at the ``(m, 2, 2, 4)``
-    matrices k, Lambda pushed through the flow minus through the action, and
-    the ``(m, 4, dim)`` flow Jacobians, which push forward Ad_k P for any P.
-    At k = I the two Jacobians are equal and the coefficient is exactly 0."""
-    jac = _jacobians(chart, reps)
+def _bruhat_coeffs(chart: Chart, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bruhat field coefficients ``(m,)`` at the ``(m, 4)`` coordinates, Lambda
+    pushed through the flow minus through the action, and the ``(m, 4, dim)``
+    flow Jacobians, which push forward Ad_k P for any P.  At k = I the two
+    Jacobians are equal and the coefficient is exactly 0."""
+    jac = _jacobians(chart, coords)
     pushed = _pushforward(jac, lambda_element(2))
     return pushed[:, 1] - pushed[:, 0], jac[:, 1]
 
 
-def _at(p: ChartPoint) -> np.ndarray:
-    """The ``(1, 2, 2, 4)`` coset representative of one point."""
-    return _coset_reps(p.chart, p.coord.to_array()[None])
-
-
 def coset_rep(p: ChartPoint) -> QMatrix:
     """Symplectic coset representative whose chart coordinate is p.coord."""
-    return QMatrix(_at(p)[0])
+    return QMatrix(_coset_reps(p.chart, p.coord.to_array()[None])[0])
 
 
 def action_jacobian(p: ChartPoint) -> np.ndarray:
     """4 x dim(sp(2)) real matrix of X -> d/dt chart(exp(tX) k) at t = 0."""
-    return _jacobians(p.chart, _at(p))[0, 0]
+    return _jacobians(p.chart, p.coord.to_array()[None])[0, 0]
 
 
 def flow_jacobian(p: ChartPoint) -> np.ndarray:
     """Jacobian of the right action: X -> d/dt chart(k exp(tX)) at t = 0."""
-    return _jacobians(p.chart, _at(p))[0, 1]
+    return _jacobians(p.chart, p.coord.to_array()[None])[0, 1]
 
 
 def pushforward_coeff(p: ChartPoint, mv: Multivector) -> float:
@@ -201,7 +202,7 @@ def pushforward_coeff(p: ChartPoint, mv: Multivector) -> float:
 
 def bruhat_field(p: ChartPoint) -> FieldSample:
     """Pushforward of (L_k)_* Lambda - (R_k)_* Lambda at the coset of k = coset_rep(p)."""
-    return FieldSample(at=p, coeff=float(_bruhat_coeffs(p.chart, _at(p))[0][0]))
+    return FieldSample(at=p, coeff=float(_bruhat_coeffs(p.chart, p.coord.to_array()[None])[0][0]))
 
 
 def invariant_field(p: ChartPoint) -> FieldSample:
@@ -217,11 +218,10 @@ def invariant_field(p: ChartPoint) -> FieldSample:
 # ---------------------------------------------------------------------------
 
 def fourvector_rank(coeffs: dict[tuple[int, ...], float], dim: int) -> int:
-    """Rank of the contraction map Lambda^3 V* -> V of a constant 4-vector,
-    with its terms canonical as in :class:`Multivector`: the singular values
-    above ``RANK_RTOL`` times the largest of the matrix of contractions with
-    the basis 3-covectors, which has nonzero rows only for the 3-subsets the
-    terms leave after dropping one factor."""
+    """Rank, relative to ``RANK_RTOL``, of the contraction map Lambda^3 V* -> V
+    of a constant 4-vector with terms canonical as in :class:`Multivector`:
+    its matrix of contractions with the basis 3-covectors has nonzero rows
+    only for the 3-subsets the terms leave after dropping one factor."""
     _, val, idx = _canonicalize(coeffs, 4, dim)
     if not len(val):
         return 0
@@ -230,8 +230,7 @@ def fourvector_rank(coeffs: dict[tuple[int, ...], float], dim: int) -> int:
     subsets, row = np.unique(rest, axis=0, return_inverse=True)
     mat = np.zeros((len(subsets), dim))
     mat[row.ravel(), col] = signed  # one term per (subset, column): no collisions
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
+    return int(np.linalg.matrix_rank(mat, rtol=RANK_RTOL))
 
 
 def rank_at(p: ChartPoint) -> int:
@@ -269,8 +268,7 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     steps = LIE_FD_STEP * np.array([1.0, -1.0, 2.0, -2.0])
     # row 1 + 4 s + m is the centre moved by steps[s] along coordinate m
     offsets = np.concatenate([np.zeros((1, 4)), (steps[:, None, None] * np.eye(4)).reshape(16, 4)])
-    reps = _coset_reps(Chart.SOUTH, p.coord.to_array() + offsets)
-    f, flow = _bruhat_coeffs(Chart.SOUTH, reps)
+    f, flow = _bruhat_coeffs(Chart.SOUTH, p.coord.to_array() + offsets)
     b = flow @ x.as_vector()
     weights = np.array([8.0, -8.0, -1.0, 1.0]) / (12.0 * LIE_FD_STEP)
     grad_f = weights @ f[1:].reshape(4, 4)
@@ -305,7 +303,7 @@ def radial_profile(rhos, directions: int, seed: int):
     norm_const = bruhat_normalization()
     rhos = [float(rho) for rho in rhos]
     coords = (np.array(rhos).reshape(-1, 1, 1) * dirs).reshape(-1, 4)
-    fbs = _bruhat_coeffs(Chart.SOUTH, _coset_reps(Chart.SOUTH, coords))[0] / norm_const
+    fbs = _bruhat_coeffs(Chart.SOUTH, coords)[0] / norm_const
     fis = (1.0 + qnorm2(coords)) ** 4
     for r, (fb, fi) in enumerate(zip(fbs.tolist(), fis.tolist())):
         rho = rhos[r // directions]

@@ -6,7 +6,6 @@ import pytest
 from qflag import decomp, flags
 from qflag.decomp import leaf_signature
 from qflag.flags import (
-    LEAF_SV_RTOL,
     _leaf_jacobian,
     cell_of,
     leaf_dimension,
@@ -94,8 +93,7 @@ def test_leaf_jacobian_matches_fd_oracle_on_every_reduced_word(n):
         jac = _leaf_jacobian(word, base, n)
         assert jac.shape == (4 * len(word), sp_basis(n).dim)
         assert np.abs(jac - leaf_jacobian_fd_oracle(word, base, n)).max() <= 1e-9
-        sv = np.linalg.svd(jac, compute_uv=False)
-        assert np.sum(sv > LEAF_SV_RTOL * sv[0]) == 4 * len(word)
+        assert np.linalg.matrix_rank(jac) == 4 * len(word)
         assert leaf_dimension(word, n, seed=n) == 4 * len(word)
 
 

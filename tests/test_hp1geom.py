@@ -6,6 +6,7 @@ import pytest
 from qflag.hmat import QMatrix, expm, is_symplectic
 from qflag.hp1geom import (
     CHART_EPS,
+    RANK_RTOL,
     Chart,
     ChartBoundaryError,
     ChartPoint,
@@ -191,9 +192,9 @@ def test_batch_matches_oracle_row_by_row(chart):
     coords = dirs * (rng.uniform(0.1, 3.0, size=12) / np.linalg.norm(dirs, axis=1))[:, None]
     points = [ChartPoint(chart, Quaternion.from_array(c)) for c in coords]
     reps = _coset_reps(chart, coords)
-    jac = _jacobians(chart, reps)
+    jac = _jacobians(chart, coords)
     action, flow = jac[:, 0], jac[:, 1]
-    coeffs = _bruhat_coeffs(chart, reps)[0]
+    coeffs = _bruhat_coeffs(chart, coords)[0]
     mv = random_multivector(2, 4, rng, nterms=6)
     pushed = _pushforward(action, mv)
     assert reps.shape == (12, 2, 2, 4) and jac.shape == (12, 2, 4, 10)
@@ -204,6 +205,13 @@ def test_batch_matches_oracle_row_by_row(chart):
         assert rel_err(pushed[r], pushforward_oracle(p, mv)) <= 1e-12
         want = bruhat_field_oracle(p)
         assert abs(coeffs[r] - want) <= 1e-12 * abs(want)
+    # the closed-form Jacobians alone, over eight decades of rho
+    far = rng.normal(size=(33, 4))
+    far *= (np.logspace(-4, 4, 33) / np.linalg.norm(far, axis=1))[:, None]
+    for c, (action, flow) in zip(far, _jacobians(chart, far)):
+        p = ChartPoint(chart, Quaternion.from_array(c))
+        assert rel_err(action, jacobian_oracle(p, "action")) <= 1e-12
+        assert rel_err(flow, jacobian_oracle(p, "flow")) <= 1e-12
 
 
 @pytest.mark.parametrize("chart", list(Chart))
@@ -213,12 +221,12 @@ def test_flow_jacobian_is_action_jacobian_times_ad(chart):
     dirs = rng.normal(size=(64, 4))
     coords = dirs * (np.logspace(-2, 2, 64) / np.linalg.norm(dirs, axis=1))[:, None]
     reps = _coset_reps(chart, coords)
-    jac = _jacobians(chart, reps)
+    jac = _jacobians(chart, coords)
     for r in range(len(reps)):
         via_ad = jac[r, 0] @ ad_group_matrix(QMatrix(reps[r]))
         assert rel_err(via_ad, jac[r, 1]) <= 1e-13
     # at the North pole k = I, and the two translations agree exactly
-    pole = _coset_reps(Chart.NORTH, np.zeros((1, 4)))
+    pole = np.zeros((1, 4))
     jac = _jacobians(Chart.NORTH, pole)
     assert np.array_equal(jac[0, 0], jac[0, 1])
     assert _bruhat_coeffs(Chart.NORTH, pole)[0][0] == 0.0
@@ -233,13 +241,13 @@ def test_chart_eps_edge_fails_the_whole_batch():
     reps = _coset_reps(Chart.NORTH, coords)
     m22 = np.linalg.norm(reps[:, 1, 1], axis=1)
     assert m22[0] > CHART_EPS >= m22[1]
-    inside = _bruhat_coeffs(Chart.NORTH, reps[:1])[0]
+    inside = _bruhat_coeffs(Chart.NORTH, coords[:1])[0]
     assert np.isfinite(inside).all() and inside[0] != 0.0
-    assert np.isfinite(_jacobians(Chart.NORTH, reps[:1])).all()
+    assert np.isfinite(_jacobians(Chart.NORTH, coords[:1])).all()
     with pytest.raises(ChartBoundaryError):
-        _jacobians(Chart.NORTH, reps)
+        _jacobians(Chart.NORTH, coords)
     with pytest.raises(ChartBoundaryError):
-        _bruhat_coeffs(Chart.NORTH, reps)
+        _bruhat_coeffs(Chart.NORTH, coords)
     with pytest.raises(ChartBoundaryError):
         rank_at(ChartPoint.north(Quaternion.from_array(coords[1])))
     # a profile holding one point beyond the edge yields no row at all
@@ -257,7 +265,7 @@ def test_field_vanishes_at_north_pole():
     sample = bruhat_field(ChartPoint.north(Quaternion()))
     assert sample.coeff == 0.0
     coords = np.array([[0.5, 0.1, -0.2, 0.3], [0.0, 0.0, 0.0, 0.0]])
-    coeffs = _bruhat_coeffs(Chart.NORTH, _coset_reps(Chart.NORTH, coords))[0]
+    coeffs = _bruhat_coeffs(Chart.NORTH, coords)[0]
     assert coeffs[1] == 0.0 and coeffs[0] != 0.0
     with pytest.raises(ZeroDivisionError):
         sample.dual_coeff
@@ -347,6 +355,13 @@ def test_fourvector_rank_divisible_by_four(dim):
                   for b in range(k)}
         assert fourvector_rank(coeffs, dim) == 4 * k
     assert fourvector_rank({}, dim) == 0
+
+
+@pytest.mark.parametrize("factor, rank", [(1.001, 8), (0.999, 4)])
+def test_fourvector_rank_at_rank_rtol_edge(factor, rank):
+    # the contraction matrix has singular values 1 and delta, four of each
+    delta = factor * RANK_RTOL
+    assert fourvector_rank({(0, 1, 2, 3): 1.0, (4, 5, 6, 7): delta}, 8) == rank
 
 
 def test_fourvector_rank_on_keys_that_are_not_strictly_increasing():

@@ -1,5 +1,7 @@
-"""Every numerical threshold of the library is documented in README.md."""
+"""Every numerical threshold of the library is documented in README.md, and
+README.md's threshold list names no threshold the library lacks."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -15,3 +17,17 @@ THRESHOLDS = sorted({(mod.__name__, name) for mod in (decomp, flags, hmat, hp1ge
 @pytest.mark.parametrize("module, name", THRESHOLDS, ids=[n for _, n in THRESHOLDS])
 def test_threshold_is_named_in_readme(module, name):
     assert f"`{name}" in README, f"{module}.{name} has no entry in README.md"
+
+
+# the `NAME = value` entries of README.md's "Numerical thresholds" section
+LISTED = re.findall(r"`([A-Z][A-Z0-9_]*) = ",
+                    README.split("## Numerical thresholds", 1)[1].split("\n## ", 1)[0])
+
+
+def test_readme_lists_thresholds():
+    assert LISTED
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_readme_threshold_is_defined(name):
+    assert name in {n for _, n in THRESHOLDS}, f"README.md lists {name}, which no module defines"
