@@ -215,11 +215,12 @@ def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     require_square_finite(g.data, "dress")
     require_symplectic(k.data, "dress")
     n = g.n_rows
-    lim = RU_RTOL * max(g.frobenius(), 1e-300)
-    diag = g.data[np.arange(n), np.arange(n)]
+    d = pow2_scaled(g.data)[0]  # the rule is scale-free, and no scaled square overflows
+    lim = RU_RTOL * np.linalg.norm(d)
+    diag = d[np.arange(n), np.arange(n)]
     if np.any(diag[:, 0] <= 0) or np.any(np.sqrt(qnorm2(diag[:, 1:])) > lim):
         raise ValueError("G must have positive real diagonal")
-    if np.any(np.sqrt(qnorm2(g.data[np.tril_indices(n, -1)])) > lim):
+    if np.any(np.sqrt(qnorm2(d[np.tril_indices(n, -1)])) > lim):
         raise ValueError("G must be upper triangular")
     return iwasawa(g @ k)[0]
 

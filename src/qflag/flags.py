@@ -37,29 +37,24 @@ class LeafPoint:
     matrix: QMatrix
 
 
-def _k_block(v: Quaternion) -> QMatrix:
-    return coset_rep(ChartPoint.south(v))
-
-
 def _reduced_word(word, n: int) -> list[int]:
     """The word's letters; ``ValueError`` unless they lie in range(n - 1) and it is reduced."""
     word = [int(r) for r in word]
-    if bad := [r for r in word if not 0 <= r < n - 1]:
-        raise ValueError(f"word letter {bad[0]} out of range for n={n}")
     if word_to_permutation(word, n).length() != len(word):
         raise ValueError("word is not reduced")
     return word
 
 
 def leaf_point(word, params, n: int) -> LeafPoint:
-    """Product of embedded k_{v_i} blocks along a reduced word."""
+    """Product of embedded k_{v_i} blocks along a reduced word, one _coset_reps batch."""
     word = _reduced_word(word, n)
     params = list(params)
     if len(word) != len(params):
         raise ValueError("word and params must have the same length")
     m = QMatrix.identity(n)
-    for r, v in zip(word, params):
-        m = m @ embed_sp2(_k_block(v), r, n)
+    blocks = _coset_reps(Chart.SOUTH, np.reshape([v.to_array() for v in params], (-1, 4)))
+    for r, k in zip(word, blocks):
+        m = m @ embed_sp2(QMatrix(k), r, n)
     return LeafPoint(n=n, word=word, params=params, matrix=m)
 
 
@@ -134,8 +129,7 @@ def orbit_probe(k: QMatrix, samples: int, seed: int) -> dict:
         sig = _leaf_signature(k2)
         max_dev = max(max_dev, sig0.deviation(sig))
         if n == 2 and sig0.w.length() == 1 and trivial_phases:
-            v = south_coord(k2)
-            recon = (k2 - _k_block(v)).frobenius()
+            recon = (k2 - coset_rep(ChartPoint.south(south_coord(k2)))).frobenius()
             max_recon = recon if max_recon is None else max(max_recon, recon)
     report = {
         "kind": "orbit_probe",

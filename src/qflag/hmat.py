@@ -6,7 +6,8 @@ Multiplication respects non-commutativity: entry (i, j) of ``A @ B`` is
 ``sum_k A[i,k] * B[k,j]`` in that order.
 
 The single matrix norm used everywhere is the Frobenius norm
-``sqrt(sum |entry|**2)``.
+``sqrt(sum |entry|**2)``, summed on power-of-two scaled entries
+(:func:`pow2_scaled`), so it neither overflows nor underflows.
 
 Products, inverses and exponentials run through BLAS/LAPACK on the complex
 adjoint (:func:`chi`), and their results are converted back once per call.
@@ -16,7 +17,6 @@ Membership in Sp(n) is one test with one tolerance, :func:`require_symplectic`.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def require_symplectic(data: np.ndarray, op: str) -> np.ndarray:
 def pow2_scaled(data: np.ndarray) -> tuple[np.ndarray, int]:
     """``(data * 2**-e, e)`` with the largest scaled component in [1/2, 1), so no
     squared norm overflows or underflows; exact, and LAPACK commutes with it."""
-    _, e = np.frexp(np.abs(data).max())
+    _, e = np.frexp(np.abs(data).max(initial=0.0))
     return np.ldexp(data, -e), int(e)
 
 
@@ -153,12 +153,6 @@ class QMatrix:
         i, j = ij
         return Quaternion.from_array(self.data[i, j])
 
-    def __setitem__(self, ij, value) -> None:
-        i, j = ij
-        if not isinstance(value, Quaternion):
-            value = Quaternion(value)
-        self.data[i, j] = value.to_array()
-
     def copy(self) -> "QMatrix":
         return QMatrix(self.data.copy())
 
@@ -189,7 +183,8 @@ class QMatrix:
         return QMatrix(qconj(self.data).transpose(1, 0, 2))
 
     def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(self.data * self.data)))
+        scaled, e = pow2_scaled(self.data)
+        return math.ldexp(float(np.sqrt(np.sum(scaled * scaled))), e)
 
     def inverse(self) -> "QMatrix":
         """Inverse by LAPACK (``np.linalg.inv``) on the complex adjoint of
@@ -232,13 +227,9 @@ class QMatrix:
             raise ValueError("QMatrix dimensions must be positive")
         if not isinstance(entries, list) or len(entries) != rows:
             raise ValueError("entries must have `rows` rows")
-        m = QMatrix.zeros(rows, cols)
-        for i, row in enumerate(entries):
-            if not isinstance(row, list) or len(row) != cols:
-                raise ValueError("each row must have `cols` entries")
-            for j, e in enumerate(row):
-                m.data[i, j] = quaternion_from_json(e).to_array()
-        return m
+        if any(not isinstance(row, list) or len(row) != cols for row in entries):
+            raise ValueError("each row must have `cols` entries")
+        return QMatrix([[quaternion_from_json(e).to_array() for e in row] for row in entries])
 
     def __repr__(self):
         return f"QMatrix({self.n_rows}x{self.n_cols})"
@@ -344,14 +335,11 @@ class Permutation:
         """
         ol = list(self.one_line)
         word = []
-        changed = True
-        while changed:
-            changed = False
-            for r in range(self.n - 1):
+        for end in range(self.n - 1, 0, -1):  # pass i leaves the i largest entries in place
+            for r in range(end):
                 if ol[r] > ol[r + 1]:
                     ol[r], ol[r + 1] = ol[r + 1], ol[r]
                     word.append(r)
-                    changed = True
         # ol is now sorted and self = s_{w_m} o ... o s_{w_1} applied to id,
         # i.e. self = product of the word letters in reverse order.
         word.reverse()
@@ -380,9 +368,13 @@ class Permutation:
 
 
 def word_to_permutation(word, n: int) -> Permutation:
-    """Compose adjacent transpositions s_{r_1} @ ... @ s_{r_m} (0-based r)."""
-    perms = [Permutation.transposition(r, n) for r in word]
-    return reduce(lambda a, b: a @ b, perms, Permutation.identity(n))
+    """s_{r_1} @ ... @ s_{r_m} (0-based r); each @ s_r swaps one-line entries r, r + 1."""
+    ol = list(range(n))
+    for r in word:
+        if not 0 <= r < n - 1:
+            raise ValueError(f"word letter {r} out of range for n={n}")
+        ol[r], ol[r + 1] = ol[r + 1], ol[r]
+    return Permutation(ol)
 
 
 def embed_sp2(a: QMatrix, r: int, n: int) -> QMatrix:

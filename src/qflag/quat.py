@@ -86,7 +86,7 @@ class Quaternion:
         if isinstance(other, (int, float)):
             return Quaternion(self.re * other, self.i * other,
                               self.j * other, self.k * other)
-        a, b = self, other
+        a, b = self, _coerce(other)
         return Quaternion(
             a.re * b.re - a.i * b.i - a.j * b.j - a.k * b.k,
             a.re * b.i + a.i * b.re + a.j * b.k - a.k * b.j,

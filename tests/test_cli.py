@@ -2,12 +2,14 @@ import csv
 import inspect
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 
 from qflag import cli
-from qflag.hmat import Permutation, QMatrix
+from qflag.flags import random_ru
+from qflag.hmat import Permutation, QMatrix, random_symplectic
 
 from util import random_invertible
 
@@ -15,6 +17,19 @@ from util import random_invertible
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Paths of the matrix files that argv templates name in braces."""
+    rng = np.random.default_rng(17)
+    mats = {"g": random_invertible(3, rng), "ru": random_ru(3, rng), "k": random_symplectic(3, rng),
+            "big": QMatrix.from_json({"rows": 1, "cols": 1, "entries": [[[1e308, 1e308, 0, 0]]]}),
+            "rect": QMatrix.zeros(2, 3), "i2": QMatrix.identity(2), "i3": QMatrix.identity(3)}
+    paths = {name: write_json(tmp_path / f"{name}.json", m.to_json()) for name, m in mats.items()}
+    # 60 bytes that ask for 10^12 columns, which must fail before allocating them
+    huge = {"rows": 1, "cols": 10 ** 12, "entries": [[[1, 0, 0, 0]]]}
+    return paths | {"huge": write_json(tmp_path / "huge.json", huge)}
 
 
 def test_suite_tolerances_come_from_one_table():
@@ -182,11 +197,71 @@ def test_profile_bad_range_exit_1(capsys):
     (["verify", "leaves", "--n", "0"], "needs 1 <= n <= 6"),
     (["verify", "dressing", "--n", "0"], "needs 1 <= n <= 32"),
     (["verify", "hp1", "--n", "7"], "needs 2 <= n <= 2"),
-], ids=["rho-max-inf", "directions-0", "schouten-n1", "leaves-n0", "dressing-n0", "hp1-n7"])
-def test_out_of_range_input_exit_1(argv, bound, capsys):
-    assert cli.main(argv) == 1
+    (["ddet", "--input", "{huge}"], "each row must have `cols` entries"),
+    (["leaf", "--word", "1 2 1", "--n", "100000"], "leaf needs 1 <= n <= 64"),
+    (["profile", "--rho-min", "0.1", "--rho-max", "3", "--steps", "100000000"],
+     "steps * directions <= 10000"),
+    (["ddet", "--input", "{rect}"], "dieudonne_det requires a square matrix"),
+    (["decompose", "bruhat", "--input", "{rect}"], "bruhat requires a square matrix"),
+    (["decompose", "iwasawa", "--input", "{rect}"], "iwasawa requires a square matrix"),
+    (["dress", "--g", "{i2}", "--k", "{i3}"], "shape mismatch in quaternionic matmul"),
+], ids=["rho-max-inf", "directions-0", "schouten-n1", "leaves-n0", "dressing-n0", "hp1-n7",
+        "cols-1e12", "leaf-n100000", "profile-steps1e8", "ddet-2x3", "bruhat-2x3", "iwasawa-2x3",
+        "dress-2x2-3x3"])
+def test_out_of_range_input_exit_1(argv, bound, inputs, capsys):
+    start = time.perf_counter()
+    assert cli.main([a.format(**inputs) for a in argv]) == 1
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert bound in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, work, inside", [
+    (["leaf", "--word", "1", "--n", "64"], "flags.leaf_point", True),
+    (["leaf", "--word", "1", "--n", "65"], "flags.leaf_point", False),
+    (["profile", "--rho-min", "1", "--rho-max", "2", "--steps", "5000", "--directions", "2"],
+     "hp1geom.radial_profile", True),
+    (["profile", "--rho-min", "1", "--rho-max", "2", "--steps", "5001", "--directions", "2"],
+     "hp1geom.radial_profile", False),
+], ids=["leaf-n64", "leaf-n65", "profile-10000", "profile-10002"])
+def test_size_bound_edge(argv, work, inside, monkeypatch, capsys):
+    class Started(Exception):
+        pass
+
+    def start(*args):
+        raise Started
+
+    module, name = work.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, start)
+    if inside:
+        with pytest.raises(Started):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "bruhat", "--input", "{g}"],
+    ["decompose", "iwasawa", "--input", "{g}"],
+    ["decompose", "bruhat", "--input", "{big}"],
+    ["decompose", "iwasawa", "--input", "{big}"],
+    ["ddet", "--input", "{g}"],
+    ["ddet", "--input", "{big}"],
+    ["dress", "--g", "{ru}", "--k", "{k}"],
+    ["leaf", "--word", "1 2 1", "--n", "3", "--seed", "5"],
+    *(["verify", suite, "--n", str(max(2, cli.SUITE_N[suite][0])), "--seed", "3"]
+      for suite in sorted(cli.SUITES)),
+], ids=["bruhat", "iwasawa", "bruhat-big", "iwasawa-big", "ddet", "ddet-big", "dress", "leaf",
+        *(f"verify-{suite}" for suite in sorted(cli.SUITES))])
+def test_stdout_is_strict_json(argv, inputs, capsys):
+    # NaN and +-Infinity are not JSON; json.dumps would print them silently
+    assert cli.main([a.format(**inputs) for a in argv]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("suite", sorted(cli.SUITES))

@@ -381,6 +381,17 @@ def test_dress_validates_preconditions():
         dress(QMatrix.identity(2), QMatrix.diag([2, 1]))  # K not symplectic
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_dress_rule_is_scale_free(scale):
+    # the RU_RTOL rule is relative, so a lower entry as large as the diagonal is
+    # refused at every scale, and an upper one accepted
+    with pytest.raises(ValueError, match="G must be upper triangular"):
+        dress(QMatrix.from_rows([[1, 0], [1, 1]]).scale(scale), QMatrix.identity(2))
+    k = dress(QMatrix.from_rows([[1, 0.8], [0, 1]]).scale(scale), QMatrix.identity(2))
+    assert frob(k - QMatrix.identity(2)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dress_preserves_leaf_signature(n):
     from qflag.flags import random_ru

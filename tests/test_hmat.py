@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import permutations
 
 import numpy as np
@@ -24,7 +25,8 @@ from qflag.hmat import (
 from qflag.liealg import ad_group_matrix
 from qflag.quat import I, J, ONE, Quaternion
 
-from util import exp_pure_oracle, expm_series_oracle, gauss_jordan_inverse, random_invertible
+from util import (exp_pure_oracle, expm_series_oracle, gauss_jordan_inverse, random_invertible,
+                  reduced_word_oracle, word_to_permutation_oracle)
 
 
 def frob(m):
@@ -190,7 +192,7 @@ def test_expm_matches_series_oracle(n):
     assert symplectic_residual(chi(k.data)) <= 1e-12
 
 
-@pytest.mark.parametrize("scale", [1e-3, 3.0], ids=["absolute", "relative"])
+@pytest.mark.parametrize("scale", [1e-3, 3.0, 1e200], ids=["absolute", "relative", "huge"])
 @pytest.mark.parametrize("factor, inside", [(0.99, True), (1.01, False)])
 def test_expm_sp_rule_edge(scale, factor, inside):
     # X + d I has ||(X + d I) + (X + d I)*||_F = 2 d sqrt(n), and Re tr X = 0, so
@@ -205,6 +207,37 @@ def test_expm_sp_rule_edge(scale, factor, inside):
     else:
         with pytest.raises(ValueError, match="expm requires an element of sp"):
             expm(y)
+
+
+def test_frobenius_is_scale_safe():
+    # the squares are summed on entries scaled by a power of two: the same bits as
+    # the plain sum in the normal range, and finite where its squares overflow
+    rng = np.random.default_rng(11)
+    for rows, cols in [(1, 1), (3, 3), (2, 5)]:
+        m = QMatrix(rng.normal(size=(rows, cols, 4)))
+        assert m.frobenius() == float(np.sqrt(np.sum(m.data * m.data)))
+        for e in (600, -600):
+            assert m.scale(2.0 ** e).frobenius() == math.ldexp(m.frobenius(), e)
+    assert QMatrix.zeros(2).frobenius() == 0.0
+    assert QMatrix.identity(2).scale(1e200).frobenius() == pytest.approx(np.sqrt(2) * 1e200)
+    with pytest.raises(ValueError, match="expm requires an element of sp"):
+        expm(QMatrix.identity(2).scale(1e200))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: QMatrix(np.zeros((2, 2, 3))), r"shape \(rows, cols, 4\)"),
+    (lambda: QMatrix.zeros(2) @ QMatrix.zeros(3), "shape mismatch"),
+    (lambda: QMatrix.zeros(2, 3).inverse(), "inverse requires a square matrix"),
+    (lambda: is_symplectic(QMatrix.zeros(2, 3)), "requires a square matrix"),
+    (lambda: Permutation([1, 0]) @ Permutation([0, 1, 2]), "size mismatch"),
+    (lambda: Permutation.from_json({"one_line": "21"}), "one_line must be a list"),
+    (lambda: word_to_permutation([0, -1], 3), "word letter -1 out of range for n=3"),
+    (lambda: word_to_permutation([2], 3), "word letter 2 out of range for n=3"),
+], ids=["data-shape", "matmul", "inverse-non-square", "is_symplectic-non-square",
+        "permutation-sizes", "one_line-not-list", "word-letter-negative", "word-letter-n-1"])
+def test_rejects_malformed_arguments(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_qmatrix_json_round_trip():
@@ -223,6 +256,8 @@ def test_qmatrix_json_round_trip():
     {"rows": True, "cols": 1.9, "entries": [[[1, 0, 0, 0]]]},
     {"rows": 1, "cols": 1.0, "entries": [[[1, 0, 0, 0]]]},
     {"rows": "1", "cols": 1, "entries": [[[1, 0, 0, 0]]]},
+    {"rows": 2, "cols": 1, "entries": [[[1, 0, 0, 0]], [[1, 0, 0, 0], [1, 0, 0, 0]]]},
+    {"rows": 1, "cols": 10 ** 12, "entries": [[[1, 0, 0, 0]]]},  # fails before allocating
 ])
 def test_qmatrix_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
@@ -265,6 +300,21 @@ def test_reduced_word_examples():
     word = w.reduced_word()
     assert len(word) == 2
     assert word_to_permutation(word, 3) == w
+
+
+def test_words_match_the_oracles_on_s1_to_s7():
+    # all 5913 permutations of n <= 7: the same reduced word, and the same
+    # product for it, its reverse and the non-reduced word w w^-1
+    count = 0
+    for n in range(1, 8):
+        for ol in permutations(range(n)):
+            w = Permutation(ol)
+            word = w.reduced_word()
+            assert word == reduced_word_oracle(w)
+            for letters in (word, word[::-1], word + word[::-1]):
+                assert word_to_permutation(letters, n) == word_to_permutation_oracle(letters, n)
+            count += 1
+    assert count == 5913
 
 
 def test_reduced_word_reproduces_all_of_s4():

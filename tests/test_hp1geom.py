@@ -284,6 +284,19 @@ def test_invariant_field_values():
         invariant_field(ChartPoint.north(Quaternion()))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: pushforward_coeff(south(1.0), Multivector(2, 3, {(0, 1, 2): 1.0})),
+     "grade-4 multivector over sp"),
+    (lambda: pushforward_coeff(south(1.0), Multivector(3, 4, {(0, 1, 2, 3): 1.0})),
+     "grade-4 multivector over sp"),
+    (lambda: lie_derivative_check(ChartPoint.north(Quaternion()), Multivector(2, 1, {(0,): 1.0})),
+     "South chart"),
+], ids=["pushforward-grade", "pushforward-n", "lie_derivative-north"])
+def test_chart_functions_reject_wrong_input(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_bruhat_normalization_is_the_field_at_the_south_origin():
     assert bruhat_normalization() == bruhat_field(ChartPoint.south(Quaternion())).coeff
     assert bruhat_normalization() == pytest.approx(2.0, abs=1e-15)

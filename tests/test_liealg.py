@@ -188,6 +188,30 @@ def test_constructor_rejects_malformed_keys(key):
         Multivector(2, 2, {(0, 1): 1.0, key: 1.0})
 
 
+def _mv(n, grade):
+    return Multivector(n, grade, {tuple(range(grade)): 1.0})
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SpBasis(0), "n must be positive"),
+    (lambda: _mv(2, 1) + _mv(3, 1), "mismatched n or grade"),
+    (lambda: _mv(2, 1) + _mv(2, 2), "mismatched n or grade"),
+    (lambda: _mv(2, 1).wedge(_mv(3, 1)), "mismatched n"),
+    (lambda: schouten(_mv(2, 1), _mv(3, 1)), "mismatched n"),
+    (lambda: ad_multivector(_mv(2, 1), _mv(3, 2)), "mismatched n"),
+    (lambda: ad_multivector(_mv(2, 2), _mv(2, 2)), "grade-1 first argument"),
+    (lambda: four_bracket(*[DualVector.basis_dual("E(1,2)", 2)] * 3,
+                          DualVector.basis_dual("E(1,2)", 3)), "mismatched n"),
+    (lambda: ad_group(QMatrix.identity(3), _mv(2, 1)), "mismatched n"),
+    (lambda: _mv(2, 2).as_vector(), "as_vector requires grade 1"),
+    (lambda: lie_bracket(_mv(2, 1), _mv(2, 2)), "grade-1 elements"),
+], ids=["SpBasis-0", "add-n", "add-grade", "wedge", "schouten", "ad_multivector-n",
+        "ad_multivector-grade", "four_bracket", "ad_group", "as_vector", "lie_bracket"])
+def test_operations_reject_mismatched_operands(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_sums_prune_cancelled_terms():
     rng = np.random.default_rng(13)
     p = random_multivector(3, 2, rng, nterms=6)

@@ -84,6 +84,13 @@ def test_json_rejects_malformed(bad):
         quaternion_from_json(bad)
 
 
+@pytest.mark.parametrize("other", ["1", None, [1, 0, 0, 0]])
+def test_arithmetic_rejects_non_numbers(other):
+    for op in (lambda q: q + other, lambda q: q - other, lambda q: other - q, lambda q: q * other):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            op(Quaternion(1.0))
+
+
 def test_vectorized_helpers_match_scalar():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 7, 4))

@@ -2,7 +2,7 @@
 oracles implemented separately from the library code they check."""
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -568,6 +568,30 @@ def leaf_jacobian_fd_oracle(word, base: np.ndarray, n: int, h: float = 1e-5) -> 
         diff = (at(flat0 + e) - at(flat0 - e)).scale(1.0 / (2 * h))
         rows.append(project_oracle((diff @ k0_inv).data, n))
     return np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# Words of S_n as first composed: one Permutation per letter folded by @, and
+# bubble sort repeated until a pass makes no swap.
+# ---------------------------------------------------------------------------
+
+def word_to_permutation_oracle(word, n: int) -> Permutation:
+    """s_{r_1} @ ... @ s_{r_m} (0-based r), one transposition per letter."""
+    return reduce(lambda a, b: a @ b, [Permutation.transposition(r, n) for r in word],
+                  Permutation.identity(n))
+
+
+def reduced_word_oracle(w: Permutation) -> list[int]:
+    """Swaps of full bubble-sort passes until one makes none, in reverse order."""
+    ol, word, changed = list(w.one_line), [], True
+    while changed:
+        changed = False
+        for r in range(w.n - 1):
+            if ol[r] > ol[r + 1]:
+                ol[r], ol[r + 1] = ol[r + 1], ol[r]
+                word.append(r)
+                changed = True
+    return word[::-1]
 
 
 def reduced_words(n: int) -> list[list[int]]:
