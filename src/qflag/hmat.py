@@ -17,6 +17,7 @@ Membership in Sp(n) is one test with one tolerance, :func:`require_symplectic`.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -281,10 +282,10 @@ class Permutation:
     __slots__ = ("one_line",)
 
     def __init__(self, one_line):
-        ol = tuple(int(x) for x in one_line)
-        if sorted(ol) != list(range(len(ol))):
+        ol = tuple(one_line)
+        if sorted(ol) != list(range(len(ol))):  # by value: refuses 0.5, takes 1.0 as 1
             raise ValueError("not a permutation of 0..n-1")
-        self.one_line = ol
+        self.one_line = tuple(map(int, ol))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -359,8 +360,9 @@ class Permutation:
         if not isinstance(obj, dict) or "one_line" not in obj:
             raise ValueError("Permutation JSON must be {'one_line': [...]} (1-indexed)")
         ol = obj["one_line"]
-        if not isinstance(ol, list):
-            raise ValueError("one_line must be a list")
+        if not isinstance(ol, list) or any(
+                isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1 for x in ol):
+            raise ValueError("one_line must be a list of integers")
         return Permutation([int(x) - 1 for x in ol])
 
     def __repr__(self):

@@ -15,10 +15,12 @@ a_0 < ... < a_{k-1} is their rank among the k-subsets of range(N) in
 lexicographic order, C(N, k) - 1 - sum_j C(N - 1 - a_j, k - j) (the
 combinatorial number system).  So key order is row order, a sum is one merge of
 sorted keys, and :func:`apply_exterior`, which fills the C(N, k) subsets in
-order, keys its output by position.  Kernels read index rows back from the
-keys; ``wedge``, ``schouten`` and the constructor write unsorted rows, and
+order, keys its output by position; it is the split (generalized Laplace)
+product, the image of a term being the wedge of its two halves' images, read off
+one product of their minors.  Kernels read index rows back from the keys;
+``wedge``, ``schouten`` and the constructor write unsorted rows, and
 :func:`_collect` sorts them with the sign of the sort, drops repeats, ranks
-them and merges equal keys.  ``schouten`` is the one bracket kernel:
+them (:func:`_rank`) and merges equal keys.  ``schouten`` is the one bracket kernel:
 ``lie_bracket`` and ad_X P (:func:`ad_multivector`, the derivative
 d_e Lambda(X) = ad_X Lambda) are the bracket with a grade-1 argument.
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -174,8 +176,18 @@ def _binomials(dim: int, k: int) -> tuple[int, np.ndarray]:
     return count, np.array(tab, dtype=np.int64).reshape(-1, dim)
 
 
+def _rank(idx: np.ndarray, dim: int) -> np.ndarray:
+    """The keys of (m, k) increasing index rows: each row's rank among the
+    k-subsets of range(dim) in lexicographic order."""
+    count, tab = _binomials(dim, idx.shape[1])
+    keys = np.full(len(idx), count - 1)
+    for j, row in enumerate(tab[:, ::-1]):  # row[a] = C(dim - 1 - a, k - j)
+        keys -= row.take(idx[:, j])
+    return keys
+
+
 def _unrank(keys: np.ndarray, k: int, dim: int) -> np.ndarray:
-    """The (m, k) index rows of m grade-k keys, the inverse of :func:`_collect`'s ranking."""
+    """The (m, k) index rows of m grade-k keys, the inverse of :func:`_rank`."""
     count, tab = _binomials(dim, k)
     rest = count - 1 - keys  # sum_j C(dim - 1 - a_j, k - j), read off greedily
     idx = np.empty((len(keys), len(tab)), dtype=np.intp)
@@ -212,8 +224,7 @@ def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ..
         idx = np.sort(idx, axis=1)
         keep = np.all(idx[:, 1:] != idx[:, :-1], axis=1)
         idx, val = idx[keep], np.where(inversions % 2, -val, val)[keep]
-    count, tab = _binomials(dim, k)
-    keys, val, first = _sum_keys(count - 1 - tab[np.arange(k), dim - 1 - idx].sum(axis=1), val)
+    keys, val, first = _sum_keys(_rank(idx, dim), val)
     return keys, val, idx[first]
 
 
@@ -480,52 +491,66 @@ def ad_group_matrix(g: QMatrix) -> np.ndarray:
 def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     """Apply the grade-wise exterior power of a linear map to a multivector.
 
-    The terms fill one antisymmetric tensor over the u basis elements they use,
-    and each of its k slots is contracted with those u columns of ``a``; the
-    last slot only for the sorted prefixes of the C(N, k) sorted subsets.
-    Cost below k u N^k multiply-adds, memory at most N^k floats.
+    A term e_S splits into its first h = k // 2 factors S' and the rest S'', and
+    a.e_S = (a.e_S') ^ (a.e_S''): the image sums B[P', P''] e_P' ^ e_P'' with
+    B = W_h C W_{k-h}^T, C holding each coefficient at (S', S'') and column S' of
+    W_j the j x j minors of a on the columns S' over every j-subset of rows.
+    Output subset T sums B over its C(k, h) splits, signed by their shuffles.
     """
     N, k = a.shape[0], p.grade
     idx, val = p.terms()
     if k == 0 or not len(val):
         return p.copy()
-    used = np.zeros(N, dtype=bool)
-    used[idx] = True
-    cols = np.flatnonzero(used)
-    u = len(cols)
-    strides, signs = _permuted_strides(k)
-    # every term laid out in all k! orders; the keys are canonical, so no two
-    # layouts share an entry
-    dense = np.zeros(u ** k)
-    dense[(np.cumsum(used) - 1)[idx] @ u ** strides] = np.outer(val, signs)
-    a_used = a[:, cols].T
-    for _ in range(k - 1):
-        # contract the first slot with a and rotate it to the back
-        dense = dense.reshape(u, -1).T @ a_used
-    prefixes, at = _subsets(N, k)
-    acc = (dense.reshape(u, -1)[:, prefixes].T @ a_used).ravel()[at]
+    (r1, w1), (r2, w2) = (_minors(a, part) for part in (idx[:, :k // 2], idx[:, k // 2:]))
+    c = np.zeros((w1.shape[1], w2.shape[1]))
+    c[r1, r2] = val  # the keys are canonical: one term per cell
+    b = np.dot(np.dot(w1, c), w2.T).ravel()
+    (first, _), *rest = _splits(N, k)
+    acc = b.take(first)
+    for flat, odd in rest:  # one split at a time keeps each transient to one output vector
+        (np.subtract if odd else np.add)(acc, b.take(flat), out=acc)
     nz = np.flatnonzero(np.abs(acc) > PRUNE_TOL)  # the keys: acc runs over the subsets in order
-    return Multivector._of(p.n, k, nz, acc[nz])
+    return Multivector._of(p.n, k, nz, acc.take(nz))
+
+
+def _minors(a: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For (m, j) increasing column rows: each row's position among the u distinct
+    ones in key order, and the (C(N, j), u) j x j minors of a on those columns over
+    every j-subset of rows in key order (Laplace expansion along the last column)."""
+    N, j = len(a), cols.shape[1]
+    ranks, pos = _rank(cols, N), np.zeros(_binomials(N, j)[0], dtype=np.intp)
+    pos[ranks] = 1
+    keys = np.flatnonzero(pos)
+    pos[keys] = np.arange(len(keys))
+    elems = _laplace_tables(N, j)[0]
+    out = a.take(elems[0].take(keys), axis=1) if j else np.ones((1, len(keys)))
+    for i in range(1, j):
+        rows, drop = _laplace_tables(N, i + 1)
+        col, prev = a.take(elems[i].take(keys), axis=1), out
+        out = col.take(rows[i], axis=0) * prev.take(drop[i], axis=0)
+        for r in range(i - 1, -1, -1):  # in place, with alternating cofactor signs
+            (np.subtract if (i - r) % 2 else np.add)(
+                out, col.take(rows[r], axis=0) * prev.take(drop[r], axis=0), out=out)
+    return pos.take(ranks), out
 
 
 @lru_cache(maxsize=None)
-def _permuted_strides(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k! layouts s of a term's factors and their signs (exactly +-1, as
-    determinants): factor j takes the slot of stride u ** table[j, s]."""
-    perms = np.array(list(permutations(range(k))), dtype=np.intp)
-    return (k - 1 - perms).T, np.linalg.det(np.eye(k)[perms])
+def _laplace_tables(N: int, j: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """For the j-subsets of range(N) in key order and each i < j: their i-th
+    elements, and the keys of the (j - 1)-subsets left without them."""
+    rows = _unrank(np.arange(_binomials(N, j)[0]), j, N)
+    return tuple(rows.T.copy()), tuple(_rank(np.delete(rows, i, axis=1), N) for i in range(j))
 
 
 @lru_cache(maxsize=None)
-def _subsets(N: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the k-subsets of range(N) in key order: the flat indices into an
-    (N,) * (k - 1) array of their distinct (k - 1)-prefixes, and for each
-    subset, (rank of its prefix) * N + its last element."""
-    rows = _unrank(np.arange(_binomials(N, k)[0]), k, N)
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(rows[1:, :-1] != rows[:-1, :-1], axis=1)
-    prefixes = rows[new, :-1] @ N ** np.arange(k - 2, -1, -1)
-    return prefixes, (np.cumsum(new) - 1) * N + rows[:, -1]
+def _splits(N: int, k: int) -> tuple[tuple[np.ndarray, bool], ...]:
+    """Per choice of h = k // 2 of k positions (the leading h first): the flat index
+    into a (C(N, h), C(N, k - h)) array of (T there, T elsewhere) for each k-subset T
+    in key order, and whether the shuffle bringing those positions first is odd."""
+    h, rows = k // 2, _unrank(np.arange(_binomials(N, k)[0]), k, N)
+    width = _binomials(N, k - h)[0]
+    return tuple((_rank(rows[:, list(pos)], N) * width + _rank(np.delete(rows, pos, axis=1), N),
+                  (sum(pos) - h * (h - 1) // 2) % 2 == 1) for pos in combinations(range(k), h))
 
 
 def ad_group(g: QMatrix, p: Multivector) -> Multivector:

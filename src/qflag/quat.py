@@ -16,6 +16,7 @@ has length 4; these back the dense matrix kernels in :mod:`qflag.hmat`.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class Quaternion:
         return Quaternion(-self.re, -self.i, -self.j, -self.k)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return Quaternion(self.re * other, self.i * other,
                               self.j * other, self.k * other)
         a, b = self, _coerce(other)
@@ -95,12 +96,12 @@ class Quaternion:
         )
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return self.__mul__(other)
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             return Quaternion(self.re / other, self.i / other, self.j / other, self.k / other)
         return NotImplemented
 
@@ -123,7 +124,7 @@ class Quaternion:
 def _coerce(x) -> Quaternion:
     if isinstance(x, Quaternion):
         return x
-    if isinstance(x, (int, float)):
+    if isinstance(x, numbers.Real):
         return Quaternion(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a quaternion")
 

@@ -240,6 +240,20 @@ def test_rejects_malformed_arguments(make, match):
         make()
 
 
+@pytest.mark.parametrize("one_line", [[1.9, 2.2], [1, 2.5], [2, 1 + 1e-9], [float("inf"), 1],
+                                      [float("nan"), 1], [True, 2], ["1", 2]])
+def test_permutation_refuses_non_integral_entries(one_line):
+    # from_json reads 1-based entries; int() would truncate 1.9 and 2.2 to the identity of S_2
+    with pytest.raises(ValueError, match="one_line must be a list of integers"):
+        Permutation.from_json({"one_line": one_line})
+    if not any(isinstance(x, (bool, str)) for x in one_line):  # the 0-based entries direct
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation([x - 1 for x in one_line])
+    # integral floats and numpy integers name the same permutation as ints
+    assert Permutation.from_json({"one_line": [2.0, 1.0]}) == Permutation([1, 0])
+    assert Permutation(np.array([1, 0])).one_line == (1, 0)
+
+
 def test_qmatrix_json_round_trip():
     rng = np.random.default_rng(3)
     m = random_invertible(2, rng)

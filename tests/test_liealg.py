@@ -591,6 +591,51 @@ def test_apply_exterior_on_keys_that_are_not_strictly_increasing(coeffs):
     assert all(list(t) == sorted(set(t)) for t in got.coeffs)
 
 
+@pytest.mark.parametrize("grade", [1, 5, 6, 7])
+@pytest.mark.parametrize("nterms", [1, 5, 252])
+def test_split_product_matches_determinant_oracle(grade, nterms):
+    # the kernel splits a grade-k term after h = k // 2 factors: an empty first
+    # half at grade 1, halves of unequal size at grades 5 and 7; 252 = C(10, 5)
+    # terms take every subset of the 10 basis elements of sp(2) at each grade
+    rng = np.random.default_rng(90 + grade)
+    a = rng.normal(size=(10, 10))
+    p = random_multivector(2, grade, rng, nterms=nterms)
+    got, expect = apply_exterior(a, p), apply_exterior_oracle(a, p)
+    assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
+
+
+def test_lambda_4_under_ad_group_matches_determinant_oracle():
+    rng = np.random.default_rng(95)
+    a = ad_group_matrix(random_symplectic(4, rng))
+    lam = lambda_element(4)
+    got, expect = apply_exterior(a, lam), apply_exterior_oracle(a, lam)
+    assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
+
+
+def test_ad_group_is_multiplicative_on_lambda_5():
+    # the determinant oracle is too slow over the C(55, 4) subsets; Ad_{gh} = Ad_g Ad_h
+    # checks the kernel there, the inner image filling most of them
+    rng = np.random.default_rng(96)
+    g, h, lam = random_symplectic(5, rng), random_symplectic(5, rng), lambda_element(5)
+    inner = ad_group(h, lam)
+    assert len(inner.terms()[1]) > 10 ** 5
+    assert max_coeff_diff(ad_group(g @ h, lam), ad_group(g, inner)) <= 1e-10
+
+
+def test_ad_group_peak_memory_at_n4():
+    # warm (tables cached), the split product stays well below the 14 MiB that
+    # a dense tensor over the 36 basis elements of sp(4) took
+    g, lam = random_symplectic(4, np.random.default_rng(97)), lambda_element(4)
+    ad_group(g, lam)
+    tracemalloc.start()
+    try:
+        ad_group(g, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_struct_equals_per_pair_commutators(n):
     assert np.array_equal(sp_basis(n).struct, struct_oracle(n))

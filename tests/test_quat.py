@@ -91,6 +91,15 @@ def test_arithmetic_rejects_non_numbers(other):
             op(Quaternion(1.0))
 
 
+@pytest.mark.parametrize("scalar", [np.int64(2), np.int32(2), np.float32(2.0), np.float64(2.0)])
+def test_arithmetic_takes_numpy_scalars(scalar):
+    q = Quaternion(1.0, 2.0, -1.0, 0.5)
+    for got, expect in [(q + scalar, q + 2), (scalar + q, 2 + q), (q - scalar, q - 2),
+                        (scalar - q, 2 - q), (q * scalar, q * 2), (scalar * q, 2 * q),
+                        (q / scalar, q / 2)]:
+        assert isinstance(got, Quaternion) and close(got, expect, tol=0.0)
+
+
 def test_vectorized_helpers_match_scalar():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 7, 4))
