@@ -167,10 +167,16 @@ class QMatrix:
         top = pairs @ chi(other.data)
         return QMatrix(top.view(float).reshape(self.n_rows, -1, 4))
 
+    def _require_same_shape(self, other: "QMatrix") -> None:
+        if self.data.shape != other.data.shape:  # numpy would broadcast a 1 x 1 or 1 x n
+            raise ValueError("shape mismatch in quaternionic add or subtract")
+
     def __add__(self, other: "QMatrix") -> "QMatrix":
+        self._require_same_shape(other)
         return QMatrix(self.data + other.data)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
+        self._require_same_shape(other)
         return QMatrix(self.data - other.data)
 
     def __neg__(self) -> "QMatrix":

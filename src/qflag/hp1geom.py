@@ -16,6 +16,8 @@ Its two translations are two Jacobians at k in closed form: the action J,
 ``X12 + c X22 - X11 c - c X21 c`` (South; indices 1, 2 swapped on the North).
 Since ``exp(t Ad_k X) k = k exp(tX)``, ``J Ad_k = J_flow``, so the field is
 ``J_flow Lambda - J Lambda``: ``Ad_k Lambda - Lambda`` right-trivialized.
+Both Jacobians are quadratic in c, so their unit central differences are
+their exact derivatives, and the Lie derivative of the field needs no step.
 
 Every evaluation runs on an array of points of one chart, an ``(m, 4)``
 array of coordinates; a function of one :class:`ChartPoint` is a batch of
@@ -34,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hmat import QMatrix
-from .liealg import (Multivector, _canonicalize, _factors, ad_multivector,
+from .liealg import (Multivector, _canonicalize, _factors, _intrinsic_table,
                      lambda_element, sp_basis)
 from .quat import Quaternion, qinv, qnorm2, qprod
 
@@ -65,8 +67,6 @@ __all__ = [
 CHART_EPS = 1e-10
 # fourvector_rank misses a contraction direction weaker than this, relative
 RANK_RTOL = 1e-9
-# lie_derivative_check's step: its residual grows as h^4 and as eps / h
-LIE_FD_STEP = 1e-3
 
 
 class Chart(enum.Enum):
@@ -168,14 +168,12 @@ def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
     return np.linalg.det(np.moveaxis(jac[..., terms], -2, -3)) @ coeffs
 
 
-def _bruhat_coeffs(chart: Chart, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bruhat_coeffs(chart: Chart, coords: np.ndarray) -> np.ndarray:
     """Bruhat field coefficients ``(m,)`` at the ``(m, 4)`` coordinates, Lambda
-    pushed through the flow minus through the action, and the ``(m, 4, dim)``
-    flow Jacobians, which push forward Ad_k P for any P.  At k = I the two
+    pushed through the flow minus through the action.  At k = I the two
     Jacobians are equal and the coefficient is exactly 0."""
-    jac = _jacobians(chart, coords)
-    pushed = _pushforward(jac, lambda_element(2))
-    return pushed[:, 1] - pushed[:, 0], jac[:, 1]
+    pushed = _pushforward(_jacobians(chart, coords), lambda_element(2))
+    return pushed[:, 1] - pushed[:, 0]
 
 
 def coset_rep(p: ChartPoint) -> QMatrix:
@@ -202,7 +200,7 @@ def pushforward_coeff(p: ChartPoint, mv: Multivector) -> float:
 
 def bruhat_field(p: ChartPoint) -> FieldSample:
     """Pushforward of (L_k)_* Lambda - (R_k)_* Lambda at the coset of k = coset_rep(p)."""
-    return FieldSample(at=p, coeff=float(_bruhat_coeffs(p.chart, p.coord.to_array()[None])[0][0]))
+    return FieldSample(at=p, coeff=float(_bruhat_coeffs(p.chart, p.coord.to_array()[None])[0]))
 
 
 def invariant_field(p: ChartPoint) -> FieldSample:
@@ -258,24 +256,26 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
 
     LHS is the Lie derivative of the chart field f * d^4 along the chart
     vector field b = J_flow X of the right action of X, b . grad f - f div b,
-    with the fourth-order central difference
-    (8 (g(+h) - g(-h)) - (g(+2h) - g(-2h))) / 12h, the Richardson extrapolation
-    of the second-order one, h = LIE_FD_STEP.  RHS pushes ad_X Lambda through
-    J_flow.  The 17 stencil points are one batch, and one Jacobian pass.
+    exact: both Jacobians are quadratic in c, so d_m J is the unit central
+    difference (J(c + e_m) - J(c - e_m)) / 2, and one Jacobian pass at c and
+    c +- e_m gives J and every d_m J.  By Jacobi's formula d_m of each minor
+    of f is the sum over rows r of the minor with row r replaced by d_m of it.
+    RHS pushes ad_X Lambda = sum_c x_c ad_{B_c} Lambda through J_flow.
     """
     if p.chart is not Chart.SOUTH:
         raise ValueError("lie_derivative_check works on the South chart")
-    steps = LIE_FD_STEP * np.array([1.0, -1.0, 2.0, -2.0])
-    # row 1 + 4 s + m is the centre moved by steps[s] along coordinate m
-    offsets = np.concatenate([np.zeros((1, 4)), (steps[:, None, None] * np.eye(4)).reshape(16, 4)])
-    f, flow = _bruhat_coeffs(Chart.SOUTH, p.coord.to_array() + offsets)
-    b = flow @ x.as_vector()
-    weights = np.array([8.0, -8.0, -1.0, 1.0]) / (12.0 * LIE_FD_STEP)
-    grad_f = weights @ f[1:].reshape(4, 4)
-    div_b = float(np.sum(weights @ np.diagonal(b[1:].reshape(4, 4, 4), axis1=1, axis2=2)))
-    lhs = float(b[0] @ grad_f - f[0] * div_b)
-    rhs = float(_pushforward(flow[0], ad_multivector(x, lambda_element(2))))
-    return abs(lhs - rhs)
+    xv, lam = x.as_vector(), lambda_element(2)
+    steps = np.vstack([np.zeros(4), np.eye(4), -np.eye(4)])  # c, c + e_m, c - e_m
+    jac = _jacobians(Chart.SOUTH, p.coord.to_array() + steps)
+    dj = (jac[1:5] - jac[5:]) / 2.0  # (m, action/flow, 4, dim)
+    # (m, r, action/flow, 4, dim): J with row r replaced by row r of d_m J
+    swapped = np.where(np.eye(4, dtype=bool)[:, None, :, None], dj[:, None], jac[0])
+    side = np.array([-1.0, 1.0])  # f: the flow pushforward minus the action one
+    f, grad_f = _pushforward(jac[0], lam) @ side, _pushforward(swapped, lam).sum(1) @ side
+    div_b = np.trace(dj[:, 1] @ xv)  # b = J_flow x, so d_m b = (d_m J_flow) x
+    rows, terms, coef = _intrinsic_table(2)
+    rhs = np.linalg.det(np.moveaxis(jac[0, 1][:, terms], 0, 1)) @ (coef * xv[rows])
+    return abs(float((jac[0, 1] @ xv) @ grad_f - f * div_b - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def radial_profile(rhos, directions: int, seed: int):
     norm_const = bruhat_normalization()
     rhos = [float(rho) for rho in rhos]
     coords = (np.array(rhos).reshape(-1, 1, 1) * dirs).reshape(-1, 4)
-    fbs = _bruhat_coeffs(Chart.SOUTH, coords)[0] / norm_const
+    fbs = _bruhat_coeffs(Chart.SOUTH, coords) / norm_const
     fis = (1.0 + qnorm2(coords)) ** 4
     for r, (fb, fi) in enumerate(zip(fbs.tolist(), fis.tolist())):
         rho = rhos[r // directions]

@@ -41,6 +41,7 @@ which reduces to the Lie bracket on grade-1 inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -230,8 +231,8 @@ def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ..
 
 def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ...]:
     """Canonical keys, values and rows of grade-k coefficients over dim basis elements;
-    ValueError for a key that is not k indices in range(dim), or for a grade whose
-    keys could reach 2**63."""
+    ValueError for a key that is not k indices in range(dim), a coefficient that
+    is not finite, or a grade whose keys could reach 2**63."""
     coeffs = coeffs or {}
     m = len(coeffs)
     idx = np.fromiter(chain.from_iterable(coeffs), dtype=float)
@@ -241,6 +242,9 @@ def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ..
                  if len(t) != k or not all(0 <= i < dim and i % 1 == 0 for i in t))
         raise ValueError(f"key {t}: need {k} basis indices in range({dim})")
     val = np.fromiter(coeffs.values(), dtype=float, count=m)
+    if not np.isfinite(val).all():  # NaN would be pruned and inf kept
+        t = next(t for t, c in coeffs.items() if not math.isfinite(c))
+        raise ValueError(f"key {t}: coefficient {coeffs[t]} is not finite")
     return _collect(idx.astype(np.intp).reshape(m, max(k, 0)), val, dim)  # no terms at k < 0
 
 
@@ -360,9 +364,13 @@ class Multivector:
     @staticmethod
     def from_json(obj) -> "Multivector":
         """Inverse of :meth:`to_json`; unsorted names pick up the sign of their sort.
-        A term of the wrong length, repeating or unknown names raises ValueError."""
-        n = int(obj["n"])
-        grade = int(obj["grade"])
+        A term of the wrong length, repeating or unknown names, a coefficient that
+        is not finite, or an ``n`` or ``grade`` that is not an integer raises ValueError."""
+        n, grade = obj["n"], obj["grade"]
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1
+               for v in (n, grade)):
+            raise ValueError("Multivector n and grade must be integers")
+        n, grade = int(n), int(grade)
         basis = sp_basis(n)
         rows, vals = [], []
         for term in obj["terms"]:
@@ -375,6 +383,8 @@ class Multivector:
                 raise ValueError(f"term {names}: repeated basis element")
             rows.append([basis.index[nm] for nm in names])
             vals.append(float(term["c"]))
+            if not math.isfinite(vals[-1]):
+                raise ValueError(f"term {names}: coefficient {vals[-1]} is not finite")
         idx = np.array(rows, dtype=np.intp).reshape(len(rows), grade)
         return Multivector._of(n, grade, *_collect(idx, np.array(vals, dtype=float), basis.dim))
 

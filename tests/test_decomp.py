@@ -5,6 +5,7 @@ import pytest
 
 from qflag.decomp import (
     PIVOT_RTOL,
+    RU_RTOL,
     bruhat,
     dieudonne_det,
     dress,
@@ -390,6 +391,18 @@ def test_dress_rule_is_scale_free(scale):
         dress(QMatrix.from_rows([[1, 0], [1, 1]]).scale(scale), QMatrix.identity(2))
     k = dress(QMatrix.from_rows([[1, 0.8], [0, 1]]).scale(scale), QMatrix.identity(2))
     assert frob(k - QMatrix.identity(2)) <= 1e-12
+    # the edge: a lower entry, or an imaginary part of the diagonal, of
+    # (1 -+ 1e-6) RU_RTOL ||G||_F, where ||G||_F = sqrt(2 + t^2) is sqrt(2) to rounding
+    for f, refused in [(1.0 - 1e-6, False), (1.0 + 1e-6, True)]:
+        t = f * RU_RTOL * np.sqrt(2.0)
+        for g, match in [(QMatrix.from_rows([[1, 0], [t, 1]]), "upper triangular"),
+                         (QMatrix.from_rows([[Quaternion(1, t), 0], [0, 1]]), "real diagonal")]:
+            if refused:
+                with pytest.raises(ValueError, match=match):
+                    dress(g.scale(scale), QMatrix.identity(2))
+            else:
+                k = dress(g.scale(scale), QMatrix.identity(2))
+                assert frob(k - QMatrix.identity(2)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -227,14 +227,18 @@ def test_frobenius_is_scale_safe():
 @pytest.mark.parametrize("make, match", [
     (lambda: QMatrix(np.zeros((2, 2, 3))), r"shape \(rows, cols, 4\)"),
     (lambda: QMatrix.zeros(2) @ QMatrix.zeros(3), "shape mismatch"),
+    (lambda: QMatrix.zeros(1) + QMatrix.identity(3), "shape mismatch"),
+    (lambda: QMatrix.zeros(1, 3) + QMatrix.zeros(3, 1), "shape mismatch"),
+    (lambda: QMatrix.zeros(1, 3) - QMatrix.zeros(3, 1), "shape mismatch"),
     (lambda: QMatrix.zeros(2, 3).inverse(), "inverse requires a square matrix"),
     (lambda: is_symplectic(QMatrix.zeros(2, 3)), "requires a square matrix"),
     (lambda: Permutation([1, 0]) @ Permutation([0, 1, 2]), "size mismatch"),
     (lambda: Permutation.from_json({"one_line": "21"}), "one_line must be a list"),
     (lambda: word_to_permutation([0, -1], 3), "word letter -1 out of range for n=3"),
     (lambda: word_to_permutation([2], 3), "word letter 2 out of range for n=3"),
-], ids=["data-shape", "matmul", "inverse-non-square", "is_symplectic-non-square",
-        "permutation-sizes", "one_line-not-list", "word-letter-negative", "word-letter-n-1"])
+], ids=["data-shape", "matmul", "add-1x1-to-3x3", "add-row-to-column", "sub-row-from-column",
+        "inverse-non-square", "is_symplectic-non-square", "permutation-sizes",
+        "one_line-not-list", "word-letter-negative", "word-letter-n-1"])
 def test_rejects_malformed_arguments(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -356,6 +356,26 @@ def test_multivector_json_rejects_malformed_terms(idx, match):
     assert str(idx) in str(err.value)
 
 
+def _mv_json(n=2, grade=1, c=1.0):
+    return {"n": n, "grade": grade, "terms": [{"idx": ["E(1,2)"], "c": c}]}
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: Multivector(2, 1, {(1,): 1.0, (0,): float("nan")}), r"key \(0,\): .* not finite"),
+    (lambda: Multivector(2, 1, {(0,): float("inf")}), "not finite"),
+    (lambda: Multivector.from_json(_mv_json(c=float("nan"))), "not finite"),
+    (lambda: Multivector.from_json(_mv_json(c="inf")), "not finite"),
+    (lambda: Multivector.from_json(_mv_json(n=2.7)), "n and grade must be integers"),
+    (lambda: Multivector.from_json(_mv_json(grade=1.5)), "n and grade must be integers"),
+    (lambda: Multivector.from_json(_mv_json(n="2")), "n and grade must be integers"),
+    (lambda: Multivector.from_json(_mv_json(grade=True)), "n and grade must be integers"),
+], ids=["nan", "inf", "json-nan", "json-inf-string", "json-n-fraction", "json-grade-fraction",
+        "json-n-string", "json-grade-bool"])
+def test_multivector_refuses_non_finite_and_non_integral_input(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_lambda_element_structure():
     lam2 = lambda_element(2)
     b = sp_basis(2)

@@ -1,6 +1,8 @@
-"""Every numerical threshold of the library is documented in README.md, and
-README.md's threshold list names no threshold the library lacks."""
+"""Every numerical threshold of the library is documented in README.md,
+README.md's threshold list names no threshold the library lacks, and every
+threshold it lists is read by name in another test module."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -31,3 +33,22 @@ def test_readme_lists_thresholds():
 @pytest.mark.parametrize("name", LISTED)
 def test_readme_threshold_is_defined(name):
     assert name in {n for _, n in THRESHOLDS}, f"README.md lists {name}, which no module defines"
+
+
+def names_read(source: str) -> set[str]:
+    """The names and attributes that the module's expressions read."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+
+
+READ_BY_TESTS = set().union(*(names_read(path.read_text())
+                              for path in Path(__file__).resolve().parent.glob("test_*.py")
+                              if path.name != Path(__file__).name))
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_readme_threshold_is_read_by_a_test(name):
+    # a test near a threshold's edge reads it by name
+    assert name in READ_BY_TESTS, f"README.md lists {name}, which no other test module reads"

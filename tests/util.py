@@ -533,8 +533,8 @@ def bruhat_field_oracle(p: ChartPoint) -> float:
 
 # ---------------------------------------------------------------------------
 # The approximations that closed forms replaced: the matrix exponential by
-# scaling and squaring a truncated series, and the leaf differential by
-# central differences.
+# scaling and squaring a truncated series, and the leaf differential and the
+# Lie derivative on HP^1 by central differences.
 # ---------------------------------------------------------------------------
 
 def expm_series_oracle(m: QMatrix) -> QMatrix:
@@ -568,6 +568,31 @@ def leaf_jacobian_fd_oracle(word, base: np.ndarray, n: int, h: float = 1e-5) -> 
         diff = (at(flat0 + e) - at(flat0 - e)).scale(1.0 / (2 * h))
         rows.append(project_oracle((diff @ k0_inv).data, n))
     return np.array(rows)
+
+
+def lie_derivative_stencil_oracle(p: ChartPoint, x: Multivector, h: float = 1e-3):
+    """(b . grad f, f div b, RHS) of L_{gamma(X)} xi = wedge^4 gamma(ad_X Lambda) at a
+    South-chart point, b = J_flow X: the derivatives by the fourth-order central
+    difference (8 (g(+h) - g(-h)) - (g(+2h) - g(-2h))) / 12h, which errs by O(h^4)
+    and eps / h, and RHS as [X, Lambda] pushed through J_flow term by term."""
+    xv = x.as_vector()
+
+    def at(c):
+        q = ChartPoint.south(Quaternion.from_array(c))
+        return bruhat_field_oracle(q), jacobian_oracle(q, "flow") @ xv
+
+    c0 = p.coord.to_array()
+    weights = np.array([8.0, -8.0, -1.0, 1.0]) / (12.0 * h)
+    grad_f, div_b = np.zeros(4), 0.0
+    for m, e in enumerate(np.eye(4)):
+        f, b = zip(*(at(c0 + s * h * e) for s in (1.0, -1.0, 2.0, -2.0)))
+        grad_f[m] = weights @ f
+        div_b += weights @ np.array(b)[:, m]
+    f0, b0 = at(c0)
+    jflow = jacobian_oracle(p, "flow")
+    rhs = sum(coeff * np.linalg.det(jflow[:, list(t)])
+              for t, coeff in schouten_oracle(x, lambda_oracle(2)).coeffs.items())
+    return float(b0 @ grad_f), float(f0 * div_b), float(rhs)
 
 
 # ---------------------------------------------------------------------------
