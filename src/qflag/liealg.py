@@ -19,8 +19,9 @@ order, keys its output by position; it is the split (generalized Laplace)
 product, the image of a term being the wedge of its two halves' images, read off
 one product of their minors.  Kernels read index rows back from the keys;
 ``wedge``, ``schouten`` and the constructor write unsorted rows, and
-:func:`_collect` sorts them with the sign of the sort, drops repeats, ranks
-them (:func:`_rank`) and merges equal keys.  ``schouten`` is the one bracket kernel:
+:func:`_collect` sorts them with the sign of the sort (the parity of the column
+compares row[x] > row[y], x < y), drops those with equal adjacent sorted columns,
+ranks them (:func:`_rank`) and merges equal keys.  ``schouten`` is the one bracket kernel:
 ``lie_bracket`` and ad_X P (:func:`ad_multivector`, the derivative
 d_e Lambda(X) = ad_X Lambda) are the bracket with a grade-1 argument.
 
@@ -154,12 +155,13 @@ def sp_basis(n: int) -> SpBasis:
 
 @lru_cache(maxsize=None)
 def _struct_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Padded sparse structure constants, [B_a, B_b] = sum_s val[a, b, s] B_{col[a, b, s]},
-    with as many slots s as the fullest bracket has nonzeros; padding slots hold 0."""
-    st = sp_basis(n).struct
-    width = max(int(np.count_nonzero(st, axis=2).max()), 1)
-    col = np.argsort(st == 0, axis=2, kind="stable")[:, :, :width]  # nonzeros first
-    return col, np.take_along_axis(st, col, axis=2)
+    """Padded sparse structure constants over the N * N pairs,
+    [B_a, B_b] = sum_s val[a * N + b, s] B_{col[a * N + b, s]}, with as many
+    slots s as the fullest bracket has nonzeros; padding slots hold 0."""
+    st = sp_basis(n).struct.reshape(-1, sp_basis(n).dim)
+    width = max(int(np.count_nonzero(st, axis=1).max()), 1)
+    col = np.argsort(st == 0, axis=1, kind="stable")[:, :width]  # nonzeros first
+    return col, np.take_along_axis(st, col, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +220,15 @@ def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ..
     sorted with the sign of the sort, vanishes if it repeats an index, and is
     keyed by its rank among the k-subsets of range(dim); equal keys merge."""
     k = idx.shape[1]
-    if k > 1:
-        inversions = np.zeros(len(idx), dtype=np.intp)
-        for i in range(k - 1):
-            inversions += np.sum(idx[:, i, None] > idx[:, i + 1:], axis=1)
+    if k > 1:  # whole-column compares: a numpy reduction over the short axis costs far more
+        t, odd = idx.T, np.zeros(len(idx), dtype=bool)
+        for x, y in combinations(range(k), 2):  # the parity of the sort's inversions
+            odd ^= t[x] > t[y]
         idx = np.sort(idx, axis=1)
-        keep = np.all(idx[:, 1:] != idx[:, :-1], axis=1)
-        idx, val = idx[keep], np.where(inversions % 2, -val, val)[keep]
+        t, keep = idx.T, np.ones(len(idx), dtype=bool)
+        for x in range(1, k):  # sorted, a repeated factor sits next to itself
+            keep &= t[x] != t[x - 1]
+        idx, val = idx[keep], np.where(odd, -val, val)[keep]
     keys, val, first = _sum_keys(_rank(idx, dim), val)
     return keys, val, idx[first]
 
@@ -365,7 +369,8 @@ class Multivector:
     def from_json(obj) -> "Multivector":
         """Inverse of :meth:`to_json`; unsorted names pick up the sign of their sort.
         A term of the wrong length, repeating or unknown names, a coefficient that
-        is not finite, or an ``n`` or ``grade`` that is not an integer raises ValueError."""
+        is not a finite number (bools and strings are not numbers), or an ``n`` or
+        ``grade`` that is not an integer raises ValueError."""
         n, grade = obj["n"], obj["grade"]
         if any(isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1
                for v in (n, grade)):
@@ -381,10 +386,11 @@ class Multivector:
                 raise ValueError(f"term {names}: unknown basis element")
             if len(set(names)) != grade:
                 raise ValueError(f"term {names}: repeated basis element")
+            c = term["c"]
+            if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c):
+                raise ValueError(f"term {names}: coefficient {c!r} is not finite, or not a number")
             rows.append([basis.index[nm] for nm in names])
-            vals.append(float(term["c"]))
-            if not math.isfinite(vals[-1]):
-                raise ValueError(f"term {names}: coefficient {vals[-1]} is not finite")
+            vals.append(float(c))
         idx = np.array(rows, dtype=np.intp).reshape(len(rows), grade)
         return Multivector._of(n, grade, *_collect(idx, np.array(vals, dtype=float), basis.dim))
 
@@ -403,8 +409,9 @@ def lie_bracket(x: Multivector, y: Multivector) -> Multivector:
 def schouten(p: Multivector, q: Multivector) -> Multivector:
     """Schouten bracket of multivectors (see module docstring for signs).
 
-    All factor pairs (x_a, y_b) are looked up in the sparse structure constants at
-    once; each component c of [x_a, y_b] gives the row (c, rest of x, rest of y)."""
+    All factor pairs (x_a, y_b) are looked up at once, as the rows a * N + b of the
+    padded structure constants, and their components read with one flat take each;
+    each component c of [x_a, y_b] gives the row (c, rest of x, rest of y)."""
     if p.n != q.n:
         raise ValueError("mismatched n")
     if p.grade == 0 or q.grade == 0:
@@ -412,10 +419,12 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
     col, val = _struct_table(p.n)
     a, rest_p, cp = _factors(*p.terms())
     b, rest_q, cq = _factors(*q.terms())
-    i, j, s = np.nonzero(val[a[:, None], b[None, :]])
-    rows = np.concatenate([col[a[i], b[j], s][:, None], rest_p[i], rest_q[j]], axis=1)
+    pair = a[:, None] * sp_basis(p.n).dim + b  # the table's row of (x_a, y_b)
+    i, j, s = np.nonzero(val[pair])
+    flat = pair[i, j] * val.shape[1] + s
+    rows = np.concatenate([col.take(flat)[:, None], rest_p[i], rest_q[j]], axis=1)
     pref = -1.0 if p.grade % 2 == 0 else 1.0  # (-1)^{p+1}
-    coef = pref * cp[i] * cq[j] * val[a[i], b[j], s]
+    coef = pref * cp[i] * cq[j] * val.take(flat)
     return Multivector._of(p.n, p.grade + q.grade - 1, *_collect(rows, coef, sp_basis(p.n).dim))
 
 

@@ -4,7 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from qflag import liealg
 from qflag.hmat import QMatrix, chi, expm, random_symplectic
 from qflag.liealg import (
     PRUNE_TOL,
@@ -28,6 +30,7 @@ from util import (
     ad_matrix_oracle,
     apply_exterior_laplace,
     apply_exterior_oracle,
+    collect_oracle,
     four_bracket_oracle,
     lambda_oracle,
     leibniz_oracle,
@@ -369,8 +372,11 @@ def _mv_json(n=2, grade=1, c=1.0):
     (lambda: Multivector.from_json(_mv_json(grade=1.5)), "n and grade must be integers"),
     (lambda: Multivector.from_json(_mv_json(n="2")), "n and grade must be integers"),
     (lambda: Multivector.from_json(_mv_json(grade=True)), "n and grade must be integers"),
+    (lambda: Multivector.from_json(_mv_json(c=True)), "coefficient True .* not a number"),
+    (lambda: Multivector.from_json(_mv_json(c="1.5")), "coefficient '1.5' .* not a number"),
+    (lambda: Multivector.from_json(_mv_json(c=" 2 ")), "coefficient ' 2 ' .* not a number"),
 ], ids=["nan", "inf", "json-nan", "json-inf-string", "json-n-fraction", "json-grade-fraction",
-        "json-n-string", "json-grade-bool"])
+        "json-n-string", "json-grade-bool", "json-c-bool", "json-c-string", "json-c-padded"])
 def test_multivector_refuses_non_finite_and_non_integral_input(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -546,14 +552,45 @@ def _sizes(n, rng):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wedge_and_schouten_match_oracles(n):
     rng = np.random.default_rng(20 + n)
+    # in every round, empty operands and a grade-1 operand with more terms than _sizes draws
+    edges = [Multivector.zero(n, 1), Multivector.zero(n, 3),
+             random_multivector(n, 1, np.random.default_rng(50 + n), nterms=5)]
     for _ in range(3):
-        mvs = _sizes(n, rng)
+        mvs = _sizes(n, rng) + edges
         for p in mvs:
             for q in mvs:
                 assert max_coeff_diff(p.wedge(q), wedge_oracle(p, q)) <= ORACLE_TOL
                 br = schouten(p, q)
                 assert br.grade == max(p.grade + q.grade - 1, 0)
                 assert max_coeff_diff(br, schouten_oracle(p, q)) <= ORACLE_TOL
+
+
+@st.composite
+def _collect_inputs(draw):
+    """Unsorted (m, k) index rows over range(dim) and their values, with
+    repeated indices within rows and duplicate (and permuted) rows."""
+    k = draw(st.sampled_from([0, 1, 2, 5, 11]))
+    dim = draw(st.sampled_from([10, 21, 55, 78]))
+    m = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)))
+    pool = draw(st.integers(1, 40))  # distinct draws the m rows are taken from
+    repeats = draw(st.sampled_from([0.0, 0.2, 1.0]))  # rows given a repeated index
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.integers(0, dim, size=(pool, k))
+    rows = base[rng.integers(0, pool, size=m)]
+    rows = np.take_along_axis(rows, rng.random(rows.shape).argsort(axis=1), axis=1)
+    if k > 1:
+        hit = rng.random(m) < repeats
+        rows[hit, rng.integers(1, k)] = rows[hit, 0]
+    val = (rng.choice([1.0, -1.0, 0.5, 1e-15], size=m) if draw(st.booleans())
+           else rng.normal(size=m))  # exact values cancel and prune when rows merge
+    return rows.astype(np.intp), val, dim
+
+
+@given(_collect_inputs())
+def test_collect_is_bitwise_the_oracle(args):
+    for got, want in zip(liealg._collect(*args), collect_oracle(*args), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -11,7 +11,7 @@ from qflag.decomp import PIVOT_RTOL, BruhatForm, bruhat
 from qflag.flags import leaf_point
 from qflag.hmat import Permutation, QMatrix, SingularMatrixError, chi, unchi, word_to_permutation
 from qflag.hp1geom import Chart, ChartPoint
-from qflag.liealg import PRUNE_TOL, Multivector, lambda_element, sp_basis
+from qflag.liealg import PRUNE_TOL, Multivector, _rank, _sum_keys, lambda_element, sp_basis
 from qflag.quat import Quaternion
 
 
@@ -121,6 +121,23 @@ def wedge_tuples(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, .
     out.extend(t1[i:])
     out.extend(t2[j:])
     return tuple(out), sign
+
+
+def collect_oracle(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """``liealg._collect`` as it was before the sign and the repeats were read
+    off whole-column compares: the inversions of each (m, k) row counted by
+    k - 1 short-axis sums, and the repeats found by ``np.all`` over each sorted
+    row.  The ranking and the merge of equal keys are the library's."""
+    k = idx.shape[1]
+    if k > 1:
+        inversions = np.zeros(len(idx), dtype=np.intp)
+        for i in range(k - 1):
+            inversions += np.sum(idx[:, i, None] > idx[:, i + 1:], axis=1)
+        idx = np.sort(idx, axis=1)
+        keep = np.all(idx[:, 1:] != idx[:, :-1], axis=1)
+        idx, val = idx[keep], np.where(inversions % 2, -val, val)[keep]
+    keys, val, first = _sum_keys(_rank(idx, dim), val)
+    return keys, val, idx[first]
 
 
 def wedge_oracle(p: Multivector, q: Multivector) -> Multivector:
