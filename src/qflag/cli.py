@@ -1,16 +1,18 @@
 """Command-line front end: decompositions, verification suites, CSV profiles.
 
-Exit codes: 0 success, 1 usage/parse error, 2 mathematical failure
-(singular input, a Dieudonne determinant outside the normal float range, a
-point at a chart boundary, or a failed assertion).  Every command is
-deterministic given its input and seed; QFLAG_SEED is the only environment
-fallback.
+Each ``cmd_*`` returns its result, a JSON object or the CSV text of ``profile``;
+``main`` alone writes it, to stdout or ``--out``, and picks the exit code: 0
+success, 1 usage/parse error, 2 mathematical failure (singular input, a
+Dieudonne determinant outside the normal float range, a point at a chart
+boundary, or a report with ``"ok": false``).  Every command is deterministic
+given its input and seed; QFLAG_SEED is the only environment fallback.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -55,49 +57,30 @@ def _load_matrix(path: str) -> QMatrix:
         return QMatrix.from_json(json.load(fh))
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     g = _load_matrix(args.input)
     if args.kind == "bruhat":
         form = decomp.bruhat(g)
-        err = (form.reconstruct() - g).frobenius()
-        out = form.to_json()
-        out["reconstruction_error"] = err
+        out, rebuilt = form.to_json(), form.reconstruct()
     else:
         k, r, u = decomp.iwasawa(g)
-        err = (k @ r @ u - g).frobenius()
-        out = {"K": k.to_json(), "R": r.to_json(), "U": u.to_json(),
-               "reconstruction_error": err}
-    _emit(out, args.out)
-    return EXIT_OK
+        out, rebuilt = {"K": k.to_json(), "R": r.to_json(), "U": u.to_json()}, k @ r @ u
+    return out | {"reconstruction_error": (rebuilt - g).frobenius()}
 
 
-def cmd_ddet(args) -> int:
-    g = _load_matrix(args.input)
-    _emit({"dieudonne_det": decomp.dieudonne_det(g)}, args.out)
-    return EXIT_OK
+def cmd_ddet(args) -> dict:
+    return {"dieudonne_det": decomp.dieudonne_det(_load_matrix(args.input))}
 
 
-def cmd_dress(args) -> int:
-    g = _load_matrix(args.g)
-    k = _load_matrix(args.k)
-    _emit(decomp.dress(g, k).to_json(), args.out)
-    return EXIT_OK
+def cmd_dress(args) -> dict:
+    return decomp.dress(_load_matrix(args.g), _load_matrix(args.k)).to_json()
 
 
-def cmd_leaf(args) -> int:
+def cmd_leaf(args) -> dict:
     if not LEAF_N[0] <= args.n <= LEAF_N[1]:
         raise ValueError("leaf needs {} <= n <= {}".format(*LEAF_N))
     word = [int(r) - 1 for r in args.word.split()]
@@ -105,18 +88,17 @@ def cmd_leaf(args) -> int:
     params = [Quaternion.from_array(x) for x in rng.normal(size=(len(word), 4))]
     lp = flags.leaf_point(word, params, args.n)
     sig = decomp.leaf_signature(lp.matrix)
-    _emit({
+    return {
         "word": [r + 1 for r in word],
         "n": args.n,
         "seed": args.seed,
         "matrix": lp.matrix.to_json(),
         "signature": {"w": sig.w.to_json(),
                       "phases": [p.to_json() for p in sig.phases]},
-    }, args.out)
-    return EXIT_OK
+    }
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> str:
     if (not (0 < args.rho_min < args.rho_max < np.inf) or args.steps < 2 or args.directions < 1
             or args.steps * args.directions > PROFILE_POINTS):
         raise ValueError("need 0 < rho-min < rho-max < inf, steps >= 2, directions >= 1 "
@@ -125,17 +107,11 @@ def cmd_profile(args) -> int:
     rows = list(hp1geom.radial_profile(rhos, args.directions, args.seed))
     fieldnames = ["rho", "direction_seed", "coeff_bruhat", "coeff_invariant",
                   "ratio", "expected_ratio", "abs_err"]
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(sink, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for k, v in row.items()})
-    finally:
-        if args.out:
-            sink.close()
-    return EXIT_OK
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +233,11 @@ LEAF_N = (1, 64)
 PROFILE_POINTS = 10_000
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     least, most = SUITE_N[args.suite]
     if not least <= args.n <= most:
         raise ValueError(f"verify {args.suite} needs {least} <= n <= {most}")
-    report = SUITES[args.suite](args.n, args.seed)
-    _emit(report, args.out)
-    return EXIT_OK if report["ok"] else EXIT_MATH
+    return SUITES[args.suite](args.n, args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="strict Bruhat or Iwasawa decomposition")
     p.add_argument("kind", choices=["bruhat", "iwasawa"])
     p.add_argument("--input", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("ddet", help="Dieudonne determinant")
     p.add_argument("--input", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_ddet)
 
     p = sub.add_parser("dress", help="dressing action of an RU element")
     p.add_argument("--g", required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_dress)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("profile", help="emit the HP^1 radial-profile CSV")
@@ -307,16 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--directions", type=int, default=1)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("leaf", help="sample a leaf point for a reduced word")
     p.add_argument("--word", required=True, help="1-based positions, e.g. '1 2 1'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_leaf)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return ap
 
 
@@ -327,13 +297,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        result = args.fn(args)  # a JSON object, or the text of a CSV
+        text = (result if isinstance(result, str)
+                else json.dumps(result, indent=2, sort_keys=True) + "\n")
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (SingularMatrixError, OverflowError, hp1geom.ChartBoundaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_MATH if isinstance(result, dict) and not result.get("ok", True) else EXIT_OK
 
 
 if __name__ == "__main__":

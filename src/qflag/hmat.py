@@ -219,8 +219,7 @@ class QMatrix:
         return {
             "rows": self.n_rows,
             "cols": self.n_cols,
-            "entries": [[list(map(float, self.data[i, j])) for j in range(self.n_cols)]
-                        for i in range(self.n_rows)],
+            "entries": self.data.tolist(),
         }
 
     @staticmethod

@@ -336,6 +336,8 @@ class Multivector:
         return self + other.scale(-1.0)
 
     def scale(self, r: float) -> "Multivector":
+        if not math.isfinite(r):
+            raise ValueError(f"scale factor {r} is not finite")
         keys, vals = self._keyed()
         keep = np.abs(vals * r) > PRUNE_TOL
         return Multivector._of(self.n, self.grade, keys[keep], vals[keep] * r)
@@ -489,10 +491,13 @@ def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector)
     n = z1.n
     if any(z.n != n for z in zs):
         raise ValueError("mismatched n")
+    dim = sp_basis(n).dim
+    if any(np.shape(z.coeffs) != (dim,) for z in zs):
+        raise ValueError(f"four_bracket needs covectors of {dim} entries over sp({n})")
     rows, terms, coef = _intrinsic_table(n)
     zmat = np.stack([z.coeffs for z in zs])  # (4, N)
     minors = np.linalg.det(zmat[:, terms].transpose(1, 0, 2))
-    return DualVector(n, np.bincount(rows, weights=coef * minors, minlength=sp_basis(n).dim))
+    return DualVector(n, np.bincount(rows, weights=coef * minors, minlength=dim))
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +520,12 @@ def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     B = W_h C W_{k-h}^T, C holding each coefficient at (S', S'') and column S' of
     W_j the j x j minors of a on the columns S' over every j-subset of rows.
     Output subset T sums B over its C(k, h) splits, signed by their shuffles.
+    ``ValueError`` unless a is a finite dim x dim matrix, dim that of sp(n).
     """
-    N, k = a.shape[0], p.grade
+    N, k = sp_basis(p.n).dim, p.grade
+    if np.shape(a) != (N, N) or not np.isfinite(a).all():
+        raise ValueError(f"apply_exterior needs a finite {N} x {N} matrix over sp({p.n}), "
+                         f"got shape {np.shape(a)}")
     idx, val = p.terms()
     if k == 0 or not len(val):
         return p.copy()

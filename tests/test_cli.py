@@ -305,3 +305,13 @@ def test_random_multivector_draws_without_listing_subsets(monkeypatch):
         assert all(list(t) == sorted(set(t)) and t[-1] < 21 for t in mv.coeffs)
     # sp(1) has one 3-subset of its 3 basis elements
     assert len(cli._random_multivector(1, 3, rng).coeffs) == 1
+
+
+def test_failed_report_is_written_and_exits_2(tmp_path, monkeypatch, capsys):
+    report = {"suite": "lambda", "n": 2, "seed": 0, "ok": False}
+    monkeypatch.setitem(cli.SUITES, "lambda", lambda n, seed: report)
+    assert cli.main(["verify", "lambda"]) == 2
+    assert json.loads(capsys.readouterr().out) == report
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "lambda", "--out", str(out)]) == 2
+    assert json.loads(out.read_text()) == report and capsys.readouterr().out == ""

@@ -1,9 +1,19 @@
-"""Golden outputs, compared exactly and in process: the stdout of
-``qflag verify lambda|spheroid|schouten --n 2..5 --seed 3`` through ``cli.main``,
-and the ``to_json()`` of seeded Schouten brackets and wedges (the grade pattern
-(2, 3, 2) on sp(3) with the nested brackets of the Schouten axioms, empty and
-grade-1 operands, and [Lambda_4, Lambda_4]).  The bracket inputs are stored
-next to their outputs and read back with ``Multivector.from_json``.
+"""Golden outputs, compared exactly and in process through ``cli.main``:
+
+* the stdout of ``qflag verify lambda|spheroid|schouten --n 2..5 --seed 3``;
+* for every other command (``CASES``: ``decompose bruhat|iwasawa``, ``ddet``,
+  ``dress``, ``leaf``, ``profile`` and ``verify hp1|leaves|dressing``), the
+  exit code, stdout, stderr and the bytes of the ``--out`` file, kept in one
+  ``cli_<case>.json`` record; the matrix inputs are the ``input_*.json`` files,
+  and the cases include usage (exit 1) and mathematical (exit 2) failures;
+* the ``to_json()`` of seeded Schouten brackets and wedges (the grade pattern
+  (2, 3, 2) on sp(3) with the nested brackets of the Schouten axioms, empty and
+  grade-1 operands, and [Lambda_4, Lambda_4]).  The bracket inputs are stored
+  next to their outputs and read back with ``Multivector.from_json``.
+
+A command's result reaches stdout or ``--out`` by one path, ``cli.main``, which
+also picks the exit code; every subcommand and every ``verify`` suite must have
+a golden here (``test_every_command_and_suite_has_a_golden``).
 
 A change that alters an output on purpose regenerates the files, names them in
 CHANGES.md and updates ``golden/versions.json``::
@@ -15,22 +25,55 @@ from __future__ import annotations
 
 import contextlib
 import io
+import argparse
 import json
+import os
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qflag import cli
+from qflag.flags import random_ru
+from qflag.hmat import QMatrix, random_symplectic
 from qflag.liealg import Multivector, lambda_element, schouten
 
-from util import random_multivector
+from util import random_invertible, random_multivector
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 3
 VERIFY = [(suite, n) for suite in ("lambda", "spheroid", "schouten") for n in (2, 3, 4, 5)]
 BRACKET_SEEDS = (0, 1)
+
+# argv of each command case; ``{golden}`` names this directory, and ``--out``
+# paths are relative to the empty directory the case runs in
+G4 = "{golden}/input_g4_seed3.json"
+PROFILE = ["profile", "--rho-min", "0.25", "--rho-max", "3", "--steps", "4",
+           "--directions", "2", "--seed", str(SEED)]
+CASES = {
+    "decompose_bruhat": ["decompose", "bruhat", "--input", G4],
+    "decompose_iwasawa": ["decompose", "iwasawa", "--input", G4],
+    "ddet": ["ddet", "--input", G4],
+    "ddet_out": ["ddet", "--input", G4, "--out", "ddet.json"],
+    "dress": ["dress", "--g", "{golden}/input_ru4_seed3.json",
+              "--k", "{golden}/input_k4_seed3.json"],
+    "leaf": ["leaf", "--word", "1 2 1 3", "--n", "4", "--seed", str(SEED)],
+    "profile": PROFILE,
+    "profile_out": [*PROFILE, "--out", "profile.csv"],
+    **{f"verify_{suite}_n{n}": ["verify", suite, "--n", str(n), "--seed", str(SEED)]
+       for suite, n in (("hp1", 2), ("leaves", 3), ("leaves", 4), ("dressing", 2),
+                        ("dressing", 3), ("dressing", 8))},
+    # exit 1: a size outside the suite's range, an --out in a missing directory
+    "verify_schouten_n7": ["verify", "schouten", "--n", "7", "--seed", str(SEED)],
+    "ddet_out_missing_dir": ["ddet", "--input", G4, "--out", "missing/ddet.json"],
+    # exit 2: a singular matrix, a point past the chart boundary
+    "decompose_bruhat_singular": ["decompose", "bruhat", "--input",
+                                  "{golden}/input_singular2.json"],
+    "profile_chart_boundary": ["profile", "--rho-min", "1", "--rho-max", "1e11",
+                               "--steps", "2"],
+}
 
 
 def _verify(suite: str, n: int) -> tuple[int, str]:
@@ -38,6 +81,31 @@ def _verify(suite: str, n: int) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = cli.main(["verify", suite, "--n", str(n), "--seed", str(SEED)])
     return code, out.getvalue()
+
+
+def _inputs() -> dict[str, QMatrix]:
+    """The matrices the command cases read, drawn from SEED."""
+    rng = np.random.default_rng(SEED)
+    return {"input_g4_seed3": random_invertible(4, rng), "input_ru4_seed3": random_ru(4, rng),
+            "input_k4_seed3": random_symplectic(4, rng),
+            "input_singular2": QMatrix.from_rows([[1, 1], [1, 1]])}
+
+
+def _run(argv: list[str]) -> dict:
+    """Exit code, stdout, stderr and, if written, the ``--out`` file of one
+    in-process run, in a fresh empty directory."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([a.format(golden=GOLDEN) for a in argv])
+            record = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+            if "--out" in argv and (path := Path(argv[argv.index("--out") + 1])).exists():
+                record["out"] = path.read_bytes().decode()
+        finally:
+            os.chdir(cwd)
+    return record
 
 
 def _brackets(inputs: dict[str, Multivector]) -> dict[str, Multivector]:
@@ -89,6 +157,21 @@ def test_verify_stdout_matches_golden(suite, n):
     assert stdout == (GOLDEN / f"verify_{suite}_n{n}_seed{SEED}.json").read_text()
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_command_matches_golden(name):
+    assert _run(CASES[name]) == json.loads((GOLDEN / f"cli_{name}.json").read_text())
+
+
+def test_every_command_and_suite_has_a_golden():
+    argvs = [*CASES.values(), *(["verify", suite] for suite, _ in VERIFY)]
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) <= {argv[0] for argv in argvs}
+    assert set(cli.SUITES) <= {argv[1] for argv in argvs if argv[0] == "verify"}
+    # and no record outlives its case
+    assert {p.name for p in GOLDEN.glob("cli_*.json")} == {f"cli_{name}.json" for name in CASES}
+
+
 @pytest.mark.parametrize("name", BRACKETS)
 def test_brackets_match_golden(name):
     stored = json.loads((GOLDEN / f"{name}.json").read_text())
@@ -108,6 +191,13 @@ def write_goldens() -> None:
         code, stdout = _verify(suite, n)
         assert code == cli.EXIT_OK, (suite, n, code)
         (GOLDEN / f"verify_{suite}_n{n}_seed{SEED}.json").write_text(stdout)
+    for name, m in _inputs().items():
+        (GOLDEN / f"{name}.json").write_text(_compact(m.to_json()) + "\n")
+    for path in GOLDEN.glob("cli_*.json"):
+        path.unlink()
+    for name, argv in CASES.items():
+        (GOLDEN / f"cli_{name}.json").write_text(
+            json.dumps(_run(argv), indent=1, sort_keys=True) + "\n")
     cases = _bracket_cases()
     assert tuple(cases) == BRACKETS
     for name, inputs in cases.items():

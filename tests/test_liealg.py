@@ -382,6 +382,28 @@ def test_multivector_refuses_non_finite_and_non_integral_input(make, match):
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: apply_exterior(np.eye(10) * 2, Multivector(3, 1, {(1,): 1.0})), "21 x 21"),
+    (lambda: apply_exterior(np.eye(30), Multivector(2, 1, {(1,): 1.0})), "10 x 10"),
+    (lambda: apply_exterior(np.eye(9), Multivector(2, 0)), "10 x 10"),
+    (lambda: apply_exterior(np.full((10, 10), np.nan), Multivector(2, 1, {(1,): 1.0})),
+     "finite"),
+    (lambda: apply_exterior(np.diag([np.inf] + [1.0] * 9), lambda_element(2)), "finite"),
+    (lambda: Multivector(2, 1, {(1,): 1.0}).scale(float("nan")), "scale factor nan"),
+    (lambda: Multivector(2, 1, {(1,): 1.0}).scale(float("inf")), "scale factor inf"),
+    (lambda: Multivector(2, 1).scale(float("-inf")), "scale factor -inf"),
+    (lambda: four_bracket(*[DualVector.basis_dual("E(1,2)", 2)] * 3, DualVector(2, np.ones(12))),
+     "covectors of 10 entries over sp"),
+    (lambda: four_bracket(DualVector(2, np.ones(3)), *[DualVector.basis_dual("E(1,2)", 2)] * 3),
+     "covectors of 10 entries over sp"),
+], ids=["exterior-10-on-sp3", "exterior-30-on-sp2", "exterior-grade0", "exterior-nan",
+        "exterior-inf", "scale-nan", "scale-inf", "scale-empty-minus-inf", "four-bracket-12",
+        "four-bracket-3"])
+def test_operations_refuse_wrong_shapes_and_non_finite_values(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_lambda_element_structure():
     lam2 = lambda_element(2)
     b = sp_basis(2)
