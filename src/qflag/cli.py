@@ -2,10 +2,10 @@
 
 Each ``cmd_*`` returns its result, a JSON object or the CSV text of ``profile``;
 ``main`` alone writes it, to stdout or ``--out``, and picks the exit code: 0
-success, 1 usage/parse error, 2 mathematical failure (singular input, a
-Dieudonne determinant outside the normal float range, a point at a chart
-boundary, or a report with ``"ok": false``).  Every command is deterministic
-given its input and seed; QFLAG_SEED is the only environment fallback.
+success, 1 usage/parse error or a path that cannot be opened, 2 mathematical
+failure (singular input, a Dieudonne determinant outside the normal float range,
+a point at a chart boundary, or a report with ``"ok": false``).  Every command
+is deterministic given its input and seed; QFLAG_SEED is the only environment fallback.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def suite_dressing(n: int, seed: int) -> dict:
     sigma = [q * (1.0 / q.norm()) for q in sigma]
     k = QMatrix.diag(sigma) @ w.matrix()
     report = flags.orbit_probe(k, samples=DRESSING_SAMPLES, seed=seed + 1)
-    report.update({"suite": "dressing",
+    report.update({"suite": "dressing", "seed": seed,
                    "ok": report["phase_dev"] <= DEFAULT_TOLERANCES["phase_deviation"]})
     return report
 
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     except (SingularMatrixError, OverflowError, hp1geom.ChartBoundaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_MATH if isinstance(result, dict) and not result.get("ok", True) else EXIT_OK

@@ -16,8 +16,9 @@ Its two translations are two Jacobians at k in closed form: the action J,
 ``X12 + c X22 - X11 c - c X21 c`` (South; indices 1, 2 swapped on the North).
 Since ``exp(t Ad_k X) k = k exp(tX)``, ``J Ad_k = J_flow``, so the field is
 ``J_flow Lambda - J Lambda``: ``Ad_k Lambda - Lambda`` right-trivialized.
-Both Jacobians are quadratic in c, so their unit central differences are
-their exact derivatives, and the Lie derivative of the field needs no step.
+Both Jacobians are quadratic in c, the monomials 1, c_i, c_i c_l of c times a
+per-chart table of 0s and +-1s built on first use, so their unit central
+differences are their exact derivatives: the Lie derivative needs no step.
 
 Every evaluation runs on an array of points of one chart, an ``(m, 4)``
 array of coordinates; a function of one :class:`ChartPoint` is a batch of
@@ -142,23 +143,38 @@ def _chart_map(chart: Chart, m: QMatrix) -> Quaternion:
     return Quaternion.from_array(qprod(qinv(a), b))
 
 
+@lru_cache(maxsize=None)
+def _jacobian_table(chart: Chart) -> np.ndarray:
+    """``(21, 2, 4, dim)`` coefficients, each 0 or +-1, of both Jacobians on the
+    monomials 1, c_i, c_i c_l of ``c = sum_i c_i e_i``.  With ``(p, q) = (0, 1)``
+    (South) or ``(1, 0)`` (North), the action's are ``X21``, 0, ``delta_il X21``
+    and the flow's ``Xpq``, ``e_i Xqq - Xpp e_i``, ``-e_i Xqp e_l``."""
+    x = np.moveaxis(sp_basis(2).data, 0, 2)  # x[i, j]: entry (i, j) of every basis element
+    p, q = (0, 1) if chart is Chart.SOUTH else (1, 0)
+    e = np.eye(4)[:, None]  # e[i]: the unit e_i, broadcast over the basis
+    action = [x[1, 0], np.zeros((4, *x.shape[2:])), np.eye(4)[:, :, None, None] * x[1, 0]]
+    flow = [x[p, q], qprod(e, x[q, q]) - qprod(x[p, p], e), -qprod(qprod(e[:, None], x[q, p]), e)]
+    table = np.stack([np.concatenate([t.reshape(-1, *x.shape[2:]) for t in side])
+                      for side in (action, flow)], axis=1).swapaxes(-1, -2).copy()
+    table.flags.writeable = False  # one array shared by every caller
+    return table
+
+
 def _jacobians(chart: Chart, coords: np.ndarray) -> np.ndarray:
-    """``(m, 2, 4, dim)`` Jacobians of the action (index 0) and the flow
-    (index 1) at the coset representatives k of the ``(m, 4)`` coordinates c.
+    """``(m, 2, 4, dim)`` Jacobians of the action (index 0) and the flow (index 1)
+    at the coset representatives k of the ``(m, 4)`` coordinates c: the monomials
+    1, c_i, c_i c_l of c times :func:`_jacobian_table`.
     On the South chart ``k = s [[-conj(c), 1], [1, c]]``, so along ``kdot``
     the coordinate ``a^{-1} b`` moves by ``(bdot - adot c) / s``, where:
     row 2 of X k is ``s (X22 - X21 conj(c), X21 + X22 c)``: ``(1 + |c|^2) X21``;
     row 2 of k X is ``s (X11 + c X21, X12 + c X22)``: ``X12 + c X22 - X11 c - c X21 c``.
     The North k is the South one times ``P = [[0, 1], [1, 0]]``, read in swapped
     order: the same action, and the flow of ``P X P`` (indices 1, 2 swapped)."""
-    rho2 = qnorm2(coords)
-    _require_on_chart(chart, 1.0 / np.sqrt(1.0 + rho2))  # k's denominator is s
-    x = np.moveaxis(sp_basis(2).data, 0, 2)  # x[i, j]: entry (i, j) of every basis element
-    p, q = (0, 1) if chart is Chart.SOUTH else (1, 0)
-    c = coords[:, None]
-    action = (1.0 + rho2)[:, None, None] * x[1, 0]
-    flow = x[p, q] + qprod(c, x[q, q]) - qprod(x[p, p], c) - qprod(qprod(c, x[q, p]), c)
-    return np.stack([action, flow], axis=1).swapaxes(-1, -2)
+    _require_on_chart(chart, 1.0 / np.sqrt(1.0 + qnorm2(coords)))  # k's denominator is s
+    quadratic = (coords[:, :, None] * coords[:, None]).reshape(-1, 16)
+    monomials = np.concatenate([np.ones((len(coords), 1)), coords, quadratic], axis=1)
+    table = _jacobian_table(chart)
+    return (monomials @ table.reshape(len(table), -1)).reshape(-1, *table.shape[1:])
 
 
 def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:

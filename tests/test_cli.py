@@ -83,6 +83,16 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option", ["--input", "--out"])
+def test_directory_path_exit_1(option, tmp_path, capsys):
+    # IsADirectoryError, like any OSError on a path given, is a usage error
+    inp = write_json(tmp_path / "m.json", QMatrix.identity(2).to_json())
+    argv = {"--input": ["--input", str(tmp_path)], "--out": ["--input", inp, "--out", str(tmp_path)]}
+    assert cli.main(["ddet", *argv[option]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_non_integral_size_exit_1(tmp_path, capsys):
     entries = [[[1, 0, 0, 0]]]
     for rows, cols in [(True, 1), (1, 1.9), (True, 1.9)]:
@@ -145,7 +155,7 @@ def test_dress(tmp_path, capsys):
 def test_verify_suites_pass(suite, n, capsys):
     assert cli.main(["verify", suite, "--n", str(n), "--seed", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is True
+    assert report["ok"] is True and report["seed"] == 0  # the seed given, for a rerun
 
 
 def test_verify_lambda_n3_reports_nonzero(capsys):

@@ -26,6 +26,7 @@ from qflag.hp1geom import (
     south_coord,
     _bruhat_coeffs,
     _coset_reps,
+    _jacobian_table,
     _jacobians,
     _pushforward,
 )
@@ -36,6 +37,7 @@ from util import (
     bruhat_field_oracle,
     coset_rep_oracle,
     jacobian_oracle,
+    jacobians_qprod_oracle,
     lie_derivative_stencil_oracle,
     pushforward_oracle,
     random_multivector,
@@ -206,13 +208,16 @@ def test_batch_matches_oracle_row_by_row(chart):
         assert rel_err(pushed[r], pushforward_oracle(p, mv)) <= 1e-12
         want = bruhat_field_oracle(p)
         assert abs(coeffs[r] - want) <= 1e-12 * abs(want)
-    # the closed-form Jacobians alone, over eight decades of rho
+    # the closed-form Jacobians alone, over eight decades of rho: the table's
+    # integer coefficients give the quaternion products to the last bit or so
     far = rng.normal(size=(33, 4))
     far *= (np.logspace(-4, 4, 33) / np.linalg.norm(far, axis=1))[:, None]
-    for c, (action, flow) in zip(far, _jacobians(chart, far)):
+    assert set(np.unique(_jacobian_table(chart))) <= {-1.0, 0.0, 1.0}
+    for c, jac, want in zip(far, _jacobians(chart, far), jacobians_qprod_oracle(chart, far)):
         p = ChartPoint(chart, Quaternion.from_array(c))
-        assert rel_err(action, jacobian_oracle(p, "action")) <= 1e-12
-        assert rel_err(flow, jacobian_oracle(p, "flow")) <= 1e-12
+        assert np.abs(jac - want).max() <= 1e-15 * np.abs(want).max()
+        assert rel_err(jac[0], jacobian_oracle(p, "action")) <= 1e-12
+        assert rel_err(jac[1], jacobian_oracle(p, "flow")) <= 1e-12
 
 
 @pytest.mark.parametrize("chart", list(Chart))

@@ -1,6 +1,10 @@
 """Every top-level import of the package and the tests is used."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +46,21 @@ def test_every_top_level_import_is_used(path):
 ])
 def test_unused_imports_finds_exactly_the_unread_names(source, unused):
     assert unused_imports(source) == unused
+
+
+# the size of every lru_cache in qflag.* after a fresh ``import qflag.cli``
+CACHE_SIZES = """
+import json, sys
+import qflag.cli
+print(json.dumps({f"{name}.{attr}": f.cache_info().currsize for name, mod in list(sys.modules.items())
+                  if name.startswith("qflag") for attr, f in vars(mod).items() if hasattr(f, "cache_info")}))
+"""
+
+
+def test_importing_the_cli_fills_no_cache():
+    # a table built at import time would be paid by every cold start of the CLI
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    sizes = json.loads(subprocess.run([sys.executable, "-c", CACHE_SIZES], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert "qflag.hp1geom._jacobian_table" in sizes
+    assert {name: size for name, size in sizes.items() if size} == {}

@@ -12,7 +12,7 @@ from qflag.flags import leaf_point
 from qflag.hmat import Permutation, QMatrix, SingularMatrixError, chi, unchi, word_to_permutation
 from qflag.hp1geom import Chart, ChartPoint
 from qflag.liealg import PRUNE_TOL, Multivector, _rank, _sum_keys, lambda_element, sp_basis
-from qflag.quat import Quaternion
+from qflag.quat import Quaternion, qnorm2, qprod
 
 
 def random_quaternion(rng, scale=1.0):
@@ -502,7 +502,8 @@ def embed_multivector(p: Multivector, r: int, n: int) -> Multivector:
 # ---------------------------------------------------------------------------
 # Chart geometry on HP^1 one point at a time, on Quaternion objects: the
 # per-point algorithm that the batched hp1geom path replaced.  Products of
-# matrices use the Hamilton product above.
+# matrices use the Hamilton product above.  And the batched Jacobians by
+# broadcast quaternion products, which hp1geom's table of monomials replaced.
 # ---------------------------------------------------------------------------
 
 def coset_rep_oracle(p: ChartPoint) -> QMatrix:
@@ -534,6 +535,18 @@ def jacobian_oracle(p: ChartPoint, side: str) -> np.ndarray:
         mdot = QMatrix(hamilton(left[:, :, None], right[None]).sum(axis=1))
         cols.append(chart_derivative_oracle(QMatrix(m), mdot, p.chart).to_array())
     return np.stack(cols, axis=1)
+
+
+def jacobians_qprod_oracle(chart: Chart, coords: np.ndarray) -> np.ndarray:
+    """The ``(m, 2, 4, dim)`` action and flow Jacobians at ``(m, 4)`` coordinates c,
+    by broadcast quaternion products: ``(1 + |c|^2) X21`` and, with ``(p, q) = (0, 1)``
+    (South) or ``(1, 0)`` (North), ``Xpq + c Xqq - Xpp c - c Xqp c``."""
+    x = np.moveaxis(sp_basis(2).data, 0, 2)  # x[i, j]: entry (i, j) of every basis element
+    p, q = (0, 1) if chart is Chart.SOUTH else (1, 0)
+    c = coords[:, None]
+    action = (1.0 + qnorm2(coords))[:, None, None] * x[1, 0]
+    flow = x[p, q] + qprod(c, x[q, q]) - qprod(x[p, p], c) - qprod(qprod(c, x[q, p]), c)
+    return np.stack([action, flow], axis=1).swapaxes(-1, -2)
 
 
 def pushforward_oracle(p: ChartPoint, mv: Multivector) -> float:
