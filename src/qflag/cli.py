@@ -1,11 +1,11 @@
 """Command-line front end: decompositions, verification suites, CSV profiles.
 
 Each ``cmd_*`` returns its result, a JSON object or the CSV text of ``profile``;
-``main`` alone writes it, to stdout or ``--out``, and picks the exit code: 0
-success, 1 usage/parse error or a path that cannot be opened, 2 mathematical
-failure (singular input, a Dieudonne determinant outside the normal float range,
-a point at a chart boundary, or a report with ``"ok": false``).  Every command
-is deterministic given its input and seed; QFLAG_SEED is the only environment fallback.
+``main`` alone writes it, to stdout or ``--out``, and picks the exit code: 0 success,
+1 usage/parse error or a path that cannot be opened, 2 mathematical failure (singular
+input, a Dieudonne determinant outside the normal float range, a factor or result that
+is not finite, a point at a chart boundary, or a report with ``"ok": false``).  Every
+command is deterministic given its input and seed; QFLAG_SEED is the only environment fallback.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from math import comb
 import numpy as np
 
 from . import decomp, flags, hp1geom, liealg
-from .hmat import (
-    Permutation,
-    QMatrix,
-    SingularMatrixError,
-    word_to_permutation,
-)
+from .hmat import Permutation, QMatrix, SingularMatrixError, word_to_permutation
 from .quat import Quaternion
 
 EXIT_OK = 0
@@ -298,8 +293,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         result = args.fn(args)  # a JSON object, or the text of a CSV
-        text = (result if isinstance(result, str)
-                else json.dumps(result, indent=2, sort_keys=True) + "\n")
+        try:
+            text = (result if isinstance(result, str)
+                    else json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        except ValueError:  # a NaN or an infinity, which JSON cannot hold
+            raise OverflowError("result is not finite") from None
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)

@@ -125,9 +125,9 @@ def bruhat(g: QMatrix) -> BruhatForm:
     being rounding residue.  U is the inverse of the right half.  G is first
     scaled by a power of two, exactly, and D is scaled back.
 
-    Raises ``ValueError`` on a non-finite entry and
+    Raises ``ValueError`` on a non-finite entry,
     :class:`SingularMatrixError` when a column has no pivot above the
-    threshold.
+    threshold, and ``OverflowError`` when D is not finite.
     """
     require_square_finite(g.data, "bruhat")
     a, w_of, e = _row_reduce(g)
@@ -138,9 +138,18 @@ def bruhat(g: QMatrix) -> BruhatForm:
     v[~((cols[:, None] < cols) & (w_of[:, None] > w_of))] = 0.0
     v[cols, cols, 0] = 1.0
     dd = np.zeros((n, n, 4))
-    dd[w_of, w_of] = np.ldexp(d, e)
+    dd[w_of, w_of] = _scaled_back(d, e, "bruhat")
     u = unchi(np.linalg.inv(chi(a[:, n:])))
     return BruhatForm(U=QMatrix(u), D=QMatrix(dd), w=Permutation(w_of), V=QMatrix(v))
+
+
+def _scaled_back(x: np.ndarray, e: int, op: str) -> np.ndarray:
+    """``x 2**e``, undoing :func:`pow2_scaled`; OverflowError naming ``op`` if not finite."""
+    with np.errstate(over="ignore"):  # refused below
+        out = np.ldexp(x, e)
+    if not np.isfinite(out).all():
+        raise OverflowError(f"{op}: a factor is outside the float range")
+    return out
 
 
 def _chi_qr(g: QMatrix, op: str, mode: str) -> tuple:
@@ -185,9 +194,9 @@ def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     T's diagonal moved from T's rows into Q's columns so that T's diagonal is
     positive; by uniqueness of that QR, ``Q = chi(K)`` and ``T = chi(R Uu)``
     (Bunse-Gerstner, Byers and Mehrmann, Numer. Math. 55, 1989), of G scaled
-    by a power of two, exactly, with R scaled back.  Raises ``ValueError`` on
-    a non-finite entry and :class:`SingularMatrixError` when a diagonal entry
-    of T is at most ``PIVOT_RTOL * ||G||_F``.
+    by a power of two, exactly, with R scaled back.  Raises ``ValueError`` on a
+    non-finite entry, :class:`SingularMatrixError` when a diagonal entry of T is
+    at most ``PIVOT_RTOL * ||G||_F``, and ``OverflowError`` when R is not finite.
     """
     n = g.n_rows
     (q, t), mag, e = _chi_qr(g, "iwasawa", "reduced")
@@ -196,7 +205,7 @@ def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     uu = unchi(phase.conj()[:, None] * t) / r[:, None, None]
     uu[np.arange(n), np.arange(n)] = (1.0, 0.0, 0.0, 0.0)
     rr = QMatrix.zeros(n, n)
-    rr.data[np.arange(n), np.arange(n), 0] = np.ldexp(r, e)
+    rr.data[np.arange(n), np.arange(n), 0] = _scaled_back(r, e, "iwasawa")
     return QMatrix(unchi(q * phase)), rr, QMatrix(uu)
 
 

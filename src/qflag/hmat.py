@@ -17,17 +17,15 @@ Membership in Sp(n) is one test with one tolerance, :func:`require_symplectic`.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .quat import Quaternion, qconj, quaternion_from_json
+from .quat import Quaternion, json_int, qconj, quaternion_from_json
 
 __all__ = [
     "QMatrix",
     "Permutation",
     "SingularMatrixError",
-    "is_symplectic",
     "expm",
     "random_sp_algebra",
     "random_symplectic",
@@ -80,17 +78,12 @@ def require_square_finite(data: np.ndarray, op: str) -> None:
         raise ValueError(f"{op}: matrix has a non-finite entry")
 
 
-def symplectic_residual(c: np.ndarray) -> float:
-    """||M* M - I||_F of one matrix M from ``c = chi(M)``, which doubles ||.||_F^2."""
-    return float(np.linalg.norm(c.conj().T @ c - np.eye(len(c)), axis=(0, 1))) / math.sqrt(2.0)
-
-
 def require_symplectic(data: np.ndarray, op: str) -> np.ndarray:
-    """chi of one ``(n, n, 4)`` matrix; ``ValueError`` naming ``op`` unless it
-    is square, finite and within SYMPLECTIC_TOL of Sp(n)."""
+    """chi of one ``(n, n, 4)`` matrix; ``ValueError`` naming ``op`` unless it is square,
+    finite and within SYMPLECTIC_TOL of Sp(n): ``||M* M - I||_F``, which chi scales by sqrt(2)."""
     require_square_finite(data, op)
     c = chi(data)
-    if not symplectic_residual(c) <= SYMPLECTIC_TOL:
+    if not np.linalg.norm(c.conj().T @ c - np.eye(len(c))) <= math.sqrt(2.0) * SYMPLECTIC_TOL:
         raise ValueError(f"{op} requires a symplectic matrix")
     return c
 
@@ -226,9 +219,8 @@ class QMatrix:
     def from_json(obj) -> "QMatrix":
         if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= obj.keys():
             raise ValueError("QMatrix JSON must be an object with rows, cols and entries")
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in (rows, cols)):
-            raise ValueError("QMatrix rows and cols must be integers")
+        rows, cols = (json_int(obj[key], f"QMatrix {key}") for key in ("rows", "cols"))
+        entries = obj["entries"]
         if rows <= 0 or cols <= 0:
             raise ValueError("QMatrix dimensions must be positive")
         if not isinstance(entries, list) or len(entries) != rows:
@@ -239,13 +231,6 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix({self.n_rows}x{self.n_cols})"
-
-
-def is_symplectic(m: QMatrix, tol: float = SYMPLECTIC_TOL) -> bool:
-    """True iff ||M* M - I||_F <= tol."""
-    if m.n_rows != m.n_cols:
-        raise ValueError("is_symplectic requires a square matrix")
-    return symplectic_residual(chi(m.data)) <= tol
 
 
 def expm(m: QMatrix) -> QMatrix:
@@ -362,13 +347,10 @@ class Permutation:
 
     @staticmethod
     def from_json(obj) -> "Permutation":
-        if not isinstance(obj, dict) or "one_line" not in obj:
-            raise ValueError("Permutation JSON must be {'one_line': [...]} (1-indexed)")
-        ol = obj["one_line"]
-        if not isinstance(ol, list) or any(
-                isinstance(x, bool) or not isinstance(x, numbers.Real) or x % 1 for x in ol):
-            raise ValueError("one_line must be a list of integers")
-        return Permutation([int(x) - 1 for x in ol])
+        if not isinstance(obj, dict) or not isinstance(obj.get("one_line"), list):
+            raise ValueError("Permutation JSON must be {'one_line': [...]}: one_line must be "
+                             "a list of 1-indexed integers")
+        return Permutation([json_int(x, "one_line entry") - 1 for x in obj["one_line"]])
 
     def __repr__(self):
         return f"Permutation({[i + 1 for i in self.one_line]})"

@@ -42,7 +42,6 @@ which reduces to the Lie bracket on grade-1 inputs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -50,6 +49,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .hmat import QMatrix, chi, require_symplectic
+from .quat import json_int, json_number
 
 __all__ = [
     "SpBasis",
@@ -370,14 +370,9 @@ class Multivector:
     @staticmethod
     def from_json(obj) -> "Multivector":
         """Inverse of :meth:`to_json`; unsorted names pick up the sign of their sort.
-        A term of the wrong length, repeating or unknown names, a coefficient that
-        is not a finite number (bools and strings are not numbers), or an ``n`` or
-        ``grade`` that is not an integer raises ValueError."""
-        n, grade = obj["n"], obj["grade"]
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) or v % 1
-               for v in (n, grade)):
-            raise ValueError("Multivector n and grade must be integers")
-        n, grade = int(n), int(grade)
+        A term of the wrong length, repeating or unknown names, or a coefficient,
+        ``n`` or ``grade`` refused by ``json_number`` or ``json_int`` raises ValueError."""
+        n, grade = (json_int(obj[key], f"Multivector {key}") for key in ("n", "grade"))
         basis = sp_basis(n)
         rows, vals = [], []
         for term in obj["terms"]:
@@ -388,11 +383,8 @@ class Multivector:
                 raise ValueError(f"term {names}: unknown basis element")
             if len(set(names)) != grade:
                 raise ValueError(f"term {names}: repeated basis element")
-            c = term["c"]
-            if isinstance(c, bool) or not isinstance(c, numbers.Real) or not math.isfinite(c):
-                raise ValueError(f"term {names}: coefficient {c!r} is not finite, or not a number")
+            vals.append(json_number(term["c"], f"term {names}: coefficient"))
             rows.append([basis.index[nm] for nm in names])
-            vals.append(float(c))
         idx = np.array(rows, dtype=np.intp).reshape(len(rows), grade)
         return Multivector._of(n, grade, *_collect(idx, np.array(vals, dtype=float), basis.dim))
 
@@ -446,8 +438,6 @@ def _lambda_element(n: int) -> Multivector:
 def ad_multivector(x: Multivector, p: Multivector) -> Multivector:
     """Leibniz extension of ad_X, the sum over factor positions of [X, factor]:
     the Schouten bracket [X, P] for grade-1 X."""
-    if x.n != p.n:
-        raise ValueError("mismatched n")
     if x.grade != 1:
         raise ValueError("ad_multivector expects a grade-1 first argument")
     return schouten(x, p)
@@ -583,6 +573,4 @@ def _splits(N: int, k: int) -> tuple[tuple[np.ndarray, bool], ...]:
 
 def ad_group(g: QMatrix, p: Multivector) -> Multivector:
     """Ad_g applied factor-wise to a multivector; Ad_{gh} = Ad_g Ad_h."""
-    if g.n_rows != p.n:
-        raise ValueError("mismatched n")
     return apply_exterior(ad_group_matrix(g), p)

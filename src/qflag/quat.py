@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
 __all__ = [
     "Quaternion",
     "quaternion_from_json",
+    "json_number",
+    "json_int",
     "qprod",
     "qconj",
     "qnorm2",
@@ -87,13 +90,7 @@ class Quaternion:
         if isinstance(other, numbers.Real):
             return Quaternion(self.re * other, self.i * other,
                               self.j * other, self.k * other)
-        a, b = self, _coerce(other)
-        return Quaternion(
-            a.re * b.re - a.i * b.i - a.j * b.j - a.k * b.k,
-            a.re * b.i + a.i * b.re + a.j * b.k - a.k * b.j,
-            a.re * b.j - a.i * b.k + a.j * b.re + a.k * b.i,
-            a.re * b.k + a.i * b.j - a.j * b.i + a.k * b.re,
-        )
+        return Quaternion.from_array(qprod(self.to_array(), _coerce(other).to_array()))
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Real):
@@ -135,19 +132,26 @@ J = Quaternion(0.0, 0.0, 1.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
+def json_number(x, what: str, kind: str = "a finite number") -> float:
+    """``x`` as a float; ``ValueError`` naming ``what`` unless it is a real number
+    in the float range: not a bool, a string, a NaN, an infinity or an int past 1.8e308."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{what} must be {kind}, got {x!r}")
+    return float(x)
+
+
+def json_int(x, what: str) -> int:
+    """``x`` as an int: :func:`json_number` and integral, so 2.0 is 2 and 2.5 is refused."""
+    if json_number(x, what, "an integer") % 1:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def quaternion_from_json(obj) -> Quaternion:
     """Parse the 4-array JSON form strictly: exactly four finite numbers."""
     if not isinstance(obj, list) or len(obj) != 4:
         raise ValueError("quaternion JSON must be a 4-element array")
-    vals = []
-    for x in obj:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValueError("quaternion components must be numbers")
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("quaternion components must be finite")
-        vals.append(x)
-    return Quaternion(*vals)
+    return Quaternion(*(json_number(x, "quaternion component") for x in obj))
 
 
 # ---------------------------------------------------------------------------

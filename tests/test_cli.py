@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -98,13 +99,41 @@ def test_non_integral_size_exit_1(tmp_path, capsys):
     for rows, cols in [(True, 1), (1, 1.9), (True, 1.9)]:
         inp = write_json(tmp_path / "m.json", {"rows": rows, "cols": cols, "entries": entries})
         assert cli.main(["ddet", "--input", inp]) == 1
-        assert "rows and cols must be integers" in capsys.readouterr().err
+        assert "must be an integer, got" in capsys.readouterr().err
 
 
 def test_singular_input_exit_2(tmp_path, capsys):
     inp = write_json(tmp_path / "m.json", QMatrix.from_rows([[1, 1], [1, 1]]).to_json())
     assert cli.main(["decompose", "bruhat", "--input", inp]) == 2
     capsys.readouterr()
+
+
+def _draw(seed: int, index: int) -> QMatrix:
+    """Draw ``index`` (0-based) of 2 x 2 matrices uniform in (-8.5e307, 8.5e307)."""
+    rng = np.random.default_rng(seed)
+    return QMatrix([rng.uniform(-8.5e307, 8.5e307, (2, 2, 4)) for _ in range(index + 1)][-1])
+
+
+@pytest.mark.parametrize("kind, m", [
+    ("bruhat", QMatrix.from_rows([[1e308, 1e308], [-1e308, 1e308]])),  # D overflows
+    ("iwasawa", _draw(0, 46)),  # R overflows
+], ids=["bruhat", "iwasawa"])
+def test_non_finite_factor_exit_2(kind, m, tmp_path, capsys):
+    # finite input, a factor past the float range: once Infinity and a NaN error, exit 0
+    inp = write_json(tmp_path / "m.json", m.to_json())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["decompose", kind, "--input", inp]) == 2
+    assert caught == []
+    assert capsys.readouterr() == ("", f"error: {kind}: a factor is outside the float range\n")
+
+
+def test_non_finite_result_exit_2(tmp_path, capsys, monkeypatch):
+    # a NaN or an infinity that reaches the output is refused as JSON cannot hold it
+    monkeypatch.setattr(cli.decomp, "dieudonne_det", lambda g: float("inf"))
+    inp = write_json(tmp_path / "m.json", QMatrix.identity(2).to_json())
+    assert cli.main(["ddet", "--input", inp]) == 2
+    assert capsys.readouterr() == ("", "error: result is not finite\n")
 
 
 def test_chart_boundary_exit_2(capsys):

@@ -13,13 +13,12 @@ from qflag.flags import (
     orbit_probe,
     random_ru,
 )
-from qflag.hmat import (Permutation, QMatrix, is_symplectic, require_symplectic,
-                        word_to_permutation)
+from qflag.hmat import Permutation, QMatrix, require_symplectic, word_to_permutation
 from qflag.liealg import sp_basis
 from qflag.hp1geom import ChartPoint, coset_rep
 from qflag.quat import ONE, Quaternion
 
-from util import leaf_jacobian_fd_oracle, random_unit_quaternion, reduced_words
+from util import is_symplectic, leaf_jacobian_fd_oracle, random_unit_quaternion, reduced_words
 
 
 def sized_params(word, rng):

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qflag.hmat import QMatrix, expm, is_symplectic
+from qflag.hmat import QMatrix, expm
 from qflag.hp1geom import (
     CHART_EPS,
     RANK_RTOL,
@@ -36,6 +36,7 @@ from qflag.quat import Quaternion
 from util import (
     bruhat_field_oracle,
     coset_rep_oracle,
+    is_symplectic,
     jacobian_oracle,
     jacobians_qprod_oracle,
     lie_derivative_stencil_oracle,

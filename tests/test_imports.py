@@ -1,4 +1,5 @@
-"""Every top-level import of the package and the tests is used."""
+"""Every top-level import of the package and the tests is used, and every name a
+package module exports is defined there."""
 
 import ast
 import json
@@ -13,6 +14,13 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted([*(ROOT / "src" / "qflag").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
+def exports(tree: ast.Module) -> list[str]:
+    """The names the module's ``__all__`` lists."""
+    return [elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+            for elt in stmt.value.elts]
+
+
 def unused_imports(source: str) -> list[str]:
     """The names bound by the module's top-level imports (``__future__`` aside) that
     no expression reads and ``__all__`` does not list."""
@@ -24,10 +32,7 @@ def unused_imports(source: str) -> list[str]:
              for alias in stmt.names]
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    exported = {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
-                for elt in stmt.value.elts}
-    return [name for name in bound if name not in read | exported]
+    return [name for name in bound if name not in read | set(exports(tree))]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(ROOT).as_posix() for p in MODULES])
@@ -46,6 +51,36 @@ def test_every_top_level_import_is_used(path):
 ])
 def test_unused_imports_finds_exactly_the_unread_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def undefined_exports(source: str) -> list[str]:
+    """The names in the module's ``__all__`` that no top-level def, class or assignment
+    of the module binds: an imported name is defined elsewhere."""
+    tree = ast.parse(source)
+    bound = {target.id for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+             if isinstance(target, ast.Name)}
+    bound |= {stmt.name for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return [name for name in exports(tree) if name not in bound]
+
+
+PACKAGE = sorted((ROOT / "src" / "qflag").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_every_export_is_defined(path):
+    # a function removed without its __all__ entry would break ``from qflag.x import *``
+    assert undefined_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, undefined", [
+    ("__all__ = ['f']\n", ["f"]),
+    ("def f(): pass\nclass C: pass\nX = 1\nY: int = 2\n__all__ = ['f', 'C', 'X', 'Y']\n", []),
+    ("from .m import f\ng = 1\n__all__ = ['f', 'g']\n", ["f"]),
+])
+def test_undefined_exports_finds_exactly_the_unbound_names(source, undefined):
+    assert undefined_exports(source) == undefined
 
 
 # the size of every lru_cache in qflag.* after a fresh ``import qflag.cli``

@@ -205,7 +205,8 @@ def _mv(n, grade):
     (lambda: ad_multivector(_mv(2, 2), _mv(2, 2)), "grade-1 first argument"),
     (lambda: four_bracket(*[DualVector.basis_dual("E(1,2)", 2)] * 3,
                           DualVector.basis_dual("E(1,2)", 3)), "mismatched n"),
-    (lambda: ad_group(QMatrix.identity(3), _mv(2, 1)), "mismatched n"),
+    (lambda: ad_group(QMatrix.identity(3), _mv(2, 1)),
+     r"10 x 10 matrix over sp\(2\), got shape \(21, 21\)"),
     (lambda: _mv(2, 2).as_vector(), "as_vector requires grade 1"),
     (lambda: lie_bracket(_mv(2, 1), _mv(2, 2)), "grade-1 elements"),
 ], ids=["SpBasis-0", "add-n", "add-grade", "wedge", "schouten", "ad_multivector-n",
@@ -366,15 +367,15 @@ def _mv_json(n=2, grade=1, c=1.0):
 @pytest.mark.parametrize("make, match", [
     (lambda: Multivector(2, 1, {(1,): 1.0, (0,): float("nan")}), r"key \(0,\): .* not finite"),
     (lambda: Multivector(2, 1, {(0,): float("inf")}), "not finite"),
-    (lambda: Multivector.from_json(_mv_json(c=float("nan"))), "not finite"),
-    (lambda: Multivector.from_json(_mv_json(c="inf")), "not finite"),
-    (lambda: Multivector.from_json(_mv_json(n=2.7)), "n and grade must be integers"),
-    (lambda: Multivector.from_json(_mv_json(grade=1.5)), "n and grade must be integers"),
-    (lambda: Multivector.from_json(_mv_json(n="2")), "n and grade must be integers"),
-    (lambda: Multivector.from_json(_mv_json(grade=True)), "n and grade must be integers"),
-    (lambda: Multivector.from_json(_mv_json(c=True)), "coefficient True .* not a number"),
-    (lambda: Multivector.from_json(_mv_json(c="1.5")), "coefficient '1.5' .* not a number"),
-    (lambda: Multivector.from_json(_mv_json(c=" 2 ")), "coefficient ' 2 ' .* not a number"),
+    (lambda: Multivector.from_json(_mv_json(c=float("nan"))), "must be a finite number, got nan"),
+    (lambda: Multivector.from_json(_mv_json(c="inf")), "must be a finite number, got 'inf'"),
+    (lambda: Multivector.from_json(_mv_json(n=2.7)), "Multivector n must be an integer"),
+    (lambda: Multivector.from_json(_mv_json(grade=1.5)), "Multivector grade must be an integer"),
+    (lambda: Multivector.from_json(_mv_json(n="2")), "Multivector n must be an integer"),
+    (lambda: Multivector.from_json(_mv_json(grade=True)), "Multivector grade must be an integer"),
+    (lambda: Multivector.from_json(_mv_json(c=True)), r"coefficient must be .*, got True"),
+    (lambda: Multivector.from_json(_mv_json(c="1.5")), r"coefficient must be .*, got '1.5'"),
+    (lambda: Multivector.from_json(_mv_json(c=" 2 ")), r"coefficient must be .*, got ' 2 '"),
 ], ids=["nan", "inf", "json-nan", "json-inf-string", "json-n-fraction", "json-grade-fraction",
         "json-n-string", "json-grade-bool", "json-c-bool", "json-c-string", "json-c-padded"])
 def test_multivector_refuses_non_finite_and_non_integral_input(make, match):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qflag.hmat import Permutation, QMatrix
+from qflag.liealg import Multivector
 from qflag.quat import (
     I,
     J,
@@ -15,6 +17,8 @@ from qflag.quat import (
     qprod,
     quaternion_from_json,
 )
+
+from util import hamilton
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -105,6 +109,40 @@ def test_vectorized_helpers_match_scalar():
     a, b = rng.normal(size=(2, 7, 4))
     for r in range(7):
         qa, qb = Quaternion.from_array(a[r]), Quaternion.from_array(b[r])
-        assert np.allclose(qprod(a, b)[r], (qa * qb).to_array(), atol=1e-12)
+        # both products against the 16-term Hamilton formula, which shares no code with qprod
+        assert np.allclose(qprod(a, b)[r], hamilton(a[r], b[r]), atol=1e-12)
+        assert np.allclose((qa * qb).to_array(), hamilton(a[r], b[r]), atol=1e-12)
         assert np.allclose(qconj(a)[r], qa.conj().to_array(), atol=0)
         assert abs(qnorm2(a)[r] - qa.norm2()) <= 1e-12
+
+
+# one scalar slot of each JSON parser: (parse, whether the slot takes only integers)
+JSON_SCALAR_SLOTS = {
+    "quaternion": (lambda x: quaternion_from_json([x, 0, 0, 0]), False),
+    "qmatrix-rows": (lambda x: QMatrix.from_json(
+        {"rows": x, "cols": 1, "entries": [[[1, 0, 0, 0]]] * 2}), True),
+    "qmatrix-cols": (lambda x: QMatrix.from_json(
+        {"rows": 1, "cols": x, "entries": [[[1, 0, 0, 0]] * 2]}), True),
+    "permutation": (lambda x: Permutation.from_json({"one_line": [x, 1]}), True),
+    "multivector-n": (lambda x: Multivector.from_json(
+        {"n": x, "grade": 1, "terms": [{"idx": ["E(1,2)"], "c": 1.0}]}), True),
+    "multivector-grade": (lambda x: Multivector.from_json(
+        {"n": 2, "grade": x, "terms": [{"idx": ["E(1,2)", "S(i;1,2)"], "c": 1.0}]}), True),
+    "multivector-c": (lambda x: Multivector.from_json(
+        {"n": 2, "grade": 1, "terms": [{"idx": ["E(1,2)"], "c": x}]}), False),
+}
+
+
+@pytest.mark.parametrize("value, as_number, as_int", [
+    (True, False, False), ("1", False, False), (float("nan"), False, False),
+    (float("inf"), False, False), (10 ** 400, False, False), (1.5, True, False),
+    (2, True, True), (2.0, True, True),
+], ids=["bool", "string", "nan", "inf", "int-past-float", "fraction", "int", "integral-float"])
+@pytest.mark.parametrize("slot", sorted(JSON_SCALAR_SLOTS))
+def test_json_parsers_share_one_scalar_rule(slot, value, as_number, as_int):
+    parse, integral = JSON_SCALAR_SLOTS[slot]
+    if as_int if integral else as_number:
+        parse(value)
+    else:
+        with pytest.raises(ValueError, match="must be (a finite number|an integer), got "):
+            parse(value)

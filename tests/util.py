@@ -9,7 +9,8 @@ import numpy as np
 
 from qflag.decomp import PIVOT_RTOL, BruhatForm, bruhat
 from qflag.flags import leaf_point
-from qflag.hmat import Permutation, QMatrix, SingularMatrixError, chi, unchi, word_to_permutation
+from qflag.hmat import (SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, chi, unchi,
+                        word_to_permutation)
 from qflag.hp1geom import Chart, ChartPoint
 from qflag.liealg import PRUNE_TOL, Multivector, _rank, _sum_keys, lambda_element, sp_basis
 from qflag.quat import Quaternion, qnorm2, qprod
@@ -362,15 +363,34 @@ def hamilton(a, b):
     ], axis=-1)
 
 
+def symplectic_residual(m: QMatrix) -> float:
+    """||M* M - I||_F of a square M, with M* M summed from the Hamilton formula."""
+    if m.n_rows != m.n_cols:
+        raise ValueError("symplectic_residual requires a square matrix")
+    mstar_m = hamilton(_qconj(m.data)[:, :, None], m.data[:, None]).sum(axis=0)
+    mstar_m[..., 0] -= np.eye(m.n_rows)
+    return float(np.sqrt(np.sum(mstar_m * mstar_m)))
+
+
+def is_symplectic(m: QMatrix, tol: float = SYMPLECTIC_TOL) -> bool:
+    """True iff ||M* M - I||_F <= tol: the Sp(n) membership test, read independently."""
+    return symplectic_residual(m) <= tol
+
+
 def exp_pure_oracle(s: Quaternion) -> Quaternion:
     """exp(s) = cos|s| + (s/|s|) sin|s| of a purely imaginary s != 0, in closed form."""
     t = s.norm()
     return Quaternion(math.cos(t), *(s.to_array()[1:] * (math.sin(t) / t)))
 
 
+def _qconj(q):
+    """Conjugate of each quaternion of a (..., 4) array."""
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def _qinverse(q):
     """Inverse of each quaternion of a (..., 4) array."""
-    return q * np.array([1.0, -1.0, -1.0, -1.0]) / np.sum(q * q, axis=-1, keepdims=True)
+    return _qconj(q) / np.sum(q * q, axis=-1, keepdims=True)
 
 
 def gauss_jordan_inverse(m: QMatrix) -> QMatrix:
@@ -413,7 +433,7 @@ def gram_schmidt_iwasawa(g: QMatrix):
     for j in range(n):
         for _ in range(2):
             for i in range(j):
-                xc = k[:, i] * np.array([1.0, -1.0, -1.0, -1.0])
+                xc = _qconj(k[:, i])
                 coef = hamilton(xc, k[:, j]).sum(axis=0)
                 k[:, j] -= hamilton(k[:, i], coef)
                 t[i, j] += coef
