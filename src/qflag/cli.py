@@ -14,15 +14,17 @@ import argparse
 import csv
 import io
 import json
+import operator
 import os
 import sys
+from functools import reduce
 from itertools import permutations
-from math import comb
+from math import comb, ldexp
 
 import numpy as np
 
 from . import decomp, flags, hp1geom, liealg
-from .hmat import Permutation, QMatrix, SingularMatrixError, word_to_permutation
+from .hmat import Permutation, QMatrix, SingularMatrixError, pow2_scaled, word_to_permutation
 from .quat import Quaternion
 
 EXIT_OK = 0
@@ -43,10 +45,6 @@ SPHEROID_TRIALS = 50
 DRESSING_SAMPLES = 100
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QFLAG_SEED", "0"))
-
-
 def _load_matrix(path: str) -> QMatrix:
     with open(path) as fh:
         return QMatrix.from_json(json.load(fh))
@@ -60,11 +58,16 @@ def cmd_decompose(args) -> dict:
     g = _load_matrix(args.input)
     if args.kind == "bruhat":
         form = decomp.bruhat(g)
-        out, rebuilt = form.to_json(), form.reconstruct()
+        out, factors = form.to_json(), [form.U, form.D, form.w.matrix(), form.V]
     else:
-        k, r, u = decomp.iwasawa(g)
-        out, rebuilt = {"K": k.to_json(), "R": r.to_json(), "U": u.to_json()}, k @ r @ u
-    return out | {"reconstruction_error": (rebuilt - g).frobenius()}
+        factors = list(decomp.iwasawa(g))
+        out = dict(zip("KRU", (f.to_json() for f in factors)))
+    # D or R scaled by 2^-e, exactly, so finite factors of a G near the float range have a
+    # finite product; the error scaled back by 2^e is the unscaled one wherever that is finite
+    scaled, e = pow2_scaled(g.data)
+    factors[1] = QMatrix(np.ldexp(factors[1].data, -e))
+    rebuilt = reduce(operator.matmul, factors)
+    return out | {"reconstruction_error": ldexp((rebuilt - QMatrix(scaled)).frobenius(), e)}
 
 
 def cmd_ddet(args) -> dict:
@@ -245,6 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quaternionic Bruhat decompositions and 4-vector-field checks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # argparse converts a string default by type=int only when --seed is absent,
+    # so a malformed QFLAG_SEED is a usage error of the commands that take a seed
+    seed = os.environ.get("QFLAG_SEED", "0")
 
     p = sub.add_parser("decompose", help="strict Bruhat or Iwasawa decomposition")
     p.add_argument("kind", choices=["bruhat", "iwasawa"])
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("profile", help="emit the HP^1 radial-profile CSV")
@@ -271,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--directions", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("leaf", help="sample a leaf point for a reduced word")
     p.add_argument("--word", required=True, help="1-based positions, e.g. '1 2 1'")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(fn=cmd_leaf)
 
     for p in sub.choices.values():

@@ -37,7 +37,8 @@ __all__ = [
 # count as zero, so an input that close to a neighbouring cell is given that
 # cell's permutation type, and U D P_w V misses G by about the entries dropped;
 # ``iwasawa`` and ``dieudonne_det`` raise SingularMatrixError when a diagonal
-# entry of the QR factor R of chi(G) is at most PIVOT_RTOL * ||G||_F.
+# entry of the QR factor R of chi(G) is at most PIVOT_RTOL * ||G||_F; ``dress``
+# dresses a G whose parts off RU are at most PIVOT_RTOL * ||G||_F as its RU part.
 PIVOT_RTOL = 1e-10
 # dieudonne_det raises OverflowError when its logarithm is outside these, the
 # logarithms of the least and the largest normal float
@@ -209,10 +210,6 @@ def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     return QMatrix(unchi(q * phase)), rr, QMatrix(uu)
 
 
-# G's parts off RU up to RU_RTOL * ||G||_F are dressed as if they were zero
-RU_RTOL = 1e-10
-
-
 def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     """Dressing action: (G, K) -> K' where G K = K' R U.
 
@@ -225,7 +222,7 @@ def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     require_symplectic(k.data, "dress")
     n = g.n_rows
     d = pow2_scaled(g.data)[0]  # the rule is scale-free, and no scaled square overflows
-    lim = RU_RTOL * np.linalg.norm(d)
+    lim = PIVOT_RTOL * np.linalg.norm(d)
     diag = d[np.arange(n), np.arange(n)]
     if np.any(diag[:, 0] <= 0) or np.any(np.sqrt(qnorm2(diag[:, 1:])) > lim):
         raise ValueError("G must have positive real diagonal")

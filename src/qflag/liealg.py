@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -82,41 +82,23 @@ class SpBasis:
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        names: list[str] = []
-        mats: list[QMatrix] = []
-        for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                m = QMatrix.zeros(n)
-                m.data[p - 1, q - 1, 0] = 1.0
-                m.data[q - 1, p - 1, 0] = -1.0
-                names.append(f"E({p},{q})")
-                mats.append(m)
-                for xi, x in enumerate(_UNITS, start=1):
-                    m = QMatrix.zeros(n)
-                    m.data[p - 1, q - 1, xi] = 1.0
-                    m.data[q - 1, p - 1, xi] = 1.0
-                    names.append(f"S({x};{p},{q})")
-                    mats.append(m)
-        for p in range(1, n + 1):
-            for xi, x in enumerate(_UNITS, start=1):
-                m = QMatrix.zeros(n)
-                m.data[p - 1, p - 1, xi] = 1.0
-                names.append(f"Dg({x};{p})")
-                mats.append(m)
+        p, q = np.triu_indices(n, 1)  # the pairs p < q in order
+        self.names = [nm for a, b in zip((p + 1).tolist(), (q + 1).tolist())
+                      for nm in (f"E({a},{b})", *(f"S({x};{a},{b})" for x in _UNITS))]
+        self.names += [f"Dg({x};{a})" for a in range(1, n + 1) for x in _UNITS]
+        self.index = {nm: c for c, nm in enumerate(self.names)}
+        self.dim = len(self.names)
+        self.spheroid_indices = tuple(range(4 * len(p), self.dim))
 
-        self.names = names
-        self.mats = mats
-        self.index = {nm: c for c, nm in enumerate(names)}
-        self.dim = len(names)
-        assert self.dim == n * (2 * n + 1)
-        self.spheroid_indices = tuple(c for c, nm in enumerate(names) if nm.startswith("Dg"))
-
-        self.data = np.stack([m.data for m in mats])  # (N, n, n, 4)
+        self.data = np.zeros((self.dim, n, n, 4))
+        e, d = 4 * np.arange(len(p)), np.arange(n)
+        self.data[e, p, q, 0], self.data[e, q, p, 0] = 1.0, -1.0
+        for x in (1, 2, 3):
+            self.data[e + x, p, q, x] = self.data[e + x, q, p, x] = 1.0
+            self.data[4 * len(p) + 3 * d + x - 1, d, d, x] = 1.0
         self.chi = chi(self.data)
         flat = self.chi.reshape(self.dim, -1)  # ||row c||^2 = 2 ||B_c||^2
         self._coords = (flat.conj() / np.sum(np.abs(flat) ** 2, axis=1, keepdims=True)).T
-
-        self._struct: np.ndarray | None = None
 
     # -- coordinates -------------------------------------------------------
 
@@ -139,13 +121,11 @@ class SpBasis:
 
     # -- structure constants -----------------------------------------------
 
-    @property
+    @cached_property
     def struct(self) -> np.ndarray:
         """struct[a, b, c] = coefficient of basis c in [B_a, B_b]."""
-        if self._struct is None:
-            # row a is [B_a, B_c] over all c, exact: chi's entries are 0, +-1 and +-i
-            self._struct = np.stack([self.coords(x @ self.chi - self.chi @ x) for x in self.chi])
-        return self._struct
+        # row a is [B_a, B_c] over all c, exact: chi's entries are 0, +-1 and +-i
+        return np.stack([self.coords(x @ self.chi - self.chi @ x) for x in self.chi])
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qflag import cli
+from qflag.decomp import bruhat
 from qflag.flags import random_ru
 from qflag.hmat import Permutation, QMatrix, random_symplectic
 
@@ -39,11 +40,21 @@ def test_suite_tolerances_come_from_one_table():
         assert list(inspect.signature(fn).parameters) == ["n", "seed"], name
 
 
-def test_qflag_seed_fallback(monkeypatch):
+def test_qflag_seed_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QFLAG_SEED", "42")
-    assert cli._default_seed() == 42
+    assert cli.main(["verify", "lambda"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 42
     monkeypatch.delenv("QFLAG_SEED")
-    assert cli._default_seed() == 0
+    assert cli.main(["verify", "lambda"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    # a malformed value is a usage error of the commands that take a seed, and only of those
+    monkeypatch.setenv("QFLAG_SEED", "abc")
+    assert cli.main(["verify", "lambda"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--seed" in err and "Traceback" not in err
+    inp = write_json(tmp_path / "m.json", QMatrix.identity(2).to_json())
+    assert cli.main(["ddet", "--input", inp]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dieudonne_det": 1.0}
 
 
 def test_decompose_identity(tmp_path, capsys):
@@ -126,6 +137,22 @@ def test_non_finite_factor_exit_2(kind, m, tmp_path, capsys):
         assert cli.main(["decompose", kind, "--input", inp]) == 2
     assert caught == []
     assert capsys.readouterr() == ("", f"error: {kind}: a factor is outside the float range\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_reconstruction_of_finite_factors_near_the_float_range_is_finite(tmp_path, capsys):
+    # draw 10 of n x n matrices (n uniform in 2..5) uniform in (-8.5e307, 8.5e307): its
+    # factors are finite, and U D P_w V overflows unless D is scaled down first
+    rng = np.random.default_rng(1)
+    for _ in range(11):
+        g = QMatrix(rng.uniform(-8.5e307, 8.5e307, (int(rng.integers(2, 6)),) * 2 + (4,)))
+    form = bruhat(g)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        form.reconstruct()
+    inp = write_json(tmp_path / "m.json", g.to_json())
+    assert cli.main(["decompose", "bruhat", "--input", inp]) == 0
+    err = json.loads(capsys.readouterr().out)["reconstruction_error"]
+    assert np.isfinite(err) and err <= 1e-12 * np.abs(g.data).max()  # ||G||_F overflows
 
 
 def test_non_finite_result_exit_2(tmp_path, capsys, monkeypatch):

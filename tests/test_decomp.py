@@ -5,7 +5,6 @@ import pytest
 
 from qflag.decomp import (
     PIVOT_RTOL,
-    RU_RTOL,
     bruhat,
     dieudonne_det,
     dress,
@@ -385,16 +384,16 @@ def test_dress_validates_preconditions():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
 def test_dress_rule_is_scale_free(scale):
-    # the RU_RTOL rule is relative, so a lower entry as large as the diagonal is
+    # the PIVOT_RTOL rule is relative, so a lower entry as large as the diagonal is
     # refused at every scale, and an upper one accepted
     with pytest.raises(ValueError, match="G must be upper triangular"):
         dress(QMatrix.from_rows([[1, 0], [1, 1]]).scale(scale), QMatrix.identity(2))
     k = dress(QMatrix.from_rows([[1, 0.8], [0, 1]]).scale(scale), QMatrix.identity(2))
     assert frob(k - QMatrix.identity(2)) <= 1e-12
     # the edge: a lower entry, or an imaginary part of the diagonal, of
-    # (1 -+ 1e-6) RU_RTOL ||G||_F, where ||G||_F = sqrt(2 + t^2) is sqrt(2) to rounding
+    # (1 -+ 1e-6) PIVOT_RTOL ||G||_F, where ||G||_F = sqrt(2 + t^2) is sqrt(2) to rounding
     for f, refused in [(1.0 - 1e-6, False), (1.0 + 1e-6, True)]:
-        t = f * RU_RTOL * np.sqrt(2.0)
+        t = f * PIVOT_RTOL * np.sqrt(2.0)
         for g, match in [(QMatrix.from_rows([[1, 0], [t, 1]]), "upper triangular"),
                          (QMatrix.from_rows([[Quaternion(1, t), 0], [0, 1]]), "real diagonal")]:
             if refused:

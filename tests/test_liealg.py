@@ -40,6 +40,7 @@ from util import (
     random_multivector,
     random_unit_quaternion,
     schouten_oracle,
+    sp_basis_oracle,
     struct_oracle,
     wedge_oracle,
     wedge_tuples,
@@ -78,20 +79,35 @@ def basis_mv(n):
 def test_basis_dimension_and_antihermiticity(n):
     b = sp_basis(n)
     assert b.dim == n * (2 * n + 1)
-    for m in b.mats:
+    for c in range(b.dim):
+        m = QMatrix(b.data[c])
         assert (m + m.conj_transpose()).frobenius() == 0.0
     assert len(b.spheroid_indices) == 3 * n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_basis_matches_loop_construction(n):
+    b = sp_basis(n)
+    names, mats = sp_basis_oracle(n)
+    data = np.stack([m.data for m in mats])
+    assert b.names == names
+    assert b.index == {nm: c for c, nm in enumerate(names)}
+    assert b.data.dtype == data.dtype and np.array_equal(b.data, data)
+    assert np.array_equal(np.signbit(b.data), np.signbit(data))
+    assert np.array_equal(b.chi, chi(data))
+    assert b.spheroid_indices == tuple(c for c, nm in enumerate(names) if nm.startswith("Dg"))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_projection_is_exact_on_basis(n):
     b = sp_basis(n)
     for c, name in enumerate(b.names):
-        coords = b.project(b.mats[c])
+        m = QMatrix(b.data[c])
+        coords = b.project(m)
         expect = np.zeros(b.dim)
         expect[c] = 1.0
         assert np.array_equal(coords, expect)
-        assert (b.matrix_of(coords) - b.mats[c]).frobenius() == 0.0
+        assert (b.matrix_of(coords) - m).frobenius() == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

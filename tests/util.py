@@ -223,11 +223,40 @@ def _laplace_tables(N: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(subsets, dtype=np.intp), np.array(drop, dtype=np.intp)
 
 
+@lru_cache(maxsize=None)
+def sp_basis_oracle(n: int) -> tuple[list[str], list[QMatrix]]:
+    """The names and matrices of the sp(n) basis, one QMatrix per element in
+    nested loops: E(p,q), S(i;p,q), S(j;p,q), S(k;p,q) for each p < q, then
+    Dg(i;p), Dg(j;p), Dg(k;p) for each p.  Cached, so read only."""
+    names: list[str] = []
+    mats: list[QMatrix] = []
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            m = QMatrix.zeros(n)
+            m.data[p - 1, q - 1, 0] = 1.0
+            m.data[q - 1, p - 1, 0] = -1.0
+            names.append(f"E({p},{q})")
+            mats.append(m)
+            for xi, x in enumerate("ijk", start=1):
+                m = QMatrix.zeros(n)
+                m.data[p - 1, q - 1, xi] = 1.0
+                m.data[q - 1, p - 1, xi] = 1.0
+                names.append(f"S({x};{p},{q})")
+                mats.append(m)
+    for p in range(1, n + 1):
+        for xi, x in enumerate("ijk", start=1):
+            m = QMatrix.zeros(n)
+            m.data[p - 1, p - 1, xi] = 1.0
+            names.append(f"Dg({x};{p})")
+            mats.append(m)
+    return names, mats
+
+
 def project_oracle(x: np.ndarray, n: int) -> np.ndarray:
     """Basis coordinates of a ``(..., n, n, 4)`` stack of elements of sp(n) in the
     real form: flattened, <A, B> = Re tr(A* B) is the Euclidean inner product, so
     coordinate c is flat(B_c) . flat(X) / ||B_c||^2."""
-    flat = np.stack([m.data.reshape(-1) for m in sp_basis(n).mats])
+    flat = np.stack([m.data.reshape(-1) for m in sp_basis_oracle(n)[1]])
     x = np.asarray(x, dtype=float)
     return x.reshape(*x.shape[:-3], -1) @ flat.T / np.sum(flat * flat, axis=1)
 
@@ -243,13 +272,13 @@ def lambda_oracle(n: int) -> Multivector:
 
 def struct_oracle(n: int) -> np.ndarray:
     """Structure constants from one QMatrix commutator per pair of basis elements."""
-    basis = sp_basis(n)
-    N = basis.dim
+    mats = sp_basis_oracle(n)[1]
+    N = len(mats)
     tab = np.zeros((N, N, N))
     for a in range(N):
-        ma = basis.mats[a]
+        ma = mats[a]
         for b in range(a + 1, N):
-            mb = basis.mats[b]
+            mb = mats[b]
             coeffs = project_oracle((ma @ mb - mb @ ma).data, n)
             coeffs[np.abs(coeffs) < 1e-14] = 0.0
             tab[a, b] = coeffs
@@ -279,10 +308,9 @@ def four_bracket_oracle(zs, n: int) -> np.ndarray:
 
 def ad_group_oracle(g: QMatrix) -> np.ndarray:
     """Matrix of Ad_g on the basis, from Hamilton products g B_c g*."""
-    basis = sp_basis(g.n_rows)
     gstar = g.conj_transpose().data
     cols = []
-    for m in basis.mats:
+    for m in sp_basis_oracle(g.n_rows)[1]:
         gb = hamilton(g.data[:, :, None], m.data[None, :, :]).sum(axis=1)
         cols.append(project_oracle(hamilton(gb[:, :, None], gstar[None]).sum(axis=1), g.n_rows))
     return np.stack(cols, axis=1)
@@ -550,7 +578,7 @@ def jacobian_oracle(p: ChartPoint, side: str) -> np.ndarray:
     """X -> d/dt chart(exp(tX) k) ("action") or chart(k exp(tX)) ("flow")."""
     m = coset_rep_oracle(p).data
     cols = []
-    for bm in sp_basis(2).mats:
+    for bm in sp_basis_oracle(2)[1]:
         left, right = (bm.data, m) if side == "action" else (m, bm.data)
         mdot = QMatrix(hamilton(left[:, :, None], right[None]).sum(axis=1))
         cols.append(chart_derivative_oracle(QMatrix(m), mdot, p.chart).to_array())
