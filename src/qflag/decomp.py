@@ -15,6 +15,7 @@ left or right; the order matters because H is non-commutative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,13 @@ def dieudonne_det(g: QMatrix) -> float:
     return float(np.exp(log_det))
 
 
+def _iwasawa_k(g: QMatrix) -> tuple:
+    """K of :func:`iwasawa`, and T, its diagonal's phases and moduli, and e (:func:`_chi_qr`)."""
+    (q, t), mag, e = _chi_qr(g, "iwasawa", "reduced")
+    phase = np.diagonal(t) / mag
+    return QMatrix(unchi(q * phase)), t, phase, mag, e
+
+
 def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     """G = K R Uu with K symplectic, R positive real diagonal, Uu unit upper.
 
@@ -200,23 +208,21 @@ def iwasawa(g: QMatrix) -> tuple[QMatrix, QMatrix, QMatrix]:
     at most ``PIVOT_RTOL * ||G||_F``, and ``OverflowError`` when R is not finite.
     """
     n = g.n_rows
-    (q, t), mag, e = _chi_qr(g, "iwasawa", "reduced")
-    phase = np.diagonal(t) / mag
+    k, t, phase, mag, e = _iwasawa_k(g)
     r = mag[0::2]
     uu = unchi(phase.conj()[:, None] * t) / r[:, None, None]
     uu[np.arange(n), np.arange(n)] = (1.0, 0.0, 0.0, 0.0)
-    rr = QMatrix.zeros(n, n)
-    rr.data[np.arange(n), np.arange(n), 0] = _scaled_back(r, e, "iwasawa")
-    return QMatrix(unchi(q * phase)), rr, QMatrix(uu)
+    rr = np.diag(_scaled_back(r, e, "iwasawa"))[..., None] * (1.0, 0.0, 0.0, 0.0)
+    return k, QMatrix(rr), QMatrix(uu)
 
 
 def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     """Dressing action: (G, K) -> K' where G K = K' R U.
 
     G must be upper triangular with positive real diagonal (an element of RU)
-    and K symplectic.  The returned factor comes from a fresh Iwasawa
-    decomposition of the product, which re-projects onto the group manifold
-    and keeps iterated orbits from drifting.
+    and K symplectic.  The returned factor is the K of a fresh Iwasawa
+    decomposition of the product, from one QR with R and Uu never formed; it
+    re-projects onto the group manifold and keeps iterated orbits from drifting.
     """
     require_square_finite(g.data, "dress")
     require_symplectic(k.data, "dress")
@@ -226,9 +232,9 @@ def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     diag = d[np.arange(n), np.arange(n)]
     if np.any(diag[:, 0] <= 0) or np.any(np.sqrt(qnorm2(diag[:, 1:])) > lim):
         raise ValueError("G must have positive real diagonal")
-    if np.any(np.sqrt(qnorm2(d[np.tril_indices(n, -1)])) > lim):
+    if np.any(np.tril(np.sqrt(qnorm2(d)), -1) > lim):
         raise ValueError("G must be upper triangular")
-    return iwasawa(g @ k)[0]
+    return _iwasawa_k(g @ k)[0]
 
 
 def leaf_signature(k: QMatrix) -> LeafSignature:
@@ -242,5 +248,5 @@ def _leaf_signature(k: QMatrix) -> LeafSignature:
     """:func:`leaf_signature` of a matrix already known to be in Sp(n)."""
     a, w_of, e = _row_reduce(k)
     diag = np.ldexp(a[np.arange(k.n_rows), np.argsort(w_of)], e)  # D[i, i] = d_{w^-1(i)}
-    phases = [q * (1.0 / q.norm()) for q in map(Quaternion.from_array, diag)]
+    phases = [Quaternion(*q) * (1.0 / math.hypot(*q)) for q in diag.tolist()]
     return LeafSignature(w=Permutation(w_of), phases=phases)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import _leaf_signature, _row_reduce, iwasawa
-from .hmat import (Permutation, QMatrix, chi, embed_sp2, require_symplectic,
-                   word_to_permutation)
+from .decomp import _iwasawa_k, _leaf_signature, _row_reduce
+from .hmat import Permutation, QMatrix, chi, require_symplectic, word_to_permutation
 from .hp1geom import Chart, ChartPoint, _coset_reps, coset_rep, south_coord
 from .liealg import sp_basis
 from .quat import Quaternion, qconj
@@ -52,9 +51,10 @@ def leaf_point(word, params, n: int) -> LeafPoint:
     if len(word) != len(params):
         raise ValueError("word and params must have the same length")
     m = QMatrix.identity(n)
+    pairs = m.data.view(complex).reshape(n, 2 * n)  # row i of m as (z1, z2) pairs
     blocks = _coset_reps(Chart.SOUTH, np.reshape([v.to_array() for v in params], (-1, 4)))
-    for r, k in zip(word, blocks):
-        m = m @ embed_sp2(QMatrix(k), r, n)
+    for r, k in zip(word, chi(blocks)):
+        pairs[:, 2 * r:2 * r + 4] = pairs[:, 2 * r:2 * r + 4] @ k  # the two columns it moves
     return LeafPoint(n=n, word=word, params=params, matrix=m)
 
 
@@ -125,7 +125,7 @@ def orbit_probe(k: QMatrix, samples: int, seed: int) -> dict:
     max_dev = 0.0
     max_recon = None
     for _ in range(samples):
-        k2 = iwasawa(random_ru(n, rng) @ k)[0]  # dress, unchecked: RU by construction
+        k2 = _iwasawa_k(random_ru(n, rng) @ k)[0]  # dress, unchecked: RU by construction
         sig = _leaf_signature(k2)
         max_dev = max(max_dev, sig0.deviation(sig))
         if n == 2 and sig0.w.length() == 1 and trivial_phases:

@@ -7,7 +7,7 @@ Multiplication respects non-commutativity: entry (i, j) of ``A @ B`` is
 
 The single matrix norm used everywhere is the Frobenius norm
 ``sqrt(sum |entry|**2)``, summed on power-of-two scaled entries
-(:func:`pow2_scaled`), so it neither overflows nor underflows.
+(:func:`pow2_scaled`): no square overflows, and a norm past 1.8e308 raises OverflowError.
 
 Products, inverses and exponentials run through BLAS/LAPACK on the complex
 adjoint (:func:`chi`), and their results are converted back once per call.
@@ -83,7 +83,9 @@ def require_symplectic(data: np.ndarray, op: str) -> np.ndarray:
     finite and within SYMPLECTIC_TOL of Sp(n): ``||M* M - I||_F``, which chi scales by sqrt(2)."""
     require_square_finite(data, op)
     c = chi(data)
-    if not np.linalg.norm(c.conj().T @ c - np.eye(len(c))) <= math.sqrt(2.0) * SYMPLECTIC_TOL:
+    r = c.conj().T @ c
+    r.flat[::len(r) + 1] -= 1.0
+    if not math.sqrt(np.vdot(r, r).real) <= math.sqrt(2.0) * SYMPLECTIC_TOL:
         raise ValueError(f"{op} requires a symplectic matrix")
     return c
 
@@ -184,7 +186,10 @@ class QMatrix:
 
     def frobenius(self) -> float:
         scaled, e = pow2_scaled(self.data)
-        return math.ldexp(float(np.sqrt(np.sum(scaled * scaled))), e)
+        try:
+            return math.ldexp(float(np.sqrt(np.sum(scaled * scaled))), e)
+        except OverflowError:
+            raise OverflowError("Frobenius norm outside the float range") from None
 
     def inverse(self) -> "QMatrix":
         """Inverse by LAPACK (``np.linalg.inv``) on the complex adjoint of
@@ -365,16 +370,3 @@ def word_to_permutation(word, n: int) -> Permutation:
         ol[r], ol[r + 1] = ol[r + 1], ol[r]
     return Permutation(ol)
 
-
-def embed_sp2(a: QMatrix, r: int, n: int) -> QMatrix:
-    """Embed a 2x2 block at rows/columns {r, r+1} (0-based r), identity elsewhere.
-
-    This is a group homomorphism: embed(A @ B) = embed(A) @ embed(B).
-    """
-    if a.n_rows != 2 or a.n_cols != 2:
-        raise ValueError("embed_sp2 expects a 2x2 matrix")
-    if not (0 <= r < n - 1):
-        raise ValueError(f"block position {r} out of range for n={n}")
-    m = QMatrix.identity(n)
-    m.data[r:r + 2, r:r + 2] = a.data
-    return m

@@ -181,7 +181,7 @@ def _pushforward(jac: np.ndarray, mv: Multivector) -> np.ndarray:
     """Coefficients of d1^d2^d3^d4 in the images of a grade-4 multivector
     under ``(..., 4, dim)`` Jacobians: the minors of its terms' columns."""
     terms, coeffs = mv.terms()
-    return np.linalg.det(np.moveaxis(jac[..., terms], -2, -3)) @ coeffs
+    return np.linalg.det(jac[..., terms].swapaxes(-2, -3)) @ coeffs
 
 
 def _bruhat_coeffs(chart: Chart, coords: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from qflag.decomp import bruhat, dieudonne_det
 from qflag.flags import leaf_dimension, orbit_probe
-from qflag.hmat import Permutation, QMatrix, embed_sp2, random_symplectic
+from qflag.hmat import Permutation, QMatrix, random_symplectic
 from qflag.hp1geom import (
     ChartPoint,
     bruhat_field,
@@ -33,6 +33,7 @@ from qflag.quat import Quaternion
 from conftest import record_criterion
 from util import (
     embed_multivector,
+    embed_sp2,
     max_coeff_diff,
     random_bruhat_factors,
     random_invertible,

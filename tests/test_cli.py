@@ -197,6 +197,16 @@ def test_dress(tmp_path, capsys):
     assert (out - expect).frobenius() <= 1e-12
 
 
+def test_dress_returns_k_whose_r_is_past_the_float_range(tmp_path, capsys):
+    c = np.sqrt(0.5)
+    g = write_json(tmp_path / "g.json",
+                   QMatrix.from_rows([[0.92e308, 0.92e308], [0, 1.79e308]]).to_json())
+    k = write_json(tmp_path / "k.json", QMatrix.from_rows([[c, -c], [c, c]]).to_json())
+    assert cli.main(["dress", "--g", g, "--k", k]) == 0
+    out = QMatrix.from_json(json.loads(capsys.readouterr().out))
+    assert (out.conj_transpose() @ out - QMatrix.identity(2)).frobenius() <= 1e-12
+
+
 @pytest.mark.parametrize("suite,n", [
     ("schouten", 2),
     ("lambda", 2),

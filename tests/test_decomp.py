@@ -404,6 +404,27 @@ def test_dress_rule_is_scale_free(scale):
                 assert frob(k - QMatrix.identity(2)) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+def test_dress_is_the_k_of_iwasawa_bit_for_bit(n):
+    from qflag.flags import random_ru
+
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        g, k = random_ru(n, rng), random_symplectic(n, rng)
+        assert dress(g, k).data.tobytes() == iwasawa(g @ k)[0].data.tobytes()
+
+
+def test_dress_forms_no_r_factor():
+    # G K is finite, but its R is not: iwasawa refuses it, dress returns K'
+    c = np.sqrt(0.5)
+    g = QMatrix.from_rows([[0.92e308, 0.92e308], [0, 1.79e308]])
+    k = QMatrix.from_rows([[c, -c], [c, c]])
+    with pytest.raises(OverflowError, match="iwasawa: a factor is outside the float range"):
+        iwasawa(g @ k)
+    k2 = dress(g, k)
+    assert frob(k2.conj_transpose() @ k2 - QMatrix.identity(2)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_dress_preserves_leaf_signature(n):
     from qflag.flags import random_ru

@@ -13,7 +13,6 @@ from qflag.hmat import (
     Permutation,
     QMatrix,
     SingularMatrixError,
-    embed_sp2,
     expm,
     random_sp_algebra,
     random_symplectic,
@@ -23,8 +22,8 @@ from qflag.hmat import (
 from qflag.liealg import ad_group_matrix
 from qflag.quat import I, J, ONE, Quaternion
 
-from util import (exp_pure_oracle, expm_series_oracle, gauss_jordan_inverse, is_symplectic,
-                  random_invertible, reduced_word_oracle, symplectic_residual,
+from util import (embed_sp2, exp_pure_oracle, expm_series_oracle, gauss_jordan_inverse,
+                  is_symplectic, random_invertible, reduced_word_oracle, symplectic_residual,
                   word_to_permutation_oracle)
 
 
@@ -227,6 +226,19 @@ def test_frobenius_is_scale_safe():
         expm(QMatrix.identity(2).scale(1e200))
 
 
+def test_frobenius_past_the_float_maximum_names_the_norm():
+    # every component 8e307 is finite, but ||M||_F = 8e307 sqrt(36) is not
+    big = QMatrix(np.full((3, 3, 4), 8e307))
+    with pytest.raises(OverflowError, match="Frobenius norm outside the float range"):
+        big.frobenius()
+    # a skew-Hermitian X of that size passes the sp(n) test (X + X* = 0) and is
+    # refused by its own norm, which bounds the test
+    x = (big - big.conj_transpose()).scale(0.5)
+    assert (x + x.conj_transpose()).frobenius() == 0.0
+    with pytest.raises(OverflowError, match="Frobenius norm outside the float range"):
+        expm(x)
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: QMatrix(np.zeros((2, 2, 3))), r"shape \(rows, cols, 4\)"),
     (lambda: QMatrix.zeros(2) @ QMatrix.zeros(3), "shape mismatch"),
@@ -357,7 +369,7 @@ def test_permutation_inverse_and_json():
         Permutation([0, 0, 1])
 
 
-# -- embeddings -------------------------------------------------------------
+# -- embeddings (the oracle of flags.leaf_point) ------------------------------
 
 def test_embed_identity():
     assert frob(embed_sp2(QMatrix.identity(2), 0, 4) - QMatrix.identity(4)) == 0.0

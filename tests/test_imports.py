@@ -1,5 +1,6 @@
-"""Every top-level import of the package and the tests is used, and every name a
-package module exports is defined there."""
+"""Every top-level import of the package and the tests is used, every name a
+package module exports is defined there, and every package definition is
+exported or read."""
 
 import ast
 import json
@@ -81,6 +82,43 @@ def test_every_export_is_defined(path):
 ])
 def test_undefined_exports_finds_exactly_the_unbound_names(source, undefined):
     assert undefined_exports(source) == undefined
+
+
+def reads(node: ast.AST) -> set[str]:
+    """The names an expression under ``node`` reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, ast.Attribute)}
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level def or class that its module's ``__all__`` does
+    not list and that nothing outside its own body reads, in any of the modules."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read_by = [(stmt, reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [f"{mod}.{stmt.name}" for mod, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and stmt.name not in exports(tree)
+            and not any(stmt.name in names for other, names in read_by if other is not stmt)]
+
+
+def test_every_definition_is_exported_or_read():
+    # a helper whose last caller is gone, like a block embedding a loop no longer
+    # needs, would otherwise stay behind as untested API
+    assert dead_definitions({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+@pytest.mark.parametrize("sources, dead", [
+    ({"a": "def f(): pass\n"}, ["a.f"]),
+    ({"a": "def f(): return f()\n"}, ["a.f"]),
+    ({"a": "def f(): pass\n__all__ = ['f']\n"}, []),
+    ({"a": "def _f(): pass\ndef g(): _f()\n__all__ = ['g']\n"}, []),
+    ({"a": "class C: pass\n", "b": "from .a import C\nx = C()\n"}, []),
+    ({"a": "def f(): pass\n", "b": "from . import a\na.f()\n"}, []),
+    ({"a": "def f(): pass\n", "b": "from .a import f\n"}, ["a.f"]),
+])
+def test_dead_definitions_finds_exactly_the_unread_ones(sources, dead):
+    assert dead_definitions(sources) == dead
 
 
 # the size of every lru_cache in qflag.* after a fresh ``import qflag.cli``

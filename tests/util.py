@@ -11,7 +11,7 @@ from qflag.decomp import PIVOT_RTOL, BruhatForm, bruhat
 from qflag.flags import leaf_point
 from qflag.hmat import (SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, chi, unchi,
                         word_to_permutation)
-from qflag.hp1geom import Chart, ChartPoint
+from qflag.hp1geom import Chart, ChartPoint, coset_rep
 from qflag.liealg import PRUNE_TOL, Multivector, _rank, _sum_keys, lambda_element, sp_basis
 from qflag.quat import Quaternion, qnorm2, qprod
 
@@ -705,3 +705,28 @@ def reduced_words(n: int) -> list[list[int]]:
                     if word_to_permutation(w + [r], n).length() == len(w) + 1]
         words += frontier
     return words
+
+
+# ---------------------------------------------------------------------------
+# Leaf points as first built: each letter's block embedded at rows/columns
+# r, r + 1 of the n x n identity, and the whole product formed by matmul.
+# ---------------------------------------------------------------------------
+
+def embed_sp2(a: QMatrix, r: int, n: int) -> QMatrix:
+    """Embed a 2x2 block at rows/columns {r, r+1} (0-based r), identity elsewhere.
+
+    This is a group homomorphism: embed(A @ B) = embed(A) @ embed(B).
+    """
+    if a.n_rows != 2 or a.n_cols != 2:
+        raise ValueError("embed_sp2 expects a 2x2 matrix")
+    if not (0 <= r < n - 1):
+        raise ValueError(f"block position {r} out of range for n={n}")
+    m = QMatrix.identity(n)
+    m.data[r:r + 2, r:r + 2] = a.data
+    return m
+
+
+def leaf_point_oracle(word, params, n: int) -> QMatrix:
+    """The product of the embedded k_v blocks of a word, one full n x n matmul per letter."""
+    return reduce(lambda m, rv: m @ embed_sp2(coset_rep(ChartPoint.south(rv[1])), rv[0], n),
+                  zip(word, params), QMatrix.identity(n))
