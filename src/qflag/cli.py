@@ -103,10 +103,8 @@ def cmd_profile(args) -> str:
                          f"and steps * directions <= {PROFILE_POINTS}")
     rhos = np.linspace(args.rho_min, args.rho_max, args.steps)
     rows = list(hp1geom.radial_profile(rhos, args.directions, args.seed))
-    fieldnames = ["rho", "direction_seed", "coeff_bruhat", "coeff_invariant",
-                  "ratio", "expected_ratio", "abs_err"]
     text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=fieldnames)
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
     return text.getvalue()

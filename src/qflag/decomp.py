@@ -220,9 +220,9 @@ def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     """Dressing action: (G, K) -> K' where G K = K' R U.
 
     G must be upper triangular with positive real diagonal (an element of RU)
-    and K symplectic.  The returned factor is the K of a fresh Iwasawa
-    decomposition of the product, from one QR with R and Uu never formed; it
-    re-projects onto the group manifold and keeps iterated orbits from drifting.
+    and K symplectic.  K' is the K of a fresh Iwasawa decomposition of
+    ``2^-e G K``, with G scaled as checked, from one QR with R and Uu never formed;
+    it re-projects onto the group manifold and keeps iterated orbits from drifting.
     """
     require_square_finite(g.data, "dress")
     require_symplectic(k.data, "dress")
@@ -234,7 +234,7 @@ def dress(g: QMatrix, k: QMatrix) -> QMatrix:
         raise ValueError("G must have positive real diagonal")
     if np.any(np.tril(np.sqrt(qnorm2(d)), -1) > lim):
         raise ValueError("G must be upper triangular")
-    return _iwasawa_k(g @ k)[0]
+    return _iwasawa_k(QMatrix(d) @ k)[0]
 
 
 def leaf_signature(k: QMatrix) -> LeafSignature:
@@ -246,7 +246,7 @@ def leaf_signature(k: QMatrix) -> LeafSignature:
 
 def _leaf_signature(k: QMatrix) -> LeafSignature:
     """:func:`leaf_signature` of a matrix already known to be in Sp(n)."""
-    a, w_of, e = _row_reduce(k)
-    diag = np.ldexp(a[np.arange(k.n_rows), np.argsort(w_of)], e)  # D[i, i] = d_{w^-1(i)}
+    a, w_of, _ = _row_reduce(k)
+    diag = a[np.arange(k.n_rows), np.argsort(w_of)]  # D[i, i] 2^-e: q/|q| is scale-free
     phases = [Quaternion(*q) * (1.0 / math.hypot(*q)) for q in diag.tolist()]
     return LeafSignature(w=Permutation(w_of), phases=phases)

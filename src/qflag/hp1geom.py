@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hmat import QMatrix
-from .liealg import (Multivector, _canonicalize, _factors, _intrinsic_table,
+from .liealg import (DualVector, Multivector, _canonicalize, _factors, four_bracket,
                      lambda_element, sp_basis)
 from .quat import Quaternion, qinv, qnorm2, qprod
 
@@ -276,7 +276,7 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     difference (J(c + e_m) - J(c - e_m)) / 2, and one Jacobian pass at c and
     c +- e_m gives J and every d_m J.  By Jacobi's formula d_m of each minor
     of f is the sum over rows r of the minor with row r replaced by d_m of it.
-    RHS pushes ad_X Lambda = sum_c x_c ad_{B_c} Lambda through J_flow.
+    RHS pushes ad_X Lambda through J_flow: :func:`four_bracket` of its rows, paired with X.
     """
     if p.chart is not Chart.SOUTH:
         raise ValueError("lie_derivative_check works on the South chart")
@@ -289,8 +289,7 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     side = np.array([-1.0, 1.0])  # f: the flow pushforward minus the action one
     f, grad_f = _pushforward(jac[0], lam) @ side, _pushforward(swapped, lam).sum(1) @ side
     div_b = np.trace(dj[:, 1] @ xv)  # b = J_flow x, so d_m b = (d_m J_flow) x
-    rows, terms, coef = _intrinsic_table(2)
-    rhs = np.linalg.det(np.moveaxis(jac[0, 1][:, terms], 0, 1)) @ (coef * xv[rows])
+    rhs = four_bracket(*(DualVector(2, row) for row in jac[0, 1])).coeffs @ xv
     return abs(float((jac[0, 1] @ xv) @ grad_f - f * div_b - rhs))
 
 

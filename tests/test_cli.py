@@ -207,6 +207,34 @@ def test_dress_returns_k_whose_r_is_past_the_float_range(tmp_path, capsys):
     assert (out.conj_transpose() @ out - QMatrix.identity(2)).frobenius() <= 1e-12
 
 
+def _near_max_dress_inputs(tmp_path, g22):
+    c = np.sqrt(0.5)
+    g = QMatrix.from_rows([[1.5e308, 1.5e308], [0, g22]])
+    return ["dress", "--g", write_json(tmp_path / "g.json", g.to_json()),
+            "--k", write_json(tmp_path / "k.json", QMatrix.from_rows([[c, -c], [c, c]]).to_json())]
+
+
+def test_dress_of_a_g_whose_product_with_k_overflows(tmp_path, capsys):
+    # G K is past the float range; K' of the scaled G that the RU check holds is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(_near_max_dress_inputs(tmp_path, 1e305)) == 0
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    k2 = QMatrix.from_json(json.loads(out))
+    assert (k2.conj_transpose() @ k2 - QMatrix.identity(2)).frobenius() <= 1e-12
+
+
+def test_dress_of_a_pivot_far_below_the_threshold_exit_2(tmp_path, capsys):
+    # G22 = 1 is about 5e-309 of ||G||_F, far below PIVOT_RTOL: singular, not an overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(_near_max_dress_inputs(tmp_path, 1.0)) == 2
+    assert caught == []
+    assert capsys.readouterr() == ("", "error: matrix is singular: QR breakdown\n")
+
+
 @pytest.mark.parametrize("suite,n", [
     ("schouten", 2),
     ("lambda", 2),

@@ -1,7 +1,9 @@
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qflag.decomp import (
     PIVOT_RTOL,
@@ -423,6 +425,41 @@ def test_dress_forms_no_r_factor():
         iwasawa(g @ k)
     k2 = dress(g, k)
     assert frob(k2.conj_transpose() @ k2 - QMatrix.identity(2)) <= 1e-12
+
+
+def test_dress_of_a_g_whose_product_with_k_overflows():
+    # G K is past the float range, but the power-of-two scaled G that the RU
+    # check holds times K is not, and K' is scale-free
+    c = np.sqrt(0.5)
+    g = QMatrix.from_rows([[1.5e308, 1.5e308], [0, 1e305]])
+    k = QMatrix.from_rows([[c, -c], [c, c]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k2 = dress(g, k)
+    assert frob(k2.conj_transpose() @ k2 - QMatrix.identity(2)) <= 1e-12
+
+
+def test_dress_refuses_a_pivot_far_below_the_threshold_near_the_float_maximum():
+    # G22 = 1 is about 5e-309 of ||G||_F, far below PIVOT_RTOL
+    c = np.sqrt(0.5)
+    with pytest.raises(SingularMatrixError, match="QR breakdown"):
+        dress(QMatrix.from_rows([[1.5e308, 1.5e308], [0, 1]]), QMatrix.from_rows([[c, -c], [c, c]]))
+
+
+@given(n=st.sampled_from([1, 2, 3, 8]), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_dress_is_bitwise_scale_free(n, seed, data):
+    # K' of 2^s G is K' of G bit for bit for every s that keeps each nonzero
+    # component of 2^s G finite and normal (frexp exponent in [-1021, 1024]);
+    # both ends of that range, where G K would overflow or underflow, on every draw
+    from qflag.flags import random_ru
+
+    rng = np.random.default_rng(seed)
+    g, k = random_ru(n, rng), random_symplectic(n, rng)
+    _, exps = np.frexp(np.abs(g.data[g.data != 0]))
+    lo, hi = -1021 - int(exps.min()), 1024 - int(exps.max())
+    want = dress(g, k).data.tobytes()
+    for s in (lo, data.draw(st.integers(lo, hi), label="s"), hi):
+        assert dress(QMatrix(np.ldexp(g.data, s)), k).data.tobytes() == want, s
 
 
 @pytest.mark.parametrize("n", [2, 3])

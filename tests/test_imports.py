@@ -121,6 +121,50 @@ def test_dead_definitions_finds_exactly_the_unread_ones(sources, dead):
     assert dead_definitions(sources) == dead
 
 
+def private_cache_reads(sources: dict[str, str]) -> list[str]:
+    """``reader: owner.name`` for each private ``lru_cache`` table of module ``owner``
+    that another module imports by name or reads as an attribute of ``owner``."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    cached = {(mod, stmt.name) for mod, tree in trees.items() for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+              and any("lru_cache" in reads(dec) for dec in stmt.decorator_list)}
+    found = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                pairs = [(node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                pairs = [(node.value.id, node.attr)]
+            else:
+                continue
+            found += [f"{mod}: {owner}.{name}" for owner, name in pairs
+                      if owner != mod and (owner, name) in cached]
+    return found
+
+
+def test_no_module_reads_another_modules_private_cache():
+    # a table private to its module has one reader there; a second module that
+    # contracts it itself holds a copy of that reader's formula
+    assert private_cache_reads({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+CACHED = "from functools import lru_cache\n@lru_cache(maxsize=None)\ndef _t(n): return n\n"
+
+
+@pytest.mark.parametrize("sources, found", [
+    ({"a": CACHED, "b": "from .a import _t\n"}, ["b: a._t"]),
+    ({"a": CACHED, "b": "from qflag.a import _t as t\n"}, ["b: a._t"]),
+    ({"a": CACHED, "b": "from . import a\nx = a._t(2)\n"}, ["b: a._t"]),
+    ({"a": CACHED + "x = _t(2)\n"}, []),
+    ({"a": CACHED.replace("_t", "t"), "b": "from .a import t\n"}, []),
+    ({"a": "def _t(n): return n\n", "b": "from .a import _t\n"}, []),
+    ({"a": CACHED.replace("@lru_cache(maxsize=None)", "@functools.lru_cache"),
+      "b": "from .a import _t\n"}, ["b: a._t"]),
+])
+def test_private_cache_reads_finds_exactly_the_foreign_readers(sources, found):
+    assert private_cache_reads(sources) == found
+
+
 # the size of every lru_cache in qflag.* after a fresh ``import qflag.cli``
 CACHE_SIZES = """
 import json, sys
