@@ -39,6 +39,10 @@ DEFAULT_TOLERANCES = {
     "profile_ratio": 1e-6,
     "phase_deviation": 1e-8,
 }
+# verify lambda counts [Lambda_n, Lambda_n] as nonzero (n > 2) above this largest
+# coefficient; verify hp1 counts the field at the North pole as zero up to this one
+LAMBDA_NONZERO = 1e-3
+NORTH_COEFF_TOL = 1e-10
 # Random trials of the schouten and spheroid suites, orbit samples of dressing
 SCHOUTEN_TRIALS = 25
 SPHEROID_TRIALS = 50
@@ -149,7 +153,7 @@ def suite_lambda(n: int, seed: int) -> dict:
     lam = liealg.lambda_element(n)
     br = liealg.schouten(lam, lam)
     ok = (br.max_abs() <= DEFAULT_TOLERANCES["lambda_vanishing"] if n == 2
-          else br.max_abs() > 1e-3)  # nonzero for n > 2
+          else br.max_abs() > LAMBDA_NONZERO)
     return {"suite": "lambda", "n": n, "seed": seed,
             "bracket_max_coeff": br.max_abs(), "ok": bool(ok)}
 
@@ -172,7 +176,7 @@ def suite_hp1(n: int, seed: int) -> dict:
     rows = list(hp1geom.radial_profile(rhos, directions=5, seed=seed))
     worst = max(row["abs_err"] / row["expected_ratio"] for row in rows)
     north = abs(hp1geom.bruhat_field(hp1geom.ChartPoint.north(Quaternion())).coeff)
-    ok = worst <= DEFAULT_TOLERANCES["profile_ratio"] and north <= 1e-10
+    ok = worst <= DEFAULT_TOLERANCES["profile_ratio"] and north <= NORTH_COEFF_TOL
     return {"suite": "hp1", "n": 2, "seed": seed, "max_rel_err": worst,
             "north_coeff": north, "ok": bool(ok)}
 

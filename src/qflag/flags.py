@@ -27,6 +27,9 @@ __all__ = [
     "random_ru",
 ]
 
+# orbit_probe takes a base point's phases as trivial within this distance of 1
+TRIVIAL_PHASE_TOL = 1e-8
+
 
 @dataclass
 class LeafPoint:
@@ -121,7 +124,7 @@ def orbit_probe(k: QMatrix, samples: int, seed: int) -> dict:
     n = k.n_rows
     rng = np.random.default_rng(seed)
     sig0 = _leaf_signature(k)
-    trivial_phases = all((p - Quaternion(1)).norm() < 1e-8 for p in sig0.phases)
+    trivial_phases = all((p - Quaternion(1)).norm() < TRIVIAL_PHASE_TOL for p in sig0.phases)
     max_dev = 0.0
     max_recon = None
     for _ in range(samples):

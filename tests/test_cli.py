@@ -2,16 +2,18 @@ import csv
 import inspect
 import itertools
 import json
+import math
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from qflag import cli
+from qflag import cli, hp1geom
 from qflag.decomp import bruhat
 from qflag.flags import random_ru
 from qflag.hmat import Permutation, QMatrix, random_symplectic
+from qflag.quat import Quaternion
 
 from util import random_invertible
 
@@ -255,7 +257,29 @@ def test_verify_suites_pass(suite, n, capsys):
 def test_verify_lambda_n3_reports_nonzero(capsys):
     assert cli.main(["verify", "lambda", "--n", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["bracket_max_coeff"] > 1e-3
+    assert report["bracket_max_coeff"] > cli.LAMBDA_NONZERO
+
+
+@pytest.mark.parametrize("bound, ok", [(np.nextafter(2.0, 0.0), True), (2.0, False)])
+def test_verify_lambda_nonzero_edge(bound, ok, monkeypatch):
+    # [Lambda_3, Lambda_3]'s largest coefficient is exactly 2: the suite counts it
+    # nonzero only above LAMBDA_NONZERO
+    monkeypatch.setattr(cli, "LAMBDA_NONZERO", bound)
+    report = cli.suite_lambda(3, 0)
+    assert report["bracket_max_coeff"] == 2.0 and report["ok"] is ok
+
+
+@pytest.mark.parametrize("factor, ok", [(0.99, True), (1.01, False)])
+def test_verify_hp1_north_coeff_edge(factor, ok, monkeypatch):
+    # near the North pole the field is about 6|u|^2, so NORTH_COEFF_TOL passes a
+    # field whose zero sits up to about 4e-6 off the pole in the chart
+    shift = Quaternion(0.0, factor * math.sqrt(cli.NORTH_COEFF_TOL / 6.0))
+    field = hp1geom.bruhat_field
+    monkeypatch.setattr(hp1geom, "bruhat_field",
+                        lambda p: field(hp1geom.ChartPoint(p.chart, p.coord + shift)))
+    report = cli.suite_hp1(2, 0)
+    assert report["north_coeff"] == pytest.approx(factor ** 2 * cli.NORTH_COEFF_TOL, rel=1e-6)
+    assert report["ok"] is ok
 
 
 def test_verify_unknown_suite_exit_1(capsys):

@@ -6,6 +6,7 @@ import pytest
 from qflag import decomp, flags
 from qflag.decomp import leaf_signature
 from qflag.flags import (
+    TRIVIAL_PHASE_TOL,
     _leaf_jacobian,
     cell_of,
     leaf_dimension,
@@ -149,6 +150,19 @@ def test_orbit_probe_p12_reconstructs_kv():
     report = orbit_probe(Permutation([1, 0]).matrix(), samples=50, seed=1)
     assert report["phase_dev"] <= 1e-8
     assert report["kv_reconstruction_err"] <= 1e-9
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_orbit_probe_trivial_phase_edge(factor):
+    # a base point whose phase lies within TRIVIAL_PHASE_TOL of 1 is read against the
+    # k_v chart form, and reconstructs it only up to that phase
+    d = factor * TRIVIAL_PHASE_TOL
+    k = Permutation([1, 0]).matrix() @ QMatrix.diag([Quaternion(np.cos(d), np.sin(d)), Quaternion(1)])
+    report = orbit_probe(k, samples=5, seed=0)
+    if factor < 1:
+        assert report["kv_reconstruction_err"] == pytest.approx(d, rel=1e-6)
+    else:
+        assert "kv_reconstruction_err" not in report
 
 
 def test_orbit_probe_sigma_pw_n3():

@@ -16,7 +16,10 @@ also picks the exit code; every subcommand and every ``verify`` suite must have
 a golden here (``test_every_command_and_suite_has_a_golden``).
 
 A change that alters an output on purpose regenerates the files, names them in
-CHANGES.md and updates ``golden/versions.json``::
+CHANGES.md and updates ``golden/versions.json``, which records the Python, numpy
+and BLAS versions and the kernel set OpenBLAS picked for the CPU (``openblas_core``):
+the command goldens hold to the last bit only on that kernel set, so a mismatch
+names the recorded core and the running one::
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_golden.py
 """
@@ -24,6 +27,7 @@ CHANGES.md and updates ``golden/versions.json``::
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import argparse
 import json
@@ -159,7 +163,9 @@ def test_verify_stdout_matches_golden(suite, n):
 
 @pytest.mark.parametrize("name", CASES)
 def test_command_matches_golden(name):
-    assert _run(CASES[name]) == json.loads((GOLDEN / f"cli_{name}.json").read_text())
+    recorded = json.loads((GOLDEN / "versions.json").read_text())["openblas_core"]
+    assert _run(CASES[name]) == json.loads((GOLDEN / f"cli_{name}.json").read_text()), (
+        f"recorded on OpenBLAS core {recorded}, running on {_openblas_core()}")
 
 
 def test_every_command_and_suite_has_a_golden():
@@ -179,10 +185,23 @@ def test_brackets_match_golden(name):
     assert _dump(_brackets(inputs)) == _compact(stored["outputs"])
 
 
+def _openblas_core() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU, or None where
+    that library is not found."""
+    root = Path(np.__file__).resolve().parent
+    for path in [*root.parent.glob("numpy.libs/*scipy_openblas*"),
+                 *root.glob(".dylibs/*scipy_openblas*")]:
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def _versions() -> dict:
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+            "blas": f"{blas['name']} {blas['version']}", "openblas_core": _openblas_core()}
 
 
 def write_goldens() -> None:

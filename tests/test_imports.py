@@ -1,8 +1,9 @@
 """Every top-level import of the package and the tests is used, every name a
 package module exports is defined there, and every package definition is
-exported or read."""
+exported or read; importing the package keeps freed heap in the process."""
 
 import ast
+import ctypes
 import json
 import os
 import subprocess
@@ -181,3 +182,38 @@ def test_importing_the_cli_fills_no_cache():
                                       capture_output=True, text=True).stdout)
     assert "qflag.hp1geom._jacobian_table" in sizes
     assert {name: size for name, size in sizes.items() if size} == {}
+
+
+# minor page faults per round of Ad on Lambda_3 and on the moved Lambda_3, and of
+# bruhat and expm at n = 32, after a warm-up
+FAULTS = """
+import resource
+import numpy as np
+import qflag
+from qflag.decomp import bruhat
+from qflag.hmat import QMatrix, expm, random_sp_algebra, random_symplectic
+from qflag.liealg import ad_group, lambda_element
+rng = np.random.default_rng(0)
+lam, g = lambda_element(3), random_symplectic(3, rng)
+moved = ad_group(g, lam) - lam
+a, x = QMatrix(rng.normal(size=(32, 32, 4))), random_sp_algebra(32, rng)
+def one_round():
+    ad_group(g, lam), ad_group(g, moved), bruhat(a), expm(x)
+for _ in range(3):
+    one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    one_round()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the import sets glibc's mallopt parameters, and this libc has none")
+def test_repeated_calls_fault_in_no_fresh_pages():
+    # with glibc's defaults each call maps its 352 KB apply_exterior transients
+    # afresh, and trimming hands smaller ones back: about 320 faults a round
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", FAULTS], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert float(out) < 1.0

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from qflag import decomp, flags, hmat, hp1geom, liealg
+from qflag import cli, decomp, flags, hmat, hp1geom, liealg
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-THRESHOLDS = sorted({(mod.__name__, name) for mod in (decomp, flags, hmat, hp1geom, liealg)
+THRESHOLDS = sorted({(mod.__name__, name) for mod in (cli, decomp, flags, hmat, hp1geom, liealg)
                      for name, value in vars(mod).items()
                      if name.isupper() and isinstance(value, float)})
 

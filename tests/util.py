@@ -12,7 +12,7 @@ from qflag.flags import leaf_point
 from qflag.hmat import (SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, chi, unchi,
                         word_to_permutation)
 from qflag.hp1geom import Chart, ChartPoint, coset_rep
-from qflag.liealg import PRUNE_TOL, Multivector, _rank, _sum_keys, lambda_element, sp_basis
+from qflag.liealg import PRUNE_TOL, Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion, qnorm2, qprod
 
 
@@ -125,20 +125,26 @@ def wedge_tuples(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, .
 
 
 def collect_oracle(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
-    """``liealg._collect`` as it was before the sign and the repeats were read
-    off whole-column compares: the inversions of each (m, k) row counted by
-    k - 1 short-axis sums, and the repeats found by ``np.all`` over each sorted
-    row.  The ranking and the merge of equal keys are the library's."""
+    """``liealg._collect`` row by row: each row's sign is the parity of its
+    inversions, a sorted row that repeats an index is dropped, its key is its
+    lexicographic rank C(dim, k) - 1 - sum_j C(dim - 1 - a_j, k - j) from
+    ``math.comb``, and equal keys merge in a dict that keeps the first row.  A
+    key's values are summed in input order, as numpy's ``add.reduceat`` sums a
+    run: the first value plus ``np.sum`` of the rest."""
     k = idx.shape[1]
-    if k > 1:
-        inversions = np.zeros(len(idx), dtype=np.intp)
-        for i in range(k - 1):
-            inversions += np.sum(idx[:, i, None] > idx[:, i + 1:], axis=1)
-        idx = np.sort(idx, axis=1)
-        keep = np.all(idx[:, 1:] != idx[:, :-1], axis=1)
-        idx, val = idx[keep], np.where(inversions % 2, -val, val)[keep]
-    keys, val, first = _sum_keys(_rank(idx, dim), val)
-    return keys, val, idx[first]
+    runs = {}
+    for row, v in zip(idx.tolist(), val.tolist()):
+        odd = sum(a > b for a, b in combinations(row, 2)) % 2
+        row = sorted(row)
+        if any(a == b for a, b in zip(row, row[1:])):
+            continue
+        key = math.comb(dim, k) - 1 - sum(math.comb(dim - 1 - a, k - j) for j, a in enumerate(row))
+        runs.setdefault(key, (row, []))[1].append(-v if odd else v)
+    terms = [(key, row, vs[0] + np.sum(vs[1:])) for key, (row, vs) in sorted(runs.items())]
+    terms = [t for t in terms if abs(t[2]) > PRUNE_TOL]
+    return (np.array([t[0] for t in terms], dtype=np.int64),
+            np.array([t[2] for t in terms], dtype=float),
+            np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), k))
 
 
 def wedge_oracle(p: Multivector, q: Multivector) -> Multivector:
