@@ -58,9 +58,6 @@ class BruhatForm:
     def reconstruct(self) -> QMatrix:
         return self.U @ self.D @ self.w.matrix() @ self.V
 
-    def diagonal(self) -> list[Quaternion]:
-        return [self.D[i, i] for i in range(self.D.n_rows)]
-
     def to_json(self) -> dict:
         return {name: getattr(self, name).to_json() for name in ("U", "D", "w", "V")}
 

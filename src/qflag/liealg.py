@@ -108,13 +108,6 @@ class SpBasis:
         exact on the span, and blind to a part orthogonal to chi(sp(n)), e.g. a Hermitian one."""
         return (c.reshape(*c.shape[:-2], -1) @ self._coords).real
 
-    def project(self, m: QMatrix) -> np.ndarray:
-        """Basis coordinates of a matrix in sp(n) (exact on the span)."""
-        return self.coords(chi(m.data))
-
-    def matrix_of(self, coeffs) -> QMatrix:
-        return QMatrix(np.tensordot(np.asarray(coeffs, dtype=float), self.data, axes=1))
-
     def element(self, name: str) -> "Multivector":
         """Grade-1 multivector for a named basis element."""
         return Multivector(self.n, 1, {(self.index[name],): 1.0})
@@ -176,29 +169,16 @@ def _unrank(keys: np.ndarray, k: int, dim: int) -> np.ndarray:
     idx = np.empty((len(keys), len(tab)), dtype=np.intp)
     for j, row in enumerate(tab):
         b = np.searchsorted(row, rest, side="right") - 1  # the largest C(b, k - j) <= rest
-        idx[:, j], rest = dim - 1 - b, rest - row[b]
+        idx[:, j], rest = dim - 1 - b, rest - row.take(b)
     return idx
-
-
-def _sum_keys(keys: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical terms from keyed values: the sorted distinct keys, the sum of each
-    key's values in input order (sums at most PRUNE_TOL pruned), and the input
-    position of each kept key's first value."""
-    order = np.argsort(keys, kind="stable")
-    ordered, new = keys[order], np.ones(len(keys), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]  # where each run of equal keys starts
-    starts = np.flatnonzero(new)
-    acc = np.add.reduceat(val[order], starts)
-    keep = np.abs(acc) > PRUNE_TOL
-    first = order[starts[keep]]
-    return keys[first], acc[keep], first
 
 
 def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
     """Sum terms into canonical keys, values and rows.  Row r of ``idx`` (m, k) stands
     for ``val[r]`` times the wedge of its basis elements in row order: it is
     sorted with the sign of the sort, vanishes if it repeats an index, and is
-    keyed by its rank among the k-subsets of range(dim); equal keys merge."""
+    keyed by its rank among the k-subsets of range(dim); equal keys merge, their
+    values summed in input order, and sums at most PRUNE_TOL are pruned."""
     k = idx.shape[1]
     if k > 1:  # whole-column compares: a numpy reduction over the short axis costs far more
         t, odd = idx.T, np.zeros(len(idx), dtype=bool)
@@ -208,9 +188,16 @@ def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ..
         t, keep = idx.T, np.ones(len(idx), dtype=bool)
         for x in range(1, k):  # sorted, a repeated factor sits next to itself
             keep &= t[x] != t[x - 1]
-        idx, val = idx[keep], np.where(odd, -val, val)[keep]
-    keys, val, first = _sum_keys(_rank(idx, dim), val)
-    return keys, val, idx[first]
+        idx, val = idx.compress(keep, axis=0), np.where(odd, -val, val)[keep]
+    keys = _rank(idx, dim)
+    order = np.argsort(keys, kind="stable")
+    ordered, new = keys.take(order), np.ones(len(keys), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]  # where each run of equal keys starts
+    starts = np.flatnonzero(new)
+    acc = np.add.reduceat(val.take(order), starts)
+    keep = np.abs(acc) > PRUNE_TOL
+    first = order.take(starts[keep])  # the input row of each kept key's first value
+    return keys.take(first), acc[keep], idx.take(first, axis=0)
 
 
 def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ...]:
@@ -236,9 +223,15 @@ def _factors(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """For every (term, position) of (m, k) terms, k >= 1: the factor there,
     the rest of the term, and the term's coefficient times (-1)^position."""
     m, k = idx.shape
-    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
-    signed = val[:, None] * np.where(np.arange(k) % 2, -1.0, 1.0)
-    return idx.ravel(), idx[:, others].reshape(m * k, k - 1), signed.ravel()
+    others, signs = _factor_tables(k)
+    rest = idx.take(others, axis=1).reshape(m * k, k - 1)
+    return idx.ravel(), rest, (val[:, None] * signs).ravel()
+
+
+@lru_cache(maxsize=None)
+def _factor_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions other than each of k, flat (k * (k - 1)), and (-1)^position."""
+    return np.nonzero(~np.eye(k, dtype=bool))[1], np.where(np.arange(k) % 2, -1.0, 1.0)
 
 
 class Multivector:
@@ -306,14 +299,27 @@ class Multivector:
         return float(np.abs(self._keyed()[1]).max(initial=0.0))
 
     def __add__(self, other: "Multivector") -> "Multivector":
-        if self.n != other.n or self.grade != other.grade:
-            raise ValueError("mismatched n or grade")
-        # one stable sort of the two sorted runs of keys, ours first
-        pairs = zip(self._keyed(), other._keyed())  # (keys, keys), (values, values)
-        return Multivector._of(self.n, self.grade, *_sum_keys(*map(np.concatenate, pairs))[:2])
+        return self._merge(other, np.add)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
-        return self + other.scale(-1.0)
+        return self._merge(other, np.subtract)
+
+    def _merge(self, other: "Multivector", op: np.ufunc) -> "Multivector":
+        """self op other: canonical keys are sorted and distinct, so a key occurs at most twice."""
+        if self.n != other.n or self.grade != other.grade:
+            raise ValueError("mismatched n or grade")
+        (k1, v1), (k2, v2) = self._keyed(), other._keyed()
+        if np.array_equal(k1, k2):
+            keys, acc, first = k1, op(v1, v2), True
+        else:  # one stable sort of the two runs, ours first; 0.0 - v is -v for v != 0
+            keys = np.concatenate([k1, k2])
+            order = np.argsort(keys, kind="stable")
+            keys, acc = keys.take(order), np.concatenate([v1, op(0.0, v2)]).take(order)
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]  # False on the second of a twin
+            acc[:-1] += np.where(first[1:], 0.0, acc[1:])  # ours + theirs, and v + 0.0 is v
+        keep = first & (np.abs(acc) > PRUNE_TOL)
+        return Multivector._of(self.n, self.grade, keys[keep], acc[keep])
 
     def scale(self, r: float) -> "Multivector":
         if not math.isfinite(r):
@@ -393,12 +399,14 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
     col, val = _struct_table(p.n)
     a, rest_p, cp = _factors(*p.terms())
     b, rest_q, cq = _factors(*q.terms())
-    pair = a[:, None] * sp_basis(p.n).dim + b  # the table's row of (x_a, y_b)
-    i, j, s = np.nonzero(val[pair])
-    flat = pair[i, j] * val.shape[1] + s
-    rows = np.concatenate([col.take(flat)[:, None], rest_p[i], rest_q[j]], axis=1)
+    pair = (a[:, None] * sp_basis(p.n).dim + b).ravel()  # the table's row of (x_a, y_b)
+    ab, s = np.nonzero(val.take(pair, axis=0))
+    i, j = np.divmod(ab, len(b))
+    flat = pair.take(ab) * val.shape[1] + s
+    rows = np.concatenate([col.take(flat)[:, None], rest_p.take(i, axis=0),
+                           rest_q.take(j, axis=0)], axis=1)
     pref = -1.0 if p.grade % 2 == 0 else 1.0  # (-1)^{p+1}
-    coef = pref * cp[i] * cq[j] * val.take(flat)
+    coef = pref * cp.take(i) * cq.take(j) * val.take(flat)
     return Multivector._of(p.n, p.grade + q.grade - 1, *_collect(rows, coef, sp_basis(p.n).dim))
 
 
@@ -435,12 +443,6 @@ class DualVector:
     n: int
     coeffs: np.ndarray
 
-    @staticmethod
-    def basis_dual(name: str, n: int) -> "DualVector":
-        v = np.zeros(sp_basis(n).dim)
-        v[sp_basis(n).index[name]] = 1.0
-        return DualVector(n, v)
-
 
 @lru_cache(maxsize=None)
 def _intrinsic_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -466,7 +468,7 @@ def four_bracket(z1: DualVector, z2: DualVector, z3: DualVector, z4: DualVector)
         raise ValueError(f"four_bracket needs covectors of {dim} entries over sp({n})")
     rows, terms, coef = _intrinsic_table(n)
     zmat = np.stack([z.coeffs for z in zs])  # (4, N)
-    minors = np.linalg.det(zmat[:, terms].transpose(1, 0, 2))
+    minors = np.linalg.det(zmat.take(terms, axis=1).transpose(1, 0, 2))
     return DualVector(n, np.bincount(rows, weights=coef * minors, minlength=dim))
 
 

@@ -23,7 +23,6 @@ from qflag.hmat import (
 from qflag.quat import J, K, ONE, Quaternion
 
 from util import (
-    bruhat_ddet,
     bruhat_oracle,
     gram_schmidt_iwasawa,
     in_vw,
@@ -32,6 +31,7 @@ from util import (
     random_invertible,
     random_unit_quaternion,
     random_unit_upper,
+    real_rep_ddet,
 )
 
 
@@ -174,10 +174,11 @@ def test_ddet_examples():
 
 @pytest.mark.parametrize("n", [2, 3, 8, 32])
 def test_ddet_matches_bruhat_diagonal_oracle(n):
+    # the oracle is |det real_rep(G)|^(1/4), free of chi and of the Bruhat form
     rng = np.random.default_rng(42 + n)
     for _ in range(5):
         g = random_invertible(n, rng)
-        assert abs(dieudonne_det(g) / bruhat_ddet(g) - 1.0) <= 1e-12
+        assert abs(dieudonne_det(g) / real_rep_ddet(g) - 1.0) <= 1e-12
 
 
 def test_ddet_does_not_overflow_when_its_value_fits():
@@ -514,7 +515,7 @@ def test_leaf_signature_and_cell_equal_the_bruhat_form_exactly():
         sig = leaf_signature(k)
         assert sig.w == form.w
         assert cell_of(k) == form.w
-        expect = [q * (1.0 / q.norm()) for q in form.diagonal()]
+        expect = [q * (1.0 / q.norm()) for q in (form.D[i, i] for i in range(k.n_rows))]
         assert [p.to_json() for p in sig.phases] == [q.to_json() for q in expect]
 
 

@@ -23,8 +23,8 @@ from qflag.liealg import ad_group_matrix
 from qflag.quat import I, J, ONE, Quaternion
 
 from util import (embed_sp2, exp_pure_oracle, expm_series_oracle, gauss_jordan_inverse,
-                  is_symplectic, random_invertible, reduced_word_oracle, symplectic_residual,
-                  word_to_permutation_oracle)
+                  is_symplectic, random_invertible, real_rep, reduced_word_oracle,
+                  symplectic_residual, word_to_permutation_oracle)
 
 
 def frob(m):
@@ -39,6 +39,16 @@ def test_matmul_order_matters():
     assert (ab[0, 1] - I * J).norm() == 0.0
     assert (ba[1, 0] - J * I).norm() == 0.0
     assert frob(ab - ba) > 1.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_matmul_matches_the_real_rep_oracle(n):
+    # real_rep is an algebra homomorphism built from Hamilton products, free of chi
+    rng = np.random.default_rng(70 + n)
+    a, b = random_invertible(n, rng), random_invertible(n, rng)
+    assert np.array_equal(real_rep(QMatrix.identity(n)), np.eye(4 * n))
+    err = np.abs(real_rep(a @ b) - real_rep(a) @ real_rep(b)).max()
+    assert err <= 1e-14 * frob(a) * frob(b)
 
 
 def test_conj_transpose_involution_and_antihomomorphism():

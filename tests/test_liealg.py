@@ -30,6 +30,7 @@ from util import (
     ad_matrix_oracle,
     apply_exterior_laplace,
     apply_exterior_oracle,
+    basis_dual,
     collect_oracle,
     four_bracket_oracle,
     lambda_oracle,
@@ -103,11 +104,11 @@ def test_projection_is_exact_on_basis(n):
     b = sp_basis(n)
     for c, name in enumerate(b.names):
         m = QMatrix(b.data[c])
-        coords = b.project(m)
+        coords = b.coords(chi(m.data))
         expect = np.zeros(b.dim)
         expect[c] = 1.0
         assert np.array_equal(coords, expect)
-        assert (b.matrix_of(coords) - m).frobenius() == 0.0
+        assert (QMatrix(np.tensordot(coords, b.data, axes=1)) - m).frobenius() == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -164,9 +165,9 @@ def test_lie_bracket_antisymmetry_and_jacobi():
                + lie_bracket(z, lie_bracket(x, y)))
         assert jac.max_abs() <= 1e-10
         # bracket agrees with the matrix commutator
-        mx, my = b.matrix_of(x.as_vector()), b.matrix_of(y.as_vector())
+        mx, my = (QMatrix(np.tensordot(v.as_vector(), b.data, axes=1)) for v in (x, y))
         comm = mx @ my - my @ mx
-        assert np.max(np.abs(lie_bracket(x, y).as_vector() - b.project(comm))) <= 1e-12
+        assert np.max(np.abs(lie_bracket(x, y).as_vector() - b.coords(chi(comm.data)))) <= 1e-12
 
 
 # -- multivectors -----------------------------------------------------------
@@ -219,8 +220,8 @@ def _mv(n, grade):
     (lambda: schouten(_mv(2, 1), _mv(3, 1)), "mismatched n"),
     (lambda: ad_multivector(_mv(2, 1), _mv(3, 2)), "mismatched n"),
     (lambda: ad_multivector(_mv(2, 2), _mv(2, 2)), "grade-1 first argument"),
-    (lambda: four_bracket(*[DualVector.basis_dual("E(1,2)", 2)] * 3,
-                          DualVector.basis_dual("E(1,2)", 3)), "mismatched n"),
+    (lambda: four_bracket(*[basis_dual("E(1,2)", 2)] * 3,
+                          basis_dual("E(1,2)", 3)), "mismatched n"),
     (lambda: ad_group(QMatrix.identity(3), _mv(2, 1)),
      r"10 x 10 matrix over sp\(2\), got shape \(21, 21\)"),
     (lambda: _mv(2, 2).as_vector(), "as_vector requires grade 1"),
@@ -284,6 +285,41 @@ def test_scale_and_max_abs_match_the_dict_loops_exactly(name, p, q, r):
     scaled, largest = p.copy().scale(r), p.copy().max_abs()
     assert scaled.coeffs == {t: c * r for t, c in p.coeffs.items() if abs(c * r) > PRUNE_TOL}
     assert largest == max(map(abs, p.coeffs.values()), default=0.0)
+
+
+@st.composite
+def _canonical_pairs(draw):
+    """Canonical (p, q) over sp(2), grades 0-3, with equal, disjoint or overlapping
+    keys, or one or both empty; a shared key may be a twin pair that cancels in
+    p + q or in p - q to exactly 0.99 or 1.01 x PRUNE_TOL (4x and -3x or 3x, where
+    x has a float32 mantissa so that 3x and 4x - 3x are exact)."""
+    grade = draw(st.integers(0, 3))
+    keys = st.sets(st.sampled_from(list(combinations(range(10), grade))), max_size=12)
+    kind = draw(st.sampled_from(["equal", "disjoint", "overlapping",
+                                 "empty-left", "empty-right", "empty-both"]))
+    a = set() if kind in ("empty-left", "empty-both") else draw(keys)
+    extra = draw(keys)
+    b = {"equal": a, "disjoint": extra - a, "empty-left": extra, "empty-right": set(),
+         "empty-both": set(), "overlapping": {t for t in a if draw(st.booleans())} | extra}[kind]
+    coef = st.builds(lambda m, s: m * s, st.floats(2 * PRUNE_TOL, 8.0), st.sampled_from([1, -1]))
+    p, q = {t: draw(coef) for t in a}, {t: draw(coef) for t in b}
+    for t in a & b:
+        f = draw(st.sampled_from([None, 0.99, 1.01]))
+        if f is not None:
+            x = float(np.float32(f * PRUNE_TOL)) * draw(st.sampled_from([1.0, -1.0]))
+            in_sum = draw(st.booleans())  # the twin cancels in p + q, else in p - q
+            p[t], q[t] = 4 * x, -3 * x if in_sum else 3 * x
+    return Multivector(2, grade, p), Multivector(2, grade, q)
+
+
+@given(_canonical_pairs())
+def test_sums_match_the_merge_oracle_on_drawn_pairs(pair):
+    p, q = pair
+    got_add, got_sub, ref_sub = p + q, p - q, p + q.scale(-1.0)  # before any coeffs read
+    for got, ref in zip(got_sub._keyed(), ref_sub._keyed(), strict=True):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert got_add.coeffs == merge_oracle(p, q, 1.0)
+    assert got_sub.coeffs == merge_oracle(p, q, -1.0)
 
 
 def test_writes_through_coeffs_are_read_back():
@@ -409,9 +445,9 @@ def test_multivector_refuses_non_finite_and_non_integral_input(make, match):
     (lambda: Multivector(2, 1, {(1,): 1.0}).scale(float("nan")), "scale factor nan"),
     (lambda: Multivector(2, 1, {(1,): 1.0}).scale(float("inf")), "scale factor inf"),
     (lambda: Multivector(2, 1).scale(float("-inf")), "scale factor -inf"),
-    (lambda: four_bracket(*[DualVector.basis_dual("E(1,2)", 2)] * 3, DualVector(2, np.ones(12))),
+    (lambda: four_bracket(*[basis_dual("E(1,2)", 2)] * 3, DualVector(2, np.ones(12))),
      "covectors of 10 entries over sp"),
-    (lambda: four_bracket(DualVector(2, np.ones(3)), *[DualVector.basis_dual("E(1,2)", 2)] * 3),
+    (lambda: four_bracket(DualVector(2, np.ones(3)), *[basis_dual("E(1,2)", 2)] * 3),
      "covectors of 10 entries over sp"),
 ], ids=["exterior-10-on-sp3", "exterior-30-on-sp2", "exterior-grade0", "exterior-nan",
         "exterior-inf", "scale-nan", "scale-inf", "scale-empty-minus-inf", "four-bracket-12",
@@ -520,14 +556,14 @@ def test_intrinsic_derivative_matches_finite_difference():
     for _ in range(5):
         x = random_multivector(2, 1, rng, nterms=4)
         x = x.scale(1.0 / float(np.linalg.norm(x.as_vector())))
-        g = expm(b.matrix_of(x.as_vector()).scale(t))
+        g = expm(QMatrix(np.tensordot(x.as_vector(), b.data, axes=1)).scale(t))
         fd = (ad_group(g, lam) - lam).scale(1.0 / t)
         assert (fd - intrinsic_derivative(x)).max_abs() <= 1e-4
 
 
 def test_four_bracket():
     b = sp_basis(2)
-    z = [DualVector.basis_dual(nm, 2)
+    z = [basis_dual(nm, 2)
          for nm in ("E(1,2)", "S(i;1,2)", "S(j;1,2)", "S(k;1,2)")]
     # duplicated covector arguments annihilate
     assert np.max(np.abs(four_bracket(z[0], z[0], z[1], z[2]).coeffs)) == 0.0

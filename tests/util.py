@@ -7,12 +7,12 @@ from itertools import combinations
 
 import numpy as np
 
-from qflag.decomp import PIVOT_RTOL, BruhatForm, bruhat
+from qflag.decomp import PIVOT_RTOL, BruhatForm
 from qflag.flags import leaf_point
 from qflag.hmat import (SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, chi, unchi,
                         word_to_permutation)
 from qflag.hp1geom import Chart, ChartPoint, coset_rep
-from qflag.liealg import PRUNE_TOL, Multivector, lambda_element, sp_basis
+from qflag.liealg import PRUNE_TOL, DualVector, Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion, qnorm2, qprod
 
 
@@ -298,6 +298,11 @@ def ad_matrix_oracle(x: np.ndarray, st: np.ndarray) -> np.ndarray:
     return np.einsum("a,abc->cb", np.asarray(x, dtype=float), st)
 
 
+def basis_dual(name: str, n: int) -> DualVector:
+    """The covector dual to the named basis element of sp(n)."""
+    return DualVector(n, np.eye(sp_basis(n).dim)[sp_basis(n).index[name]])
+
+
 def four_bracket_oracle(zs, n: int) -> np.ndarray:
     """<z1^z2^z3^z4, ad_X Lambda> for each basis element X, one at a time."""
     basis = sp_basis(n)
@@ -320,11 +325,6 @@ def ad_group_oracle(g: QMatrix) -> np.ndarray:
         gb = hamilton(g.data[:, :, None], m.data[None, :, :]).sum(axis=1)
         cols.append(project_oracle(hamilton(gb[:, :, None], gstar[None]).sum(axis=1), g.n_rows))
     return np.stack(cols, axis=1)
-
-
-def bruhat_ddet(g: QMatrix) -> float:
-    """Dieudonne determinant as the product of |d_i| over the Bruhat diagonal."""
-    return float(np.prod([q.norm() for q in bruhat(g).diagonal()]))
 
 
 def max_coeff_diff(p: Multivector, q: Multivector) -> float:
@@ -395,6 +395,22 @@ def hamilton(a, b):
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ], axis=-1)
+
+
+def real_rep(m: QMatrix) -> np.ndarray:
+    """The left-regular real form of an r x c quaternion matrix, (4r, 4c): block (i, j)
+    is the 4 x 4 matrix of x -> m_ij x on R^4 = H, from Hamilton products alone.
+    It is an injective algebra homomorphism, so real_rep(AB) = real_rep(A) real_rep(B),
+    and |det real_rep(G)| = Ddet(G)^4 (H. Aslaksen, "Quaternionic determinants",
+    Math. Intelligencer 18, 1996)."""
+    r, c = m.data.shape[:2]
+    blocks = hamilton(m.data[:, :, None, :], np.eye(4))  # [i, j, b, a] = (m_ij e_b)_a
+    return blocks.transpose(0, 3, 1, 2).reshape(4 * r, 4 * c)
+
+
+def real_rep_ddet(g: QMatrix) -> float:
+    """The Dieudonne determinant |det real_rep(G)|^(1/4), through a log-determinant."""
+    return math.exp(np.linalg.slogdet(real_rep(g))[1] / 4)
 
 
 def symplectic_residual(m: QMatrix) -> float:
