@@ -55,9 +55,6 @@ class BruhatForm:
     w: Permutation
     V: QMatrix
 
-    def reconstruct(self) -> QMatrix:
-        return self.U @ self.D @ self.w.matrix() @ self.V
-
     def to_json(self) -> dict:
         return {name: getattr(self, name).to_json() for name in ("U", "D", "w", "V")}
 

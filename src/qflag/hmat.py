@@ -130,11 +130,6 @@ class QMatrix:
             m.data[p, p] = e.to_array()
         return m
 
-    @staticmethod
-    def from_rows(rows) -> "QMatrix":
-        return QMatrix(np.array([[(e if isinstance(e, Quaternion) else Quaternion(e)).to_array()
-                                  for e in row] for row in rows]))
-
     # -- shape and entries -------------------------------------------------
 
     @property
@@ -289,13 +284,6 @@ class Permutation:
     @staticmethod
     def longest(n: int) -> "Permutation":
         return Permutation(range(n - 1, -1, -1))
-
-    @staticmethod
-    def transposition(r: int, n: int) -> "Permutation":
-        """Adjacent transposition swapping positions r and r+1 (0-based r)."""
-        ol = list(range(n))
-        ol[r], ol[r + 1] = ol[r + 1], ol[r]
-        return Permutation(ol)
 
     @property
     def n(self) -> int:

@@ -95,16 +95,10 @@ class ChartPoint:
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Coefficient f of a chart 4-vector f * d1^d2^d3^d4, plus its dual 1/f."""
+    """Coefficient f of a chart 4-vector f * d1^d2^d3^d4."""
 
     at: ChartPoint
     coeff: float
-
-    @property
-    def dual_coeff(self) -> float:
-        if self.coeff == 0.0:
-            raise ZeroDivisionError("field vanishes here; no dual coefficient")
-        return 1.0 / self.coeff
 
 
 def south_coord(m: QMatrix) -> Quaternion:

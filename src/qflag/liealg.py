@@ -17,9 +17,9 @@ combinatorial number system).  So key order is row order, a sum is one merge of
 sorted keys, and :func:`apply_exterior`, which fills the C(N, k) subsets in
 order, keys its output by position; it is the split (generalized Laplace)
 product, the image of a term being the wedge of its two halves' images, read off
-one product of their minors.  Kernels read index rows back from the keys;
-``wedge``, ``schouten`` and the constructor write unsorted rows, and
-:func:`_collect` sorts them with the sign of the sort (the parity of the column
+one product of their minors, the halves' keys read off the term's.  ``wedge`` and
+``schouten`` read index rows back from the keys; they and the constructor write
+unsorted rows, and :func:`_collect` sorts them with the sign of the sort (the parity of the column
 compares row[x] > row[y], x < y), drops those with equal adjacent sorted columns,
 ranks them (:func:`_rank`) and merges equal keys.  ``schouten`` is the one bracket kernel:
 ``lie_bracket`` and ad_X P (:func:`ad_multivector`, the derivative
@@ -484,6 +484,7 @@ def ad_group_matrix(g: QMatrix) -> np.ndarray:
     return basis.coords(cg @ basis.chi @ cg.conj().T).T  # column c: g B_c g*
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite image raises below
 def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     """Apply the grade-wise exterior power of a linear map to a multivector.
 
@@ -491,34 +492,38 @@ def apply_exterior(a: np.ndarray, p: Multivector) -> Multivector:
     a.e_S = (a.e_S') ^ (a.e_S''): the image sums B[P', P''] e_P' ^ e_P'' with
     B = W_h C W_{k-h}^T, C holding each coefficient at (S', S'') and column S' of
     W_j the j x j minors of a on the columns S' over every j-subset of rows.
-    Output subset T sums B over its C(k, h) splits, signed by their shuffles.
-    ``ValueError`` unless a is a finite dim x dim matrix, dim that of sp(n).
+    Output subset T sums B over its C(k, h) splits, signed by their shuffles; the
+    first split's flat index of S gives the keys of S' and S''.
+    ``ValueError`` unless a is a finite dim x dim matrix, dim that of sp(n);
+    ``OverflowError`` if a coefficient of the image is not finite.
     """
     N, k = sp_basis(p.n).dim, p.grade
     if np.shape(a) != (N, N) or not np.isfinite(a).all():
         raise ValueError(f"apply_exterior needs a finite {N} x {N} matrix over sp({p.n}), "
                          f"got shape {np.shape(a)}")
-    idx, val = p.terms()
+    keys, val = p._keyed()
     if k == 0 or not len(val):
         return p.copy()
-    (r1, w1), (r2, w2) = (_minors(a, part) for part in (idx[:, :k // 2], idx[:, k // 2:]))
+    (first, _), *rest = _splits(N, k)
+    r1, r2 = np.divmod(first.take(keys), _binomials(N, k - k // 2)[0])
+    (r1, w1), (r2, w2) = _minors(a, r1, k // 2), _minors(a, r2, k - k // 2)
     c = np.zeros((w1.shape[1], w2.shape[1]))
     c[r1, r2] = val  # the keys are canonical: one term per cell
     b = np.dot(np.dot(w1, c), w2.T).ravel()
-    (first, _), *rest = _splits(N, k)
     acc = b.take(first)
     for flat, odd in rest:  # one split at a time keeps each transient to one output vector
         (np.subtract if odd else np.add)(acc, b.take(flat), out=acc)
+    if not np.isfinite(acc).all():
+        raise OverflowError("apply_exterior: a coefficient of the image is not finite")
     nz = np.flatnonzero(np.abs(acc) > PRUNE_TOL)  # the keys: acc runs over the subsets in order
     return Multivector._of(p.n, k, nz, acc.take(nz))
 
 
-def _minors(a: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For (m, j) increasing column rows: each row's position among the u distinct
+def _minors(a: np.ndarray, ranks: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """For m keys of j-subsets of columns: each key's position among the u distinct
     ones in key order, and the (C(N, j), u) j x j minors of a on those columns over
     every j-subset of rows in key order (Laplace expansion along the last column)."""
-    N, j = len(a), cols.shape[1]
-    ranks, pos = _rank(cols, N), np.zeros(_binomials(N, j)[0], dtype=np.intp)
+    N, pos = len(a), np.zeros(_binomials(len(a), j)[0], dtype=np.intp)
     pos[ranks] = 1
     keys = np.flatnonzero(pos)
     pos[keys] = np.arange(len(keys))

@@ -24,6 +24,7 @@ from qflag.quat import J, K, ONE, Quaternion
 
 from util import (
     bruhat_oracle,
+    from_rows,
     gram_schmidt_iwasawa,
     in_vw,
     is_unit_upper,
@@ -32,6 +33,7 @@ from util import (
     random_unit_quaternion,
     random_unit_upper,
     real_rep_ddet,
+    reconstruct,
 )
 
 
@@ -52,13 +54,13 @@ def test_bruhat_of_permutation_matrices():
 
 
 def test_bruhat_closed_form_2x2():
-    g = QMatrix.from_rows([[1, 0], [1, 1]])
+    g = from_rows([[1, 0], [1, 1]])
     form = bruhat(g)
     assert form.w == Permutation([1, 0])
-    assert frob(form.U - QMatrix.from_rows([[1, 1], [0, 1]])) == 0.0
+    assert frob(form.U - from_rows([[1, 1], [0, 1]])) == 0.0
     assert frob(form.D - QMatrix.diag([-1, 1])) == 0.0
-    assert frob(form.V - QMatrix.from_rows([[1, 1], [0, 1]])) == 0.0
-    assert frob(form.reconstruct() - g) == 0.0
+    assert frob(form.V - from_rows([[1, 1], [0, 1]])) == 0.0
+    assert frob(reconstruct(form) - g) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -71,7 +73,7 @@ def test_bruhat_build_then_decompose(n):
         assert frob(form.U - u) <= 1e-8
         assert frob(form.D - d) <= 1e-8
         assert frob(form.V - v) <= 1e-8
-        assert frob(form.reconstruct() - g) <= 1e-9 * max(1.0, frob(g))
+        assert frob(reconstruct(form) - g) <= 1e-9 * max(1.0, frob(g))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -85,7 +87,7 @@ def test_bruhat_structural_invariants(n):
         free = sum(1 for i in range(n) for j in range(i + 1, n)
                    if form.V[i, j].norm() > 1e-10)
         assert free <= form.w.length()
-        assert frob(form.reconstruct() - g) <= 1e-9 * frob(g)
+        assert frob(reconstruct(form) - g) <= 1e-9 * frob(g)
 
 
 def assert_matches_oracle(g):
@@ -150,7 +152,7 @@ def test_bruhat_pivot_threshold(factor):
     else:
         assert form.w == Permutation.identity(2)
         assert frob(form.V - QMatrix.identity(2)) == 0.0  # V_id = {I}
-        assert frob(form.reconstruct() - g) <= eps
+        assert frob(reconstruct(form) - g) <= eps
 
 
 def test_bruhat_dimension_bookkeeping():
@@ -162,7 +164,7 @@ def test_bruhat_dimension_bookkeeping():
 
 def test_bruhat_singular_raises():
     with pytest.raises(SingularMatrixError):
-        bruhat(QMatrix.from_rows([[1, 1], [1, 1]]))
+        bruhat(from_rows([[1, 1], [1, 1]]))
 
 
 # -- Dieudonne determinant --------------------------------------------------
@@ -328,7 +330,7 @@ def _with_entry(m, value):
 def test_decompositions_reject_non_finite(bad):
     rng = np.random.default_rng(230)
     g, k = random_invertible(3, rng), random_symplectic(3, rng)
-    ru = QMatrix.from_rows([[1, 0.5, 0], [0, 2, 0], [0, 0, 1]])
+    ru = from_rows([[1, 0.5, 0], [0, 2, 0], [0, 0, 1]])
     for fn, args in [(bruhat, (_with_entry(g, bad),)),
                      (dieudonne_det, (_with_entry(g, bad),)),
                      (iwasawa, (_with_entry(g, bad),)),
@@ -346,17 +348,17 @@ def test_dress_trivial_cases():
     rng = np.random.default_rng(80)
     k = random_symplectic(3, rng)
     assert frob(dress(QMatrix.identity(3), k) - k) <= 1e-12
-    g = QMatrix.from_rows([[2, J], [0, 1]])
+    g = from_rows([[2, J], [0, 1]])
     assert frob(dress(g, QMatrix.identity(2)) - QMatrix.identity(2)) <= 1e-12
 
 
 def test_dress_hand_computed_example():
     # dress([[1, t], [0, 1]], P_(12)) = (1/sqrt(1+t^2)) [[t, 1], [1, -t]]
     t = 0.8
-    g = QMatrix.from_rows([[1, t], [0, 1]])
+    g = from_rows([[1, t], [0, 1]])
     p12 = Permutation([1, 0]).matrix()
     s = 1.0 / np.sqrt(1 + t * t)
-    expect = QMatrix.from_rows([[t * s, s], [s, -t * s]])
+    expect = from_rows([[t * s, s], [s, -t * s]])
     assert frob(dress(g, p12) - expect) <= 1e-12
 
 
@@ -377,9 +379,9 @@ def test_dress_validates_preconditions():
     rng = np.random.default_rng(91)
     k = random_symplectic(2, rng)
     with pytest.raises(ValueError):
-        dress(QMatrix.from_rows([[J, 0], [0, 1]]), k)  # non-real diagonal
+        dress(from_rows([[J, 0], [0, 1]]), k)  # non-real diagonal
     with pytest.raises(ValueError):
-        dress(QMatrix.from_rows([[1, 0], [1, 1]]), k)  # lower entry
+        dress(from_rows([[1, 0], [1, 1]]), k)  # lower entry
     with pytest.raises(ValueError):
         dress(QMatrix.identity(2), QMatrix.diag([2, 1]))  # K not symplectic
 
@@ -390,15 +392,15 @@ def test_dress_rule_is_scale_free(scale):
     # the PIVOT_RTOL rule is relative, so a lower entry as large as the diagonal is
     # refused at every scale, and an upper one accepted
     with pytest.raises(ValueError, match="G must be upper triangular"):
-        dress(QMatrix.from_rows([[1, 0], [1, 1]]).scale(scale), QMatrix.identity(2))
-    k = dress(QMatrix.from_rows([[1, 0.8], [0, 1]]).scale(scale), QMatrix.identity(2))
+        dress(from_rows([[1, 0], [1, 1]]).scale(scale), QMatrix.identity(2))
+    k = dress(from_rows([[1, 0.8], [0, 1]]).scale(scale), QMatrix.identity(2))
     assert frob(k - QMatrix.identity(2)) <= 1e-12
     # the edge: a lower entry, or an imaginary part of the diagonal, of
     # (1 -+ 1e-6) PIVOT_RTOL ||G||_F, where ||G||_F = sqrt(2 + t^2) is sqrt(2) to rounding
     for f, refused in [(1.0 - 1e-6, False), (1.0 + 1e-6, True)]:
         t = f * PIVOT_RTOL * np.sqrt(2.0)
-        for g, match in [(QMatrix.from_rows([[1, 0], [t, 1]]), "upper triangular"),
-                         (QMatrix.from_rows([[Quaternion(1, t), 0], [0, 1]]), "real diagonal")]:
+        for g, match in [(from_rows([[1, 0], [t, 1]]), "upper triangular"),
+                         (from_rows([[Quaternion(1, t), 0], [0, 1]]), "real diagonal")]:
             if refused:
                 with pytest.raises(ValueError, match=match):
                     dress(g.scale(scale), QMatrix.identity(2))
@@ -420,8 +422,8 @@ def test_dress_is_the_k_of_iwasawa_bit_for_bit(n):
 def test_dress_forms_no_r_factor():
     # G K is finite, but its R is not: iwasawa refuses it, dress returns K'
     c = np.sqrt(0.5)
-    g = QMatrix.from_rows([[0.92e308, 0.92e308], [0, 1.79e308]])
-    k = QMatrix.from_rows([[c, -c], [c, c]])
+    g = from_rows([[0.92e308, 0.92e308], [0, 1.79e308]])
+    k = from_rows([[c, -c], [c, c]])
     with pytest.raises(OverflowError, match="iwasawa: a factor is outside the float range"):
         iwasawa(g @ k)
     k2 = dress(g, k)
@@ -432,8 +434,8 @@ def test_dress_of_a_g_whose_product_with_k_overflows():
     # G K is past the float range, but the power-of-two scaled G that the RU
     # check holds times K is not, and K' is scale-free
     c = np.sqrt(0.5)
-    g = QMatrix.from_rows([[1.5e308, 1.5e308], [0, 1e305]])
-    k = QMatrix.from_rows([[c, -c], [c, c]])
+    g = from_rows([[1.5e308, 1.5e308], [0, 1e305]])
+    k = from_rows([[c, -c], [c, c]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         k2 = dress(g, k)
@@ -444,7 +446,7 @@ def test_dress_refuses_a_pivot_far_below_the_threshold_near_the_float_maximum():
     # G22 = 1 is about 5e-309 of ||G||_F, far below PIVOT_RTOL
     c = np.sqrt(0.5)
     with pytest.raises(SingularMatrixError, match="QR breakdown"):
-        dress(QMatrix.from_rows([[1.5e308, 1.5e308], [0, 1]]), QMatrix.from_rows([[c, -c], [c, c]]))
+        dress(from_rows([[1.5e308, 1.5e308], [0, 1]]), from_rows([[c, -c], [c, c]]))
 
 
 @given(n=st.sampled_from([1, 2, 3, 8]), seed=st.integers(0, 2 ** 32 - 1), data=st.data())

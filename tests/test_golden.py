@@ -44,7 +44,7 @@ from qflag.flags import random_ru
 from qflag.hmat import QMatrix, random_symplectic
 from qflag.liealg import Multivector, lambda_element, schouten
 
-from util import random_invertible, random_multivector
+from util import from_rows, random_invertible, random_multivector
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 3
@@ -92,7 +92,7 @@ def _inputs() -> dict[str, QMatrix]:
     rng = np.random.default_rng(SEED)
     return {"input_g4_seed3": random_invertible(4, rng), "input_ru4_seed3": random_ru(4, rng),
             "input_k4_seed3": random_symplectic(4, rng),
-            "input_singular2": QMatrix.from_rows([[1, 1], [1, 1]])}
+            "input_singular2": from_rows([[1, 1], [1, 1]])}
 
 
 def _run(argv: list[str]) -> dict:

@@ -22,9 +22,9 @@ from qflag.hmat import (
 from qflag.liealg import ad_group_matrix
 from qflag.quat import I, J, ONE, Quaternion
 
-from util import (embed_sp2, exp_pure_oracle, expm_series_oracle, gauss_jordan_inverse,
+from util import (embed_sp2, exp_pure_oracle, expm_series_oracle, from_rows, gauss_jordan_inverse,
                   is_symplectic, random_invertible, real_rep, reduced_word_oracle,
-                  symplectic_residual, word_to_permutation_oracle)
+                  symplectic_residual, transposition, word_to_permutation_oracle)
 
 
 def frob(m):
@@ -33,7 +33,7 @@ def frob(m):
 
 def test_matmul_order_matters():
     a = QMatrix.diag([I, ONE])
-    b = QMatrix.from_rows([[0, J], [J, 0]])
+    b = from_rows([[0, J], [J, 0]])
     ab = a @ b
     ba = b @ a
     assert (ab[0, 1] - I * J).norm() == 0.0
@@ -74,7 +74,7 @@ def test_inverse_random(n):
 
 
 def test_inverse_singular_raises():
-    m = QMatrix.from_rows([[1, 1], [1, 1]])
+    m = from_rows([[1, 1], [1, 1]])
     with pytest.raises(SingularMatrixError):
         m.inverse()
 
@@ -329,7 +329,7 @@ def test_length_changes_by_one_under_adjacent_transposition():
     for ol in permutations(range(4)):
         w = Permutation(ol)
         for r in range(3):
-            tau = Permutation.transposition(r, 4)
+            tau = transposition(r, 4)
             assert abs(w.length() - (w @ tau).length()) == 1
 
 
@@ -386,8 +386,8 @@ def test_embed_identity():
 
 
 def test_embed_transposition():
-    p12 = Permutation.transposition(0, 2).matrix()
-    expect = Permutation.transposition(0, 3).matrix()
+    p12 = transposition(0, 2).matrix()
+    expect = transposition(0, 3).matrix()
     assert frob(embed_sp2(p12, 0, 3) - expect) == 0.0
 
 

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -120,6 +122,53 @@ def test_every_definition_is_exported_or_read():
 ])
 def test_dead_definitions_finds_exactly_the_unread_ones(sources, dead):
     assert dead_definitions(sources) == dead
+
+
+def dead_methods(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of each method of a top-level class in ``package``, dunders
+    aside, whose name no attribute read outside its own body names, in ``package`` or
+    ``readers``."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+
+    def attrs(node: ast.AST) -> list[str]:
+        return [n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+    read = Counter(chain(*map(attrs, trees.values()),
+                         *(attrs(ast.parse(src)) for src in readers.values())))
+    return [f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and read[fn.name] == attrs(fn).count(fn.name)]
+
+
+# what the CLI, the benchmark and the acceptance gate run; the unit tests do not count
+READERS = [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+
+
+def test_every_method_is_read_outside_the_unit_tests():
+    # a method that only unit tests call is API nothing runs; it belongs in tests/util.py
+    readers = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+    assert dead_methods({p.stem: p.read_text() for p in PACKAGE}, readers) == []
+
+
+METHOD = "class C:\n    def f(self): pass\n"
+
+
+@pytest.mark.parametrize("package, readers, dead", [
+    ({"a": METHOD}, {}, ["a.C.f"]),
+    ({"a": "class C:\n    def f(self): return self.f()\n"}, {}, ["a.C.f"]),
+    ({"a": METHOD + "    def g(self): return self.f()\n"}, {}, ["a.C.g"]),
+    ({"a": METHOD, "b": "from .a import C\nC().f()\n"}, {}, []),
+    ({"a": METHOD}, {"r": "x.f\n"}, []),
+    ({"a": METHOD}, {"r": "f()\nx.f = 1\n"}, ["a.C.f"]),
+    ({"a": "class C:\n    def __init__(self): pass\n    @property\n    def p(self): return 1\n"},
+     {"r": "C().p\n"}, []),
+    ({"a": "def g():\n    class C:\n        def f(self): pass\n"}, {}, []),
+])
+def test_dead_methods_finds_exactly_the_unread_ones(package, readers, dead):
+    assert dead_methods(package, readers) == dead
 
 
 def private_cache_reads(sources: dict[str, str]) -> list[str]:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -457,6 +458,25 @@ def test_operations_refuse_wrong_shapes_and_non_finite_values(make, match):
         make()
 
 
+@pytest.mark.parametrize("a", [1e100 * np.eye(21), np.diag([1e200, 1e200] + [1.0] * 19)],
+                         ids=["inf-terms", "inf-times-zero"])
+def test_apply_exterior_refuses_an_image_past_the_float_range(a):
+    # e_0123 maps to 1e400 times itself: an inf term, or, where the minor's inf meets
+    # a zero of the coefficient table, a NaN that the prune would drop silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="apply_exterior"):
+            apply_exterior(a, lambda_element(3))
+
+
+def test_apply_exterior_keeps_an_image_near_the_float_maximum():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = apply_exterior(np.diag([1e150, 1e150] + [1.0] * 19), lambda_element(3))
+    expect = {(0, 1, 2, 3): 1e300, (4, 5, 6, 7): 1.0, (8, 9, 10, 11): 1.0}
+    assert got.coeffs == pytest.approx(expect, rel=1e-15)
+
+
 def test_lambda_element_structure():
     lam2 = lambda_element(2)
     b = sp_basis(2)
@@ -721,6 +741,35 @@ def test_apply_exterior_on_keys_that_are_not_strictly_increasing(coeffs):
     got, expect = apply_exterior(a, p), apply_exterior_oracle(a, p)
     assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
     assert all(list(t) == sorted(set(t)) for t in got.coeffs)
+
+
+def _refuse(*args):
+    raise AssertionError("apply_exterior ranked or unranked index rows")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_exterior_reads_keys_alone(n, monkeypatch):
+    # a rowless input (an output of -) and its constructor-built twin, whose rows are
+    # cached, give byte-equal images with _rank and _unrank refusing every call
+    rng = np.random.default_rng(100 + n)
+    a, h = ad_group_matrix(random_symplectic(n, rng)), random_symplectic(n, rng)
+    lam = lambda_element(n)
+    rowless = [random_multivector(n, k, rng, nterms=6) - random_multivector(n, k, rng, nterms=6)
+               for k in range(1, 6)] + [ad_group(h, lam) - lam]
+    cached = [Multivector(n, p.grade, p.copy().coeffs) for p in rowless]
+    for p in rowless:
+        apply_exterior(a, p)  # builds the split and Laplace tables
+    with monkeypatch.context() as m:
+        m.setattr(liealg, "_rank", _refuse)
+        m.setattr(liealg, "_unrank", _refuse)
+        images = [(apply_exterior(a, p), apply_exterior(a, q)) for p, q in zip(rowless, cached)]
+    for p, (got, twin) in zip(rowless, images):
+        assert got._rows is None and p._rows is None
+        assert got._keys.tobytes() == twin._keys.tobytes()
+        assert got._vals.tobytes() == twin._vals.tobytes()
+        if len(p.terms()[1]) <= 300:  # the oracle is too slow on the dense moved Λ_3
+            expect = apply_exterior_oracle(a, p)
+            assert max_coeff_diff(got, expect) <= ORACLE_TOL * max(1.0, expect.max_abs())
 
 
 @pytest.mark.parametrize("grade", [1, 5, 6, 7])

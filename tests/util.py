@@ -16,6 +16,24 @@ from qflag.liealg import PRUNE_TOL, DualVector, Multivector, lambda_element, sp_
 from qflag.quat import Quaternion, qnorm2, qprod
 
 
+def from_rows(rows) -> QMatrix:
+    """The quaternion matrix of nested rows of real numbers and Quaternions."""
+    return QMatrix(np.array([[(e if isinstance(e, Quaternion) else Quaternion(e)).to_array()
+                              for e in row] for row in rows]))
+
+
+def transposition(r: int, n: int) -> Permutation:
+    """The adjacent transposition of S_n swapping positions r and r + 1 (0-based r)."""
+    ol = list(range(n))
+    ol[r], ol[r + 1] = ol[r + 1], ol[r]
+    return Permutation(ol)
+
+
+def reconstruct(form: BruhatForm) -> QMatrix:
+    """U D P_w V, the product of the strict Bruhat factors."""
+    return form.U @ form.D @ form.w.matrix() @ form.V
+
+
 def random_quaternion(rng, scale=1.0):
     return Quaternion.from_array(rng.normal(scale=scale, size=4))
 
@@ -583,7 +601,7 @@ def coset_rep_oracle(p: ChartPoint) -> QMatrix:
         rows = [[-c.conj() * s, Quaternion(s)], [Quaternion(s), c * s]]
     else:
         rows = [[Quaternion(s), -c.conj() * s], [c * s, Quaternion(s)]]
-    return QMatrix.from_rows(rows)
+    return from_rows(rows)
 
 
 def chart_derivative_oracle(m: QMatrix, mdot: QMatrix, chart: Chart) -> Quaternion:
@@ -702,7 +720,7 @@ def lie_derivative_stencil_oracle(p: ChartPoint, x: Multivector, h: float = 1e-3
 
 def word_to_permutation_oracle(word, n: int) -> Permutation:
     """s_{r_1} @ ... @ s_{r_m} (0-based r), one transposition per letter."""
-    return reduce(lambda a, b: a @ b, [Permutation.transposition(r, n) for r in word],
+    return reduce(lambda a, b: a @ b, [transposition(r, n) for r in word],
                   Permutation.identity(n))
 
 
