@@ -34,8 +34,6 @@ TRIVIAL_PHASE_TOL = 1e-8
 @dataclass
 class LeafPoint:
     n: int
-    word: list[int]          # 0-based adjacent-transposition positions
-    params: list[Quaternion]
     matrix: QMatrix
 
 
@@ -58,7 +56,7 @@ def leaf_point(word, params, n: int) -> LeafPoint:
     blocks = _coset_reps(Chart.SOUTH, np.reshape([v.to_array() for v in params], (-1, 4)))
     for r, k in zip(word, chi(blocks)):
         pairs[:, 2 * r:2 * r + 4] = pairs[:, 2 * r:2 * r + 4] @ k  # the two columns it moves
-    return LeafPoint(n=n, word=word, params=params, matrix=m)
+    return LeafPoint(n=n, matrix=m)
 
 
 def cell_of(k: QMatrix) -> Permutation:

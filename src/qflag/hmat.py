@@ -144,9 +144,6 @@ class QMatrix:
         i, j = ij
         return Quaternion.from_array(self.data[i, j])
 
-    def copy(self) -> "QMatrix":
-        return QMatrix(self.data.copy())
-
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
@@ -278,10 +275,6 @@ class Permutation:
         self.one_line = tuple(map(int, ol))
 
     @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(range(n))
-
-    @staticmethod
     def longest(n: int) -> "Permutation":
         return Permutation(range(n - 1, -1, -1))
 
@@ -302,9 +295,6 @@ class Permutation:
         if self.n != other.n:
             raise ValueError("size mismatch")
         return Permutation(tuple(self.one_line[other.one_line[j]] for j in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.one_line))
 
     def length(self) -> int:
         """Number of inversions = minimal adjacent-transposition word length."""
@@ -337,13 +327,6 @@ class Permutation:
 
     def to_json(self) -> dict:
         return {"one_line": [i + 1 for i in self.one_line]}
-
-    @staticmethod
-    def from_json(obj) -> "Permutation":
-        if not isinstance(obj, dict) or not isinstance(obj.get("one_line"), list):
-            raise ValueError("Permutation JSON must be {'one_line': [...]}: one_line must be "
-                             "a list of 1-indexed integers")
-        return Permutation([json_int(x, "one_line entry") - 1 for x in obj["one_line"]])
 
     def __repr__(self):
         return f"Permutation({[i + 1 for i in self.one_line]})"

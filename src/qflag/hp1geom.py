@@ -47,24 +47,21 @@ __all__ = [
     "ChartBoundaryError",
     "FieldSample",
     "south_coord",
-    "north_coord",
     "coset_rep",
     "action_jacobian",
-    "flow_jacobian",
     "pushforward_coeff",
     "bruhat_field",
     "invariant_field",
     "rank_at",
     "fourvector_rank",
-    "hamiltonian_field",
     "lie_derivative_check",
     "radial_profile",
 ]
 
-# Both chart maps divide by one entry of the matrix (M21 on the South chart,
-# M22 on the North), s = 1/sqrt(1 + rho^2) on coset_rep, rho = |coordinate|.
-# A point whose entry is at most CHART_EPS (rho >= ~1e10) is off the chart; a
-# batch holding one raises ChartBoundaryError as a whole (the CLI exits 2).
+# south_coord divides by the entry M21 of the matrix, the Jacobians by
+# s = 1/sqrt(1 + rho^2) on coset_rep, rho = |coordinate|.  A point whose
+# entry is at most CHART_EPS (rho >= ~1e10) is off the chart; a batch holding
+# one raises ChartBoundaryError as a whole (the CLI exits 2).
 CHART_EPS = 1e-10
 # fourvector_rank misses a contraction direction weaker than this, relative
 RANK_RTOL = 1e-9
@@ -81,8 +78,14 @@ class ChartBoundaryError(ValueError):
 
 @dataclass(frozen=True)
 class ChartPoint:
+    """A point of one chart; ``ValueError`` unless its coordinate is finite."""
+
     chart: Chart
     coord: Quaternion
+
+    def __post_init__(self):
+        if not np.isfinite(self.coord.to_array()).all():
+            raise ValueError(f"chart coordinate {self.coord!r} is not finite")
 
     @staticmethod
     def south(v: Quaternion) -> "ChartPoint":
@@ -102,11 +105,10 @@ class FieldSample:
 
 
 def south_coord(m: QMatrix) -> Quaternion:
-    return _chart_map(Chart.SOUTH, m)
-
-
-def north_coord(m: QMatrix) -> Quaternion:
-    return _chart_map(Chart.NORTH, m)
+    """The South coordinate ``M21^{-1} M22`` of M."""
+    a, b = m.data[1]
+    _require_on_chart(Chart.SOUTH, np.sqrt(qnorm2(a)))
+    return Quaternion.from_array(qprod(qinv(a), b))
 
 
 def _coset_reps(chart: Chart, coords: np.ndarray) -> np.ndarray:
@@ -127,14 +129,6 @@ def _require_on_chart(chart: Chart, denom: np.ndarray) -> None:
     if np.any(denom <= CHART_EPS):
         raise ChartBoundaryError(
             f"{chart.value} chart undefined: denominator entry at most {CHART_EPS:g}")
-
-
-def _chart_map(chart: Chart, m: QMatrix) -> Quaternion:
-    """The coordinate ``a^{-1} b`` of M, with ``(a, b) = (M21, M22)`` on the
-    South chart and ``(M22, M21)`` on the North."""
-    a, b = m.data[1] if chart is Chart.SOUTH else m.data[1, ::-1]
-    _require_on_chart(chart, np.sqrt(qnorm2(a)))
-    return Quaternion.from_array(qprod(qinv(a), b))
 
 
 @lru_cache(maxsize=None)
@@ -196,11 +190,6 @@ def action_jacobian(p: ChartPoint) -> np.ndarray:
     return _jacobians(p.chart, p.coord.to_array()[None])[0, 0]
 
 
-def flow_jacobian(p: ChartPoint) -> np.ndarray:
-    """Jacobian of the right action: X -> d/dt chart(k exp(tX)) at t = 0."""
-    return _jacobians(p.chart, p.coord.to_array()[None])[0, 1]
-
-
 def pushforward_coeff(p: ChartPoint, mv: Multivector) -> float:
     """Coefficient of d1^d2^d3^d4 in the image of a grade-4 multivector."""
     if mv.grade != 4 or mv.n != 2:
@@ -245,16 +234,6 @@ def rank_at(p: ChartPoint) -> int:
     """Rank of the chart 4-vector f d1^d2^d3^d4 of the pushed-forward field at
     p: 4 where f is nonzero, and 0 where the field vanishes exactly."""
     return 4 if bruhat_field(p).coeff != 0.0 else 0
-
-
-def hamiltonian_field(p: ChartPoint, df1, df2, df3) -> np.ndarray:
-    """Contraction of the chart 4-vector with df1 ^ df2 ^ df3.
-
-    Trilinear and alternating in the covector arguments; the orientation
-    convention is fixed by X^m = f * det(rows df1, df2, df3, e_m).
-    """
-    dfs = np.broadcast_to(np.array([df1, df2, df3], dtype=float), (4, 3, 4))
-    return bruhat_field(p).coeff * np.linalg.det(np.concatenate([dfs, np.eye(4)[:, None]], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +283,15 @@ def radial_profile(rhos, directions: int, seed: int):
 
     Yields dict rows with keys rho, direction_seed, coeff_bruhat,
     coeff_invariant, ratio, expected_ratio, abs_err, ordered by (rho, seed).
-    All (rho, direction) points are one batch.
+    All (rho, direction) points are one batch; ``ValueError`` for a rho that is not finite.
     """
+    rhos = [float(rho) for rho in rhos]
+    if not np.isfinite(rhos).all():
+        raise ValueError("radial_profile: rho must be finite")
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(directions, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     norm_const = bruhat_normalization()
-    rhos = [float(rho) for rho in rhos]
     coords = (np.array(rhos).reshape(-1, 1, 1) * dirs).reshape(-1, 4)
     fbs = _bruhat_coeffs(Chart.SOUTH, coords) / norm_const
     fis = (1.0 + qnorm2(coords)) ** 4

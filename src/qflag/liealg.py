@@ -49,7 +49,6 @@ from itertools import chain, combinations
 import numpy as np
 
 from .hmat import QMatrix, chi, require_symplectic
-from .quat import json_int, json_number
 
 __all__ = [
     "SpBasis",
@@ -343,36 +342,6 @@ class Multivector:
             raise ValueError("as_vector requires grade 1")
         idx, val = self.terms()
         return np.bincount(idx[:, 0], weights=val, minlength=sp_basis(self.n).dim)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        names = sp_basis(self.n).names
-        idx, vals = self.terms()
-        terms = [{"idx": [names[c] for c in t], "c": v}
-                 for t, v in zip(idx.tolist(), vals.tolist())]
-        return {"n": self.n, "grade": self.grade, "terms": terms}
-
-    @staticmethod
-    def from_json(obj) -> "Multivector":
-        """Inverse of :meth:`to_json`; unsorted names pick up the sign of their sort.
-        A term of the wrong length, repeating or unknown names, or a coefficient,
-        ``n`` or ``grade`` refused by ``json_number`` or ``json_int`` raises ValueError."""
-        n, grade = (json_int(obj[key], f"Multivector {key}") for key in ("n", "grade"))
-        basis = sp_basis(n)
-        rows, vals = [], []
-        for term in obj["terms"]:
-            names = term["idx"]
-            if len(names) != grade:
-                raise ValueError(f"term {names}: {len(names)} factors, grade {grade}")
-            if any(nm not in basis.index for nm in names):
-                raise ValueError(f"term {names}: unknown basis element")
-            if len(set(names)) != grade:
-                raise ValueError(f"term {names}: repeated basis element")
-            vals.append(json_number(term["c"], f"term {names}: coefficient"))
-            rows.append([basis.index[nm] for nm in names])
-        idx = np.array(rows, dtype=np.intp).reshape(len(rows), grade)
-        return Multivector._of(n, grade, *_collect(idx, np.array(vals, dtype=float), basis.dim))
 
 
 # ---------------------------------------------------------------------------

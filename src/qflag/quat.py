@@ -6,7 +6,7 @@ Conventions used throughout the package:
   cyclically and ``i**2 = j**2 = k**2 = -1``;
 * ``conj(q)`` negates the imaginary part, so ``conj(p*q) = conj(q)*conj(p)``;
 * ``norm(q) = sqrt(re**2 + im_i**2 + im_j**2 + im_k**2)`` and
-  ``inverse(q) = conj(q) / norm(q)**2``.
+  ``qinv(q) = conj(q) / norm(q)**2``.
 
 All arithmetic is double precision.  The module also provides vectorized
 helpers (``qprod``, ``qconj``, ...) operating on numpy arrays whose last axis
@@ -30,10 +30,6 @@ __all__ = [
     "qconj",
     "qnorm2",
     "qinv",
-    "ONE",
-    "I",
-    "J",
-    "K",
 ]
 
 
@@ -50,21 +46,12 @@ class Quaternion:
 
     # -- basic structure ---------------------------------------------------
 
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.re, -self.i, -self.j, -self.k)
-
     def norm2(self) -> float:
         return self.re * self.re + self.i * self.i + self.j * self.j + self.k * self.k
 
     def norm(self) -> float:
         # hypot, unlike sqrt(norm2()), does not underflow for tiny components
         return math.hypot(self.re, self.i, self.j, self.k)
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.norm2()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.re / n2, -self.i / n2, -self.j / n2, -self.k / n2)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -124,12 +111,6 @@ def _coerce(x) -> Quaternion:
     if isinstance(x, numbers.Real):
         return Quaternion(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a quaternion")
-
-
-ONE = Quaternion(1.0)
-I = Quaternion(0.0, 1.0)
-J = Quaternion(0.0, 0.0, 1.0)
-K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def json_number(x, what: str, kind: str = "a finite number") -> float:

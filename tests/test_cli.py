@@ -15,7 +15,7 @@ from qflag.flags import random_ru
 from qflag.hmat import Permutation, QMatrix, random_symplectic
 from qflag.quat import Quaternion
 
-from util import from_rows, random_invertible, reconstruct
+from util import J, K, from_rows, random_invertible, reconstruct
 
 
 def write_json(path, obj):
@@ -181,8 +181,6 @@ def test_ddet_out_of_float_range_exit_2(tmp_path, capsys):
 
 
 def test_ddet(tmp_path, capsys):
-    from qflag.quat import J, K
-
     inp = write_json(tmp_path / "m.json", QMatrix.diag([J, 2 * K]).to_json())
     assert cli.main(["ddet", "--input", inp]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -17,9 +17,9 @@ from qflag.flags import (
 from qflag.hmat import Permutation, QMatrix, require_symplectic, word_to_permutation
 from qflag.liealg import sp_basis
 from qflag.hp1geom import ChartPoint, coset_rep
-from qflag.quat import ONE, Quaternion
+from qflag.quat import Quaternion
 
-from util import (is_symplectic, leaf_jacobian_fd_oracle, leaf_point_oracle,
+from util import (ONE, is_symplectic, leaf_jacobian_fd_oracle, leaf_point_oracle,
                   random_unit_quaternion, reduced_words)
 
 
@@ -36,7 +36,7 @@ def test_leaf_point_empty_word():
     lp = leaf_point([], [], 3)
     assert (lp.matrix - QMatrix.identity(3)).frobenius() == 0.0
     sig = leaf_signature(lp.matrix)
-    assert sig.w == Permutation.identity(3)
+    assert sig.w == Permutation(range(3))
     assert all((p - ONE).norm() == 0.0 for p in sig.phases)
 
 
@@ -92,7 +92,7 @@ def test_leaf_point_validation():
 
 
 def test_cell_of():
-    assert cell_of(QMatrix.identity(2)) == Permutation.identity(2)
+    assert cell_of(QMatrix.identity(2)) == Permutation(range(2))
     kv = coset_rep(ChartPoint.south(Quaternion(0.4, -0.2, 0.9, 0.1)))
     assert cell_of(kv) == Permutation([1, 0])
     rng = np.random.default_rng(1)

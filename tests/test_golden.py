@@ -6,10 +6,11 @@
   exit code, stdout, stderr and the bytes of the ``--out`` file, kept in one
   ``cli_<case>.json`` record; the matrix inputs are the ``input_*.json`` files,
   and the cases include usage (exit 1) and mathematical (exit 2) failures;
-* the ``to_json()`` of seeded Schouten brackets and wedges (the grade pattern
-  (2, 3, 2) on sp(3) with the nested brackets of the Schouten axioms, empty and
-  grade-1 operands, and [Lambda_4, Lambda_4]).  The bracket inputs are stored
-  next to their outputs and read back with ``Multivector.from_json``.
+* the JSON form (``util.multivector_to_json``) of seeded Schouten brackets and
+  wedges (the grade pattern (2, 3, 2) on sp(3) with the nested brackets of the
+  Schouten axioms, empty and grade-1 operands, and [Lambda_4, Lambda_4]).  The
+  bracket inputs are stored next to their outputs and read back with
+  ``util.multivector_from_json``.
 
 A command's result reaches stdout or ``--out`` by one path, ``cli.main``, which
 also picks the exit code; every subcommand and every ``verify`` suite must have
@@ -44,7 +45,8 @@ from qflag.flags import random_ru
 from qflag.hmat import QMatrix, random_symplectic
 from qflag.liealg import Multivector, lambda_element, schouten
 
-from util import from_rows, random_invertible, random_multivector
+from util import (from_rows, multivector_from_json, multivector_to_json, random_invertible,
+                  random_multivector)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 3
@@ -147,7 +149,7 @@ def _compact(obj) -> str:
 
 
 def _dump(mvs: dict[str, Multivector]) -> str:
-    return _compact({name: mv.to_json() for name, mv in mvs.items()})
+    return _compact({name: multivector_to_json(mv) for name, mv in mvs.items()})
 
 
 BRACKETS = ("brackets_sp3_232_seed0", "brackets_sp3_232_seed1", "brackets_sp3_grade1",
@@ -181,7 +183,7 @@ def test_every_command_and_suite_has_a_golden():
 @pytest.mark.parametrize("name", BRACKETS)
 def test_brackets_match_golden(name):
     stored = json.loads((GOLDEN / f"{name}.json").read_text())
-    inputs = {k: Multivector.from_json(v) for k, v in stored["inputs"].items()}
+    inputs = {k: multivector_from_json(v) for k, v in stored["inputs"].items()}
     assert _dump(_brackets(inputs)) == _compact(stored["outputs"])
 
 
@@ -220,7 +222,7 @@ def write_goldens() -> None:
     cases = _bracket_cases()
     assert tuple(cases) == BRACKETS
     for name, inputs in cases.items():
-        obj = {"inputs": {k: v.to_json() for k, v in inputs.items()},
+        obj = {"inputs": {k: multivector_to_json(v) for k, v in inputs.items()},
                "outputs": json.loads(_dump(_brackets(inputs)))}
         (GOLDEN / f"{name}.json").write_text(_compact(obj) + "\n")
     (GOLDEN / "versions.json").write_text(json.dumps(_versions(), indent=1) + "\n")

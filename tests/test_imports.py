@@ -1,6 +1,8 @@
 """Every top-level import of the package and the tests is used, every name a
-package module exports is defined there, and every package definition is
-exported or read; importing the package keeps freed heap in the process."""
+package module exports is defined there, every package definition and export is
+read by the package, the benchmark or the acceptance gate, and the test oracles
+read no private name of the package; importing the package keeps freed heap in
+the process."""
 
 import ast
 import ctypes
@@ -8,7 +10,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from itertools import chain
 from pathlib import Path
 
@@ -57,16 +58,26 @@ def test_unused_imports_finds_exactly_the_unread_names(source, unused):
     assert unused_imports(source) == unused
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The top-level def, class or assignment that binds each name of the module."""
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, DEFINITIONS):
+            bound[stmt.name] = stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound.update((t.id, stmt) for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
 def undefined_exports(source: str) -> list[str]:
     """The names in the module's ``__all__`` that no top-level def, class or assignment
     of the module binds: an imported name is defined elsewhere."""
     tree = ast.parse(source)
-    bound = {target.id for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
-             for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
-             if isinstance(target, ast.Name)}
-    bound |= {stmt.name for stmt in tree.body
-              if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    return [name for name in exports(tree) if name not in bound]
+    return [name for name in exports(tree) if name not in definitions(tree)]
 
 
 PACKAGE = sorted((ROOT / "src" / "qflag").glob("*.py"))
@@ -94,66 +105,105 @@ def reads(node: ast.AST) -> set[str]:
             or isinstance(n, ast.Attribute)}
 
 
-def dead_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each top-level def or class that its module's ``__all__`` does
-    not list and that nothing outside its own body reads, in any of the modules."""
+def dead_definitions(sources: dict[str, str], readers: dict[str, str] | None = None) -> list[str]:
+    """``module.name`` of each top-level def or class, and each name the module's
+    ``__all__`` lists, that nothing outside its own statement reads: no other
+    top-level statement of the modules and no module of ``readers``.  Listing a
+    name in ``__all__`` does not read it."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     read_by = [(stmt, reads(stmt)) for tree in trees.values() for stmt in tree.body]
-    return [f"{mod}.{stmt.name}" for mod, tree in trees.items() for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and stmt.name not in exports(tree)
-            and not any(stmt.name in names for other, names in read_by if other is not stmt)]
-
-
-def test_every_definition_is_exported_or_read():
-    # a helper whose last caller is gone, like a block embedding a loop no longer
-    # needs, would otherwise stay behind as untested API
-    assert dead_definitions({p.stem: p.read_text() for p in PACKAGE}) == []
-
-
-@pytest.mark.parametrize("sources, dead", [
-    ({"a": "def f(): pass\n"}, ["a.f"]),
-    ({"a": "def f(): return f()\n"}, ["a.f"]),
-    ({"a": "def f(): pass\n__all__ = ['f']\n"}, []),
-    ({"a": "def _f(): pass\ndef g(): _f()\n__all__ = ['g']\n"}, []),
-    ({"a": "class C: pass\n", "b": "from .a import C\nx = C()\n"}, []),
-    ({"a": "def f(): pass\n", "b": "from . import a\na.f()\n"}, []),
-    ({"a": "def f(): pass\n", "b": "from .a import f\n"}, ["a.f"]),
-])
-def test_dead_definitions_finds_exactly_the_unread_ones(sources, dead):
-    assert dead_definitions(sources) == dead
-
-
-def dead_methods(package: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """``module.Class.name`` of each method of a top-level class in ``package``, dunders
-    aside, whose name no attribute read outside its own body names, in ``package`` or
-    ``readers``."""
-    trees = {mod: ast.parse(src) for mod, src in package.items()}
-
-    def attrs(node: ast.AST) -> list[str]:
-        return [n.attr for n in ast.walk(node)
-                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
-
-    read = Counter(chain(*map(attrs, trees.values()),
-                         *(attrs(ast.parse(src)) for src in readers.values())))
-    return [f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items() for cls in tree.body
-            if isinstance(cls, ast.ClassDef) for fn in cls.body
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (fn.name.startswith("__") and fn.name.endswith("__"))
-            and read[fn.name] == attrs(fn).count(fn.name)]
+    read_by += [(None, reads(ast.parse(src))) for src in (readers or {}).values()]
+    dead = []
+    for mod, tree in trees.items():
+        bound = definitions(tree)
+        checked = [name for name, stmt in bound.items() if isinstance(stmt, DEFINITIONS)]
+        checked += [name for name in exports(tree) if name not in checked]
+        dead += [f"{mod}.{name}" for name in checked
+                 if not any(name in names for other, names in read_by
+                            if other is None or other is not bound.get(name))]
+    return dead
 
 
 # what the CLI, the benchmark and the acceptance gate run; the unit tests do not count
 READERS = [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
 
 
+def reader_sources() -> dict[str, str]:
+    return {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+
+
+def test_every_definition_is_exported_or_read():
+    # a helper whose last caller is gone, like a block embedding a loop no longer
+    # needs, would otherwise stay behind as untested API; so would an export that
+    # only the unit tests read
+    assert dead_definitions({p.stem: p.read_text() for p in PACKAGE}, reader_sources()) == []
+
+
+@pytest.mark.parametrize("sources, dead", [
+    ({"a": "def f(): pass\n"}, ["a.f"]),
+    ({"a": "def f(): return f()\n"}, ["a.f"]),
+    ({"a": "def f(): pass\n__all__ = ['f']\n"}, ["a.f"]),
+    ({"a": "def _f(): pass\ndef g(): _f()\n__all__ = ['g']\n"}, ["a.g"]),
+    ({"a": "class C: pass\n", "b": "from .a import C\nx = C()\n"}, []),
+    ({"a": "def f(): pass\n", "b": "from . import a\na.f()\n"}, []),
+    ({"a": "def f(): pass\n", "b": "from .a import f\n"}, ["a.f"]),
+    ({"a": "X = 1\n__all__ = ['X']\n"}, ["a.X"]),
+    ({"a": "X = 1\ndef f(): return X\n__all__ = ['X', 'f']\n"}, ["a.f"]),
+    ({"a": "X: int = 1\nY = X\n__all__ = ['X']\n"}, []),
+    ({"a": "X = Y = 1\n__all__ = ['X', 'Y']\n"}, ["a.X", "a.Y"]),
+    ({"a": "from .b import f\n__all__ = ['f']\n", "b": "def f(): pass\n"}, ["a.f", "b.f"]),
+])
+def test_dead_definitions_finds_exactly_the_unread_ones(sources, dead):
+    assert dead_definitions(sources) == dead
+
+
+@pytest.mark.parametrize("sources, readers, dead", [
+    ({"a": "X = 1\ndef f(): pass\n__all__ = ['X', 'f']\n"}, {"r": "from qflag.a import f\nf()\n"},
+     ["a.X"]),
+    ({"a": "X = 1\n__all__ = ['X']\n"}, {"r": "import qflag.a\nqflag.a.X\n"}, []),
+    ({"a": "def f(): pass\n"}, {"r": "from qflag.a import f\n"}, ["a.f"]),
+    ({"a": "def f(): pass\n__all__ = ['f']\n"}, {"r": "__all__ = ['f']\n"}, ["a.f"]),
+])
+def test_dead_definitions_counts_what_the_readers_read(sources, readers, dead):
+    assert dead_definitions(sources, readers) == dead
+
+
+def dead_methods(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module.Class.name`` of each method of a top-level class in ``package``, dunders
+    aside, that nothing outside its own body reads, in ``package`` or ``readers``: a
+    static or class method where ``Class.name`` or ``cls.name`` is loaded, any other
+    where an attribute of that name is."""
+    trees = {mod: ast.parse(src) for mod, src in package.items()}
+
+    def attrs(node: ast.AST) -> list[tuple[str | None, str]]:
+        """(the name or attribute it is read off, the attribute) of each attribute load."""
+        return [(getattr(n.value, "id", getattr(n.value, "attr", None)), n.attr)
+                for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Load)]
+
+    read = [*chain(*map(attrs, trees.values())), *chain(*(attrs(ast.parse(src))
+                                                          for src in readers.values()))]
+
+    def loads(cls: ast.ClassDef, fn: ast.FunctionDef, pairs: list) -> int:
+        static = any(isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                     for d in fn.decorator_list)
+        return sum(attr == fn.name and (not static or owner in (cls.name, "cls"))
+                   for owner, attr in pairs)
+
+    return [f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and loads(cls, fn, read) == loads(cls, fn, attrs(fn))]
+
+
 def test_every_method_is_read_outside_the_unit_tests():
     # a method that only unit tests call is API nothing runs; it belongs in tests/util.py
-    readers = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
-    assert dead_methods({p.stem: p.read_text() for p in PACKAGE}, readers) == []
+    assert dead_methods({p.stem: p.read_text() for p in PACKAGE}, reader_sources()) == []
 
 
 METHOD = "class C:\n    def f(self): pass\n"
+STATIC_METHOD = "class C:\n    @staticmethod\n    def f(): pass\n"
 
 
 @pytest.mark.parametrize("package, readers, dead", [
@@ -166,9 +216,61 @@ METHOD = "class C:\n    def f(self): pass\n"
     ({"a": "class C:\n    def __init__(self): pass\n    @property\n    def p(self): return 1\n"},
      {"r": "C().p\n"}, []),
     ({"a": "def g():\n    class C:\n        def f(self): pass\n"}, {}, []),
+    ({"a": STATIC_METHOD}, {"r": "C.f()\n"}, []),
+    ({"a": STATIC_METHOD}, {"r": "D.f()\nx.f()\nC().f\n"}, ["a.C.f"]),
+    ({"a": STATIC_METHOD + "    @classmethod\n    def g(cls): return cls.f()\n"}, {"r": "C.g()\n"},
+     []),
+    ({"a": STATIC_METHOD + "    @staticmethod\n    def g(): return C.g()\n"}, {"r": "C.f()\n"},
+     ["a.C.g"]),
+    ({"a": "class C:\n    @classmethod\n    def f(cls): pass\n"}, {"r": "from . import a\na.C.f()\n"},
+     []),
 ])
 def test_dead_methods_finds_exactly_the_unread_ones(package, readers, dead):
     assert dead_methods(package, readers) == dead
+
+
+def private_package_reads(source: str) -> list[str]:
+    """Each private name of ``qflag`` the module imports (``qflag.module._name``) or
+    reads as an attribute of a name that a ``qflag`` import binds (``name._attr``)."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qflag":
+            bound |= {alias.asname or alias.name for alias in node.names}
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+        elif isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] == "qflag"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_the_oracles_read_no_private_name_of_the_package():
+    # an oracle that calls a private kernel of qflag checks that kernel against itself
+    assert private_package_reads((ROOT / "tests" / "util.py").read_text()) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from qflag.liealg import _collect\n", ["qflag.liealg._collect"]),
+    ("from qflag.liealg import _rank as rank, sp_basis\n", ["qflag.liealg._rank"]),
+    ("from qflag import hp1geom\nhp1geom._jacobians(1, 2)\n", ["hp1geom._jacobians"]),
+    ("import qflag.liealg as la\nla._rank\n", ["la._rank"]),
+    ("import qflag.liealg\nqflag.liealg._rank\n", ["qflag.liealg._rank"]),
+    ("from qflag.liealg import Multivector\nMultivector._of\n", ["Multivector._of"]),
+    ("from qflag import __version__\nfrom qflag.hmat import QMatrix\nQMatrix.__matmul__\n", []),
+    ("from qflag.hmat import chi\ndef _t(): pass\n_t()\n", []),
+    ("import numpy as np\nnp._NoValue\nfrom functools import _lru_cache_wrapper\n", []),
+])
+def test_private_package_reads_finds_exactly_the_private_names(source, found):
+    assert private_package_reads(source) == found
 
 
 def private_cache_reads(sources: dict[str, str]) -> list[str]:

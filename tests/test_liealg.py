@@ -38,6 +38,8 @@ from util import (
     leibniz_oracle,
     max_coeff_diff,
     merge_oracle,
+    multivector_from_json,
+    multivector_to_json,
     project_oracle,
     random_multivector,
     random_unit_quaternion,
@@ -194,7 +196,7 @@ def test_constructor_canonicalizes_keys():
     # one subset under two keys, and a difference of two equal elements: both zero
     assert Multivector(2, 2, {(0, 1): 1.0, (1, 0): 1.0}).max_abs() == 0.0
     assert (Multivector(2, 2, {(1, 0): -1.0}) - Multivector(2, 2, {(0, 1): 1.0})).max_abs() == 0.0
-    assert Multivector(2, 2, {(0, 1): 1.0, (1, 0): 1.0}).to_json()["terms"] == []
+    assert Multivector(2, 2, {(0, 1): 1.0, (1, 0): 1.0}).terms()[1].size == 0
     assert Multivector(2, 2, {(1, 1): 3.0}).coeffs == {}
     assert Multivector(2, 3, {(5, 0, 2): 1.5, (0, 2, 5): 0.5, (2, 0, 5): 4.0}).coeffs == {
         (0, 2, 5): -2.0}
@@ -326,7 +328,7 @@ def test_sums_match_the_merge_oracle_on_drawn_pairs(pair):
 def test_writes_through_coeffs_are_read_back():
     rng = np.random.default_rng(14)
     orig = random_multivector(2, 2, rng, nterms=5)
-    before = orig.to_json()
+    before = multivector_to_json(orig)
     mv = orig.copy()
     first, second = list(mv.coeffs)[:2]
     mv.coeffs[first] += 0.5
@@ -339,11 +341,11 @@ def test_writes_through_coeffs_are_read_back():
     assert mv.max_abs() == ref.max_abs()
     assert apply_exterior(a, mv) == apply_exterior(a, ref)
     assert schouten(x, mv) == schouten(x, ref)
-    assert mv.to_json() == ref.to_json()
+    assert multivector_to_json(mv) == multivector_to_json(ref)
     # a later write is read back as well
     mv.coeffs[first] = 7.0
     assert mv.max_abs() == 7.0 and (mv - ref).coeffs == {first: 7.0 - ref.coeffs[first]}
-    assert orig.to_json() == before and orig == Multivector.from_json(before)
+    assert multivector_to_json(orig) == before and orig == multivector_from_json(before)
 
 
 def test_equality_and_repr_show_n_grade_and_terms():
@@ -387,50 +389,23 @@ def test_keys_fit_every_cli_grade_and_refuse_past_int64():
 
 
 def test_multivector_json_round_trip():
+    # the bracket goldens' format, read back through the constructor
     rng = np.random.default_rng(2)
     p = random_multivector(3, 3, rng, nterms=6)
-    p2 = Multivector.from_json(json.loads(json.dumps(p.to_json())))
+    p2 = multivector_from_json(json.loads(json.dumps(multivector_to_json(p))))
     assert (p - p2).max_abs() == 0.0
     # unsorted names pick up the permutation sign
     b = sp_basis(2)
     obj = {"n": 2, "grade": 2,
            "terms": [{"idx": [b.names[1], b.names[0]], "c": 1.0}]}
-    q = Multivector.from_json(obj)
+    q = multivector_from_json(obj)
     assert q.coeffs == {(0, 1): -1.0}
-
-
-@pytest.mark.parametrize("idx, match", [
-    (["E(1,2)", "E(1,2)"], "repeated basis element"),
-    (["E(1,2)"], "1 factors, grade 2"),
-    (["E(1,2)", "S(i;1,2)", "S(j;1,2)"], "3 factors, grade 2"),
-    (["E(1,2)", "X(1,2)"], "unknown basis element"),
-])
-def test_multivector_json_rejects_malformed_terms(idx, match):
-    obj = {"n": 2, "grade": 2, "terms": [{"idx": ["E(1,2)", "S(k;1,2)"], "c": 1.0},
-                                         {"idx": idx, "c": 2.0}]}
-    with pytest.raises(ValueError, match=match) as err:
-        Multivector.from_json(obj)
-    assert str(idx) in str(err.value)
-
-
-def _mv_json(n=2, grade=1, c=1.0):
-    return {"n": n, "grade": grade, "terms": [{"idx": ["E(1,2)"], "c": c}]}
 
 
 @pytest.mark.parametrize("make, match", [
     (lambda: Multivector(2, 1, {(1,): 1.0, (0,): float("nan")}), r"key \(0,\): .* not finite"),
     (lambda: Multivector(2, 1, {(0,): float("inf")}), "not finite"),
-    (lambda: Multivector.from_json(_mv_json(c=float("nan"))), "must be a finite number, got nan"),
-    (lambda: Multivector.from_json(_mv_json(c="inf")), "must be a finite number, got 'inf'"),
-    (lambda: Multivector.from_json(_mv_json(n=2.7)), "Multivector n must be an integer"),
-    (lambda: Multivector.from_json(_mv_json(grade=1.5)), "Multivector grade must be an integer"),
-    (lambda: Multivector.from_json(_mv_json(n="2")), "Multivector n must be an integer"),
-    (lambda: Multivector.from_json(_mv_json(grade=True)), "Multivector grade must be an integer"),
-    (lambda: Multivector.from_json(_mv_json(c=True)), r"coefficient must be .*, got True"),
-    (lambda: Multivector.from_json(_mv_json(c="1.5")), r"coefficient must be .*, got '1.5'"),
-    (lambda: Multivector.from_json(_mv_json(c=" 2 ")), r"coefficient must be .*, got ' 2 '"),
-], ids=["nan", "inf", "json-nan", "json-inf-string", "json-n-fraction", "json-grade-fraction",
-        "json-n-string", "json-grade-bool", "json-c-bool", "json-c-string", "json-c-padded"])
+], ids=["nan", "inf"])
 def test_multivector_refuses_non_finite_and_non_integral_input(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -4,21 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qflag.hmat import Permutation, QMatrix
-from qflag.liealg import Multivector
-from qflag.quat import (
-    I,
-    J,
-    K,
-    ONE,
-    Quaternion,
-    qconj,
-    qnorm2,
-    qprod,
-    quaternion_from_json,
-)
+from qflag.hmat import QMatrix
+from qflag.quat import Quaternion, qconj, qinv, qnorm2, qprod, quaternion_from_json
 
-from util import hamilton
+from util import ONE, I, J, K, hamilton
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -37,7 +26,8 @@ def test_defining_relations():
 
 
 def test_minus_one_is_a_commutator():
-    assert close(I * J * I.inverse() * J.inverse(), -ONE)
+    i, j = I.to_array(), J.to_array()
+    assert np.array_equal(qprod(qprod(qprod(i, j), qinv(i)), qinv(j)), -ONE.to_array())
 
 
 @given(quats, quats)
@@ -47,7 +37,8 @@ def test_norm_multiplicative(a, b):
 
 @given(quats, quats)
 def test_conj_antihomomorphism(a, b):
-    assert close((a * b).conj(), b.conj() * a.conj(), tol=1e-10)
+    a, b = a.to_array(), b.to_array()
+    assert np.linalg.norm(qconj(qprod(a, b)) - qprod(qconj(b), qconj(a))) <= 1e-10
 
 
 @given(quats, quats)
@@ -59,13 +50,9 @@ def test_real_part_of_product_symmetric(a, b):
 def test_inverse(a):
     if a.norm() < 1e-3:
         return
-    assert close(a * a.inverse(), ONE, tol=1e-10)
-    assert close(a.inverse() * a, ONE, tol=1e-10)
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        Quaternion().inverse()
+    a, one = a.to_array(), ONE.to_array()
+    assert np.linalg.norm(qprod(a, qinv(a)) - one) <= 1e-10
+    assert np.linalg.norm(qprod(qinv(a), a) - one) <= 1e-10
 
 
 def test_json_round_trip():
@@ -112,7 +99,7 @@ def test_vectorized_helpers_match_scalar():
         # both products against the 16-term Hamilton formula, which shares no code with qprod
         assert np.allclose(qprod(a, b)[r], hamilton(a[r], b[r]), atol=1e-12)
         assert np.allclose((qa * qb).to_array(), hamilton(a[r], b[r]), atol=1e-12)
-        assert np.allclose(qconj(a)[r], qa.conj().to_array(), atol=0)
+        assert np.array_equal(qconj(a)[r], a[r] * [1.0, -1.0, -1.0, -1.0])
         assert abs(qnorm2(a)[r] - qa.norm2()) <= 1e-12
 
 
@@ -123,13 +110,6 @@ JSON_SCALAR_SLOTS = {
         {"rows": x, "cols": 1, "entries": [[[1, 0, 0, 0]]] * 2}), True),
     "qmatrix-cols": (lambda x: QMatrix.from_json(
         {"rows": 1, "cols": x, "entries": [[[1, 0, 0, 0]] * 2]}), True),
-    "permutation": (lambda x: Permutation.from_json({"one_line": [x, 1]}), True),
-    "multivector-n": (lambda x: Multivector.from_json(
-        {"n": x, "grade": 1, "terms": [{"idx": ["E(1,2)"], "c": 1.0}]}), True),
-    "multivector-grade": (lambda x: Multivector.from_json(
-        {"n": 2, "grade": x, "terms": [{"idx": ["E(1,2)", "S(i;1,2)"], "c": 1.0}]}), True),
-    "multivector-c": (lambda x: Multivector.from_json(
-        {"n": 2, "grade": 1, "terms": [{"idx": ["E(1,2)"], "c": x}]}), False),
 }
 
 

@@ -9,11 +9,40 @@ import numpy as np
 
 from qflag.decomp import PIVOT_RTOL, BruhatForm
 from qflag.flags import leaf_point
-from qflag.hmat import (SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, chi, unchi,
-                        word_to_permutation)
+from qflag.hmat import SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, word_to_permutation
 from qflag.hp1geom import Chart, ChartPoint, coset_rep
 from qflag.liealg import PRUNE_TOL, DualVector, Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion, qnorm2, qprod
+
+
+ONE, I, J, K = (Quaternion(*unit) for unit in np.eye(4))
+
+
+def conjugate(q: Quaternion) -> Quaternion:
+    """conj(q): the imaginary part negated."""
+    return Quaternion(q.re, -q.i, -q.j, -q.k)
+
+
+def reciprocal(q: Quaternion) -> Quaternion:
+    """q^-1 = conj(q) / |q|^2 of a nonzero q."""
+    return conjugate(q) / q.norm2()
+
+
+def multivector_to_json(mv: Multivector) -> dict:
+    """``{"n", "grade", "terms": [{"idx": [names], "c"}]}``, the terms in key order and
+    each named by its sp(n) basis names (``E(1,2)``, ``S(i;1,2)``, ``Dg(k;1)``)."""
+    names = sp_basis(mv.n).names
+    idx, vals = mv.terms()
+    terms = [{"idx": [names[c] for c in t], "c": v} for t, v in zip(idx.tolist(), vals.tolist())]
+    return {"n": mv.n, "grade": mv.grade, "terms": terms}
+
+
+def multivector_from_json(obj: dict) -> Multivector:
+    """Inverse of :func:`multivector_to_json` through the Multivector constructor, so
+    unsorted names pick up the sign of their sort."""
+    index = sp_basis(obj["n"]).index
+    return Multivector(obj["n"], obj["grade"],
+                       {tuple(index[nm] for nm in t["idx"]): t["c"] for t in obj["terms"]})
 
 
 def from_rows(rows) -> QMatrix:
@@ -426,6 +455,19 @@ def real_rep(m: QMatrix) -> np.ndarray:
     return blocks.transpose(0, 3, 1, 2).reshape(4 * r, 4 * c)
 
 
+def from_real_rep(r: np.ndarray) -> QMatrix:
+    """The quaternion matrix whose :func:`real_rep` is ``r``: column 0 of block (i, j),
+    the image m_ij * 1 of the unit."""
+    rows, cols = r.shape[0] // 4, r.shape[1] // 4
+    return QMatrix(r.reshape(rows, 4, cols, 4)[:, :, :, 0].transpose(0, 2, 1))
+
+
+def real_rep_inverse(m: QMatrix) -> QMatrix:
+    """M^-1 as the LAPACK inverse of real_rep(M), free of chi: real_rep is an
+    injective homomorphism, so real_rep(M^-1) = real_rep(M)^-1."""
+    return from_real_rep(np.linalg.inv(real_rep(m)))
+
+
 def real_rep_ddet(g: QMatrix) -> float:
     """The Dieudonne determinant |det real_rep(G)|^(1/4), through a log-determinant."""
     return math.exp(np.linalg.slogdet(real_rep(g))[1] / 4)
@@ -598,10 +640,17 @@ def coset_rep_oracle(p: ChartPoint) -> QMatrix:
     c = p.coord
     s = 1.0 / math.sqrt(1.0 + c.norm2())
     if p.chart is Chart.SOUTH:
-        rows = [[-c.conj() * s, Quaternion(s)], [Quaternion(s), c * s]]
+        rows = [[-conjugate(c) * s, Quaternion(s)], [Quaternion(s), c * s]]
     else:
-        rows = [[Quaternion(s), -c.conj() * s], [c * s, Quaternion(s)]]
+        rows = [[Quaternion(s), -conjugate(c) * s], [c * s, Quaternion(s)]]
     return from_rows(rows)
+
+
+def chart_coord_oracle(m: QMatrix, chart: Chart) -> Quaternion:
+    """The chart coordinate a^{-1} b of M: ``(a, b) = (M21, M22)`` on the South chart
+    and ``(M22, M21)`` on the North."""
+    a, b = (m[1, 0], m[1, 1]) if chart is Chart.SOUTH else (m[1, 1], m[1, 0])
+    return reciprocal(a) * b
 
 
 def chart_derivative_oracle(m: QMatrix, mdot: QMatrix, chart: Chart) -> Quaternion:
@@ -610,7 +659,7 @@ def chart_derivative_oracle(m: QMatrix, mdot: QMatrix, chart: Chart) -> Quaterni
         a, b, da, db = m[1, 0], m[1, 1], mdot[1, 0], mdot[1, 1]
     else:
         a, b, da, db = m[1, 1], m[1, 0], mdot[1, 1], mdot[1, 0]
-    ai = a.inverse()
+    ai = reciprocal(a)
     return -(ai * da * ai * b) + ai * db
 
 
@@ -656,20 +705,20 @@ def bruhat_field_oracle(p: ChartPoint) -> float:
 # ---------------------------------------------------------------------------
 
 def expm_series_oracle(m: QMatrix) -> QMatrix:
-    """exp(X) of any square X: the Taylor series of chi(X 2^-s), ||X 2^-s||_F <= 1/2,
-    summed until a term's quaternion norm is below 1e-13, then squared s times."""
+    """exp(X) of any square X: the Taylor series of real_rep(X 2^-s), ||X 2^-s||_F <= 1/2,
+    summed until a term's quaternion norm is below 1e-13, then squared s times; free of chi."""
     norm = m.frobenius()
     s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    x = chi(m.data) * 0.5 ** s
-    acc = term = np.eye(len(x), dtype=complex)
+    x = real_rep(m) * 0.5 ** s
+    acc = term = np.eye(len(x))
     for kfac in range(1, 62):
         term = (term @ x) / kfac
         acc = acc + term
-        if np.linalg.norm(term) < math.sqrt(2.0) * 1e-13:  # ||chi(Y)||_F = sqrt(2) ||Y||_F
+        if np.linalg.norm(term) < 2.0 * 1e-13:  # ||real_rep(Y)||_F = 2 ||Y||_F
             break
     for _ in range(s):
         acc = acc @ acc
-    return QMatrix(unchi(acc))
+    return from_real_rep(acc)
 
 
 def leaf_jacobian_fd_oracle(word, base: np.ndarray, n: int, h: float = 1e-5) -> np.ndarray:
@@ -720,8 +769,7 @@ def lie_derivative_stencil_oracle(p: ChartPoint, x: Multivector, h: float = 1e-3
 
 def word_to_permutation_oracle(word, n: int) -> Permutation:
     """s_{r_1} @ ... @ s_{r_m} (0-based r), one transposition per letter."""
-    return reduce(lambda a, b: a @ b, [transposition(r, n) for r in word],
-                  Permutation.identity(n))
+    return reduce(lambda a, b: a @ b, [transposition(r, n) for r in word], Permutation(range(n)))
 
 
 def reduced_word_oracle(w: Permutation) -> list[int]:
