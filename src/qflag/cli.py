@@ -6,13 +6,15 @@ Each ``cmd_*`` returns its result, a JSON object or the CSV text of ``profile``;
 input, a Dieudonne determinant outside the normal float range, a factor or result that
 is not finite, a point at a chart boundary, or a report with ``"ok": false``).  Every
 command is deterministic given its input and seed; QFLAG_SEED is the only environment fallback.
+
+Importing this module loads only :mod:`qflag.hmat` and :mod:`qflag.quat` of the package:
+each command imports the modules it runs, so a cold start neither compiles nor executes
+one that it never calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import operator
 import os
@@ -23,8 +25,8 @@ from math import comb, ldexp
 
 import numpy as np
 
-from . import decomp, flags, hp1geom, liealg
-from .hmat import Permutation, QMatrix, SingularMatrixError, pow2_scaled, word_to_permutation
+from .hmat import (ChartBoundaryError, Permutation, QMatrix, SingularMatrixError, pow2_scaled,
+                   word_to_permutation)
 from .quat import Quaternion
 
 EXIT_OK = 0
@@ -59,6 +61,7 @@ def _load_matrix(path: str) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(args) -> dict:
+    from . import decomp
     g = _load_matrix(args.input)
     if args.kind == "bruhat":
         form = decomp.bruhat(g)
@@ -75,14 +78,17 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_ddet(args) -> dict:
+    from . import decomp
     return {"dieudonne_det": decomp.dieudonne_det(_load_matrix(args.input))}
 
 
 def cmd_dress(args) -> dict:
+    from . import decomp
     return decomp.dress(_load_matrix(args.g), _load_matrix(args.k)).to_json()
 
 
 def cmd_leaf(args) -> dict:
+    from . import decomp, flags
     if not LEAF_N[0] <= args.n <= LEAF_N[1]:
         raise ValueError("leaf needs {} <= n <= {}".format(*LEAF_N))
     word = [int(r) - 1 for r in args.word.split()]
@@ -101,6 +107,9 @@ def cmd_leaf(args) -> dict:
 
 
 def cmd_profile(args) -> str:
+    import csv
+    import io
+    from . import hp1geom
     if (not (0 < args.rho_min < args.rho_max < np.inf) or args.steps < 2 or args.directions < 1
             or args.steps * args.directions > PROFILE_POINTS):
         raise ValueError("need 0 < rho-min < rho-max < inf, steps >= 2, directions >= 1 "
@@ -118,7 +127,8 @@ def cmd_profile(args) -> str:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-def _random_multivector(n: int, grade: int, rng, nterms: int = 4) -> liealg.Multivector:
+def _random_multivector(n: int, grade: int, rng, nterms: int = 4):
+    from . import liealg
     dim = liealg.sp_basis(n).dim
     terms: dict[tuple[int, ...], float] = {}  # drawn without listing the C(dim, grade) subsets
     while len(terms) < min(nterms, comb(dim, grade)):
@@ -128,6 +138,7 @@ def _random_multivector(n: int, grade: int, rng, nterms: int = 4) -> liealg.Mult
 
 
 def suite_schouten(n: int, seed: int) -> dict:
+    from . import liealg
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(SCHOUTEN_TRIALS):
@@ -150,6 +161,7 @@ def suite_schouten(n: int, seed: int) -> dict:
 
 
 def suite_lambda(n: int, seed: int) -> dict:
+    from . import liealg
     lam = liealg.lambda_element(n)
     br = liealg.schouten(lam, lam)
     ok = (br.max_abs() <= DEFAULT_TOLERANCES["lambda_vanishing"] if n == 2
@@ -159,6 +171,7 @@ def suite_lambda(n: int, seed: int) -> dict:
 
 
 def suite_spheroid(n: int, seed: int) -> dict:
+    from . import liealg
     rng = np.random.default_rng(seed)
     basis = liealg.sp_basis(n)
     lam = liealg.lambda_element(n)
@@ -172,6 +185,7 @@ def suite_spheroid(n: int, seed: int) -> dict:
 
 
 def suite_hp1(n: int, seed: int) -> dict:
+    from . import hp1geom
     rhos = [0.1, 0.25, 0.5, 1.0, 2.0, 3.0]
     rows = list(hp1geom.radial_profile(rhos, directions=5, seed=seed))
     worst = max(row["abs_err"] / row["expected_ratio"] for row in rows)
@@ -182,6 +196,7 @@ def suite_hp1(n: int, seed: int) -> dict:
 
 
 def suite_leaves(n: int, seed: int) -> dict:
+    from . import flags
     rng = np.random.default_rng(seed)
     checked = []
     ok = True
@@ -198,6 +213,7 @@ def suite_leaves(n: int, seed: int) -> dict:
 
 
 def suite_dressing(n: int, seed: int) -> dict:
+    from . import flags
     rng = np.random.default_rng(seed)
     w = Permutation.longest(n)
     sigma = [Quaternion.from_array(x) for x in rng.normal(size=(n, 4))]
@@ -311,7 +327,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (SingularMatrixError, OverflowError, hp1geom.ChartBoundaryError) as exc:
+    except (SingularMatrixError, OverflowError, ChartBoundaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except (json.JSONDecodeError, OSError, ValueError) as exc:

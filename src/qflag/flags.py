@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chart import Chart, _coset_reps, south_coord
 from .decomp import _iwasawa_k, _leaf_signature, _row_reduce
 from .hmat import Permutation, QMatrix, chi, require_symplectic, word_to_permutation
-from .hp1geom import Chart, ChartPoint, _coset_reps, coset_rep, south_coord
-from .liealg import sp_basis
 from .quat import Quaternion, qconj
 
 __all__ = [
@@ -71,10 +70,12 @@ def _leaf_jacobian(word: list[int], base: np.ndarray, n: int) -> np.ndarray:
     ``base``, right-translated to sp(n) coordinates: row 4i + a is
     ``Ad_P(dk_v/dv_a k_v*)`` for v = v_i and P the product of the blocks before
     block i, of which only columns r_i, r_i + 1 enter.  By the closed form of
-    k_v (:func:`hp1geom._coset_reps`), ``dk_v/dv_a = s diag(-conj(e_a), e_a)
+    k_v (:func:`chart._coset_reps`), ``dk_v/dv_a = s diag(-conj(e_a), e_a)
     - v_a s^2 k_v`` with ``s = (1 + |v|^2)^(-1/2)``; the second term adds
     ``-v_a s^2 C C*`` for those two columns C of P, which is Hermitian, so the
-    projection onto sp(n) drops it."""
+    projection onto sp(n) drops it.  Only :func:`leaf_dimension` calls it, so
+    ``sp_basis`` is imported here and the leaf commands load no :mod:`qflag.liealg`."""
+    from .liealg import sp_basis
     units = np.zeros((4, 2, 2, 4))
     units[:, 0, 0], units[:, 1, 1] = -qconj(np.eye(4)), np.eye(4)
     units = chi(units)
@@ -130,7 +131,8 @@ def orbit_probe(k: QMatrix, samples: int, seed: int) -> dict:
         sig = _leaf_signature(k2)
         max_dev = max(max_dev, sig0.deviation(sig))
         if n == 2 and sig0.w.length() == 1 and trivial_phases:
-            recon = (k2 - coset_rep(ChartPoint.south(south_coord(k2)))).frobenius()
+            rep = _coset_reps(Chart.SOUTH, south_coord(k2).to_array()[None])[0]
+            recon = (k2 - QMatrix(rep)).frobenius()
             max_recon = recon if max_recon is None else max(max_recon, recon)
     report = {
         "kind": "orbit_probe",

@@ -26,6 +26,7 @@ __all__ = [
     "QMatrix",
     "Permutation",
     "SingularMatrixError",
+    "ChartBoundaryError",
     "expm",
     "random_sp_algebra",
     "random_symplectic",
@@ -40,6 +41,10 @@ SYMPLECTIC_TOL = 1e-8
 
 class SingularMatrixError(ValueError):
     """Raised when a matrix is singular to working precision."""
+
+
+class ChartBoundaryError(ValueError):
+    """A chart map of HP^1 (:mod:`qflag.chart`) is undefined at, or too close to, this matrix."""
 
 
 def chi(d: np.ndarray) -> np.ndarray:

@@ -1,15 +1,8 @@
 """Chart-level geometry on the quaternionic projective line.
 
-HP^1 is the quotient of Sp(2) by left multiplication with diagonal unit
-quaternions.  Two charts cover it:
-
-* South (coordinate v): ``v(M) = M21^{-1} M22``, covering the open 4-cell;
-* North (coordinate u): ``u(M) = M22^{-1} M21``, with ``u = 0`` at the
-  identity coset (the North pole).
-
-Both maps are invariant under left multiplication by ``diag(unit, unit)``,
-so they are well defined on cosets.  The 4-vector field of interest is the
-multiplicative field ``(L_k)_* Lambda - (R_k)_* Lambda`` pushed to the chart.
+The two charts of HP^1, South (coordinate v) and North (coordinate u), are in
+:mod:`qflag.chart`.  The 4-vector field of interest is the multiplicative
+field ``(L_k)_* Lambda - (R_k)_* Lambda`` pushed to the chart.
 Its two translations are two Jacobians at k in closed form: the action J,
 ``X -> d/dt chart(exp(tX) k) = (1 + |c|^2) X21``, and the flow J_flow,
 ``X -> d/dt chart(k exp(tX))``, the quaternionic Moebius field
@@ -30,23 +23,19 @@ expanding ``Lambda^4 Ad_k . P`` over all C(dim, 4) subsets.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .chart import Chart, ChartPoint, _coset_reps, _require_on_chart
 from .hmat import QMatrix
 from .liealg import (DualVector, Multivector, _canonicalize, _factors, four_bracket,
                      lambda_element, sp_basis)
-from .quat import Quaternion, qinv, qnorm2, qprod
+from .quat import Quaternion, qnorm2, qprod
 
 __all__ = [
-    "Chart",
-    "ChartPoint",
-    "ChartBoundaryError",
     "FieldSample",
-    "south_coord",
     "coset_rep",
     "action_jacobian",
     "pushforward_coeff",
@@ -58,42 +47,8 @@ __all__ = [
     "radial_profile",
 ]
 
-# south_coord divides by the entry M21 of the matrix, the Jacobians by
-# s = 1/sqrt(1 + rho^2) on coset_rep, rho = |coordinate|.  A point whose
-# entry is at most CHART_EPS (rho >= ~1e10) is off the chart; a batch holding
-# one raises ChartBoundaryError as a whole (the CLI exits 2).
-CHART_EPS = 1e-10
 # fourvector_rank misses a contraction direction weaker than this, relative
 RANK_RTOL = 1e-9
-
-
-class Chart(enum.Enum):
-    SOUTH = "south"
-    NORTH = "north"
-
-
-class ChartBoundaryError(ValueError):
-    """The chart map is undefined at (or too close to) this matrix."""
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of one chart; ``ValueError`` unless its coordinate is finite."""
-
-    chart: Chart
-    coord: Quaternion
-
-    def __post_init__(self):
-        if not np.isfinite(self.coord.to_array()).all():
-            raise ValueError(f"chart coordinate {self.coord!r} is not finite")
-
-    @staticmethod
-    def south(v: Quaternion) -> "ChartPoint":
-        return ChartPoint(Chart.SOUTH, v)
-
-    @staticmethod
-    def north(u: Quaternion) -> "ChartPoint":
-        return ChartPoint(Chart.NORTH, u)
 
 
 @dataclass(frozen=True)
@@ -102,33 +57,6 @@ class FieldSample:
 
     at: ChartPoint
     coeff: float
-
-
-def south_coord(m: QMatrix) -> Quaternion:
-    """The South coordinate ``M21^{-1} M22`` of M."""
-    a, b = m.data[1]
-    _require_on_chart(Chart.SOUTH, np.sqrt(qnorm2(a)))
-    return Quaternion.from_array(qprod(qinv(a), b))
-
-
-def _coset_reps(chart: Chart, coords: np.ndarray) -> np.ndarray:
-    """``(m, 2, 2, 4)`` symplectic coset representatives of ``(m, 4)`` coordinates c:
-    ``s [[-conj(c), 1], [1, c]]`` (South) or ``s [[1, -conj(c)], [c, 1]]`` (North),
-    with ``s = 1/sqrt(1 + |c|^2)``."""
-    s = 1.0 / np.sqrt(1.0 + qnorm2(coords))
-    col = 0 if chart is Chart.SOUTH else 1  # the column of -conj(c) s
-    reps = np.zeros((len(coords), 2, 2, 4))
-    reps[:, 1, 1 - col] = coords * s[:, None]
-    reps[:, 0, col] = reps[:, 1, 1 - col] * (-1.0, 1.0, 1.0, 1.0)
-    reps[:, 0, 1 - col, 0] = reps[:, 1, col, 0] = s
-    return reps
-
-
-def _require_on_chart(chart: Chart, denom: np.ndarray) -> None:
-    """Fail the whole batch if any chart denominator ``|a|`` is at most CHART_EPS."""
-    if np.any(denom <= CHART_EPS):
-        raise ChartBoundaryError(
-            f"{chart.value} chart undefined: denominator entry at most {CHART_EPS:g}")
 
 
 @lru_cache(maxsize=None)

@@ -42,6 +42,7 @@ which reduces to the Lie bracket on grade-1 inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
@@ -202,7 +203,7 @@ def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ..
 def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ...]:
     """Canonical keys, values and rows of grade-k coefficients over dim basis elements;
     ValueError for a key that is not k indices in range(dim), a coefficient that
-    is not finite, or a grade whose keys could reach 2**63."""
+    is a bool, not a real number or not finite, or a grade whose keys could reach 2**63."""
     coeffs = coeffs or {}
     m = len(coeffs)
     idx = np.fromiter(chain.from_iterable(coeffs), dtype=float)
@@ -211,6 +212,12 @@ def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ..
         t = next(t for t in coeffs
                  if len(t) != k or not all(0 <= i < dim and i % 1 == 0 for i in t))
         raise ValueError(f"key {t}: need {k} basis indices in range({dim})")
+    # the rule of quat.json_number: a bool or a string is refused, not converted
+    bad = {tp for tp in set(map(type, coeffs.values()))
+           if tp is bool or not issubclass(tp, numbers.Real)}
+    if bad:
+        t = next(t for t, c in coeffs.items() if type(c) in bad)
+        raise ValueError(f"key {t}: coefficient {coeffs[t]!r} is not a real number")
     val = np.fromiter(coeffs.values(), dtype=float, count=m)
     if not np.isfinite(val).all():  # NaN would be pruned and inf kept
         t = next(t for t, c in coeffs.items() if not math.isfinite(c))
@@ -237,7 +244,8 @@ class Multivector:
     """Grade-k element of the exterior algebra of sp(n), held as canonical keys
     and coefficients (see the module docstring); the constructor takes a dict
     from index tuples to coefficients and raises ValueError for a key that is
-    not ``grade`` basis indices, or a grade whose keys could reach 2**63.
+    not ``grade`` basis indices, a coefficient that is a bool, not a real number or
+    not finite, or a grade whose keys could reach 2**63.
     ``coeffs`` is a dict of the terms built on first read; it may be written,
     and from then on every operation reads the terms back from it."""
 

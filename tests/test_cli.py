@@ -159,7 +159,7 @@ def test_reconstruction_of_finite_factors_near_the_float_range_is_finite(tmp_pat
 
 def test_non_finite_result_exit_2(tmp_path, capsys, monkeypatch):
     # a NaN or an infinity that reaches the output is refused as JSON cannot hold it
-    monkeypatch.setattr(cli.decomp, "dieudonne_det", lambda g: float("inf"))
+    monkeypatch.setattr("qflag.decomp.dieudonne_det", lambda g: float("inf"))
     inp = write_json(tmp_path / "m.json", QMatrix.identity(2).to_json())
     assert cli.main(["ddet", "--input", inp]) == 2
     assert capsys.readouterr() == ("", "error: result is not finite\n")
@@ -357,8 +357,7 @@ def test_size_bound_edge(argv, work, inside, monkeypatch, capsys):
     def start(*args):
         raise Started
 
-    module, name = work.split(".")
-    monkeypatch.setattr(getattr(cli, module), name, start)
+    monkeypatch.setattr(f"qflag.{work}", start)
     if inside:
         with pytest.raises(Started):
             cli.main(argv)

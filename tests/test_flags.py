@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qflag import decomp, flags
+from qflag.chart import ChartPoint
 from qflag.decomp import leaf_signature
 from qflag.flags import (
     TRIVIAL_PHASE_TOL,
@@ -16,7 +17,7 @@ from qflag.flags import (
 )
 from qflag.hmat import Permutation, QMatrix, require_symplectic, word_to_permutation
 from qflag.liealg import sp_basis
-from qflag.hp1geom import ChartPoint, coset_rep
+from qflag.hp1geom import coset_rep
 from qflag.quat import Quaternion
 
 from util import (ONE, is_symplectic, leaf_jacobian_fd_oracle, leaf_point_oracle,

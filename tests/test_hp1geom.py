@@ -3,13 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qflag.hmat import QMatrix, expm
+from qflag.chart import CHART_EPS, Chart, ChartPoint, south_coord, _coset_reps
+from qflag.hmat import ChartBoundaryError, QMatrix, expm
 from qflag.hp1geom import (
-    CHART_EPS,
     RANK_RTOL,
-    Chart,
-    ChartBoundaryError,
-    ChartPoint,
     action_jacobian,
     bruhat_field,
     bruhat_normalization,
@@ -20,9 +17,7 @@ from qflag.hp1geom import (
     pushforward_coeff,
     radial_profile,
     rank_at,
-    south_coord,
     _bruhat_coeffs,
-    _coset_reps,
     _jacobian_table,
     _jacobians,
     _pushforward,
@@ -91,9 +86,18 @@ def test_chart_transition_v_equals_u_inverse():
         assert (chart_coord_oracle(m, Chart.NORTH) - reciprocal(v)).norm() <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_chart_boundary_errors():
     with pytest.raises(ChartBoundaryError):
         south_coord(QMatrix.identity(2))
+    # a NaN denominator is off the chart too, though nan <= CHART_EPS is False
+    m = QMatrix(np.array([[[1.0, 0, 0, 0], [0, 0, 0, 0]], [[np.nan, 0, 0, 0], [1.0, 0, 0, 0]]]))
+    with pytest.raises(ChartBoundaryError):
+        south_coord(m)
+    coords = np.array([[0.5, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [1.0, 0.2, 0.0, 0.0]])
+    for chart in Chart:  # one NaN row fails the whole batch
+        with pytest.raises(ChartBoundaryError):
+            _jacobians(chart, coords)
 
 
 @pytest.mark.filterwarnings("error")

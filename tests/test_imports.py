@@ -2,7 +2,7 @@
 package module exports is defined there, every package definition and export is
 read by the package, the benchmark or the acceptance gate, and the test oracles
 read no private name of the package; importing the package keeps freed heap in
-the process."""
+the process, and each CLI command loads only the package modules it runs."""
 
 import ast
 import ctypes
@@ -317,22 +317,73 @@ def test_private_cache_reads_finds_exactly_the_foreign_readers(sources, found):
     assert private_cache_reads(sources) == found
 
 
-# the size of every lru_cache in qflag.* after a fresh ``import qflag.cli``
+# the size of every lru_cache in qflag.* after a fresh process imports every module of qflag
 CACHE_SIZES = """
-import json, sys
-import qflag.cli
+import importlib, json, pkgutil, sys
+import qflag
+for info in pkgutil.iter_modules(qflag.__path__):
+    importlib.import_module(f"qflag.{info.name}")
 print(json.dumps({f"{name}.{attr}": f.cache_info().currsize for name, mod in list(sys.modules.items())
                   if name.startswith("qflag") for attr, f in vars(mod).items() if hasattr(f, "cache_info")}))
 """
 
 
 def test_importing_the_cli_fills_no_cache():
-    # a table built at import time would be paid by every cold start of the CLI
+    # a table built at import time would be paid by every cold start of a command
+    # that loads its module
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     sizes = json.loads(subprocess.run([sys.executable, "-c", CACHE_SIZES], env=env, check=True,
                                       capture_output=True, text=True).stdout)
     assert "qflag.hp1geom._jacobian_table" in sizes
     assert {name: size for name, size in sizes.items() if size} == {}
+
+
+# the qflag.* modules a fresh process holds after importing the CLI and running
+# the command given as its arguments, if any, with the result sent to --out
+LOADED = """
+import json, sys
+from qflag import cli
+if sys.argv[1:]:
+    assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("qflag"))))
+"""
+BASE = ["qflag", "qflag.cli", "qflag.hmat", "qflag.quat"]
+WITH_DECOMP = BASE + ["qflag.decomp"]
+WITH_FLAGS = WITH_DECOMP + ["qflag.chart", "qflag.flags"]
+WITH_LIEALG = BASE + ["qflag.liealg"]
+WITH_HP1GEOM = WITH_LIEALG + ["qflag.chart", "qflag.hp1geom"]
+
+
+# each command's argv (a matrix file in braces) and the qflag.* modules it loads;
+# "import" imports the CLI alone
+FOOTPRINT = {
+    "import": ([], BASE),
+    "decompose-bruhat": (["decompose", "bruhat", "--input", "{m}"], WITH_DECOMP),
+    "decompose-iwasawa": (["decompose", "iwasawa", "--input", "{m}"], WITH_DECOMP),
+    "ddet": (["ddet", "--input", "{m}"], WITH_DECOMP),
+    "dress": (["dress", "--g", "{m}", "--k", "{m}"], WITH_DECOMP),
+    "leaf": (["leaf", "--word", "1 2", "--n", "3"], WITH_FLAGS),
+    "verify-leaves": (["verify", "leaves", "--n", "3"], WITH_FLAGS),
+    "verify-dressing": (["verify", "dressing", "--n", "2"], WITH_FLAGS),
+    "verify-lambda": (["verify", "lambda", "--n", "3"], WITH_LIEALG),
+    "verify-spheroid": (["verify", "spheroid", "--n", "3"], WITH_LIEALG),
+    "verify-schouten": (["verify", "schouten", "--n", "2"], WITH_LIEALG),
+    "verify-hp1": (["verify", "hp1"], WITH_HP1GEOM),
+    "profile": (["profile", "--rho-min", "1", "--rho-max", "2", "--steps", "2"], WITH_HP1GEOM),
+}
+
+
+@pytest.mark.parametrize("argv, modules", FOOTPRINT.values(), ids=FOOTPRINT)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+    # a cold start compiles and executes every module it loads, run or not: a
+    # top-level import of the CLI costs every command that module's load
+    (tmp_path / "m.json").write_text('{"rows": 1, "cols": 1, "entries": [[[1, 0, 0, 0]]]}')
+    argv = [a.format(m=tmp_path / "m.json") for a in argv] + (["--out", str(tmp_path / "out")]
+                                                              if argv else [])
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = json.loads(subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+    assert loaded == sorted(modules)
 
 
 # minor page faults per round of Ad on Lambda_3 and on the moved Lambda_3, and of

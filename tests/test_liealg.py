@@ -405,7 +405,12 @@ def test_multivector_json_round_trip():
 @pytest.mark.parametrize("make, match", [
     (lambda: Multivector(2, 1, {(1,): 1.0, (0,): float("nan")}), r"key \(0,\): .* not finite"),
     (lambda: Multivector(2, 1, {(0,): float("inf")}), "not finite"),
-], ids=["nan", "inf"])
+    # np.fromiter(..., dtype=float) would read True as 1.0 and "1.5" as 1.5; by the
+    # rule of quat.json_number they are refused
+    *((lambda bad=bad: Multivector(2, 2, {(1, 2): 1.0, (0, 3): bad}),
+       r"key \(0, 3\): coefficient .* is not a real number")
+      for bad in (True, np.True_, "1.5", 1 + 2j, None)),
+], ids=["nan", "inf", "bool", "numpy-bool", "string", "complex", "none"])
 def test_multivector_refuses_non_finite_and_non_integral_input(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -1,6 +1,7 @@
-"""Every numerical threshold of the library is documented in README.md,
-README.md's threshold list names no threshold the library lacks, and every
-threshold it lists is read by name in another test module."""
+"""Every numerical threshold of the library, and every verification tolerance in
+``cli.DEFAULT_TOLERANCES``, is documented in README.md, README.md's threshold list
+names no threshold or tolerance the library lacks, and every threshold it lists is
+read by name in another test module."""
 
 import ast
 import re
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from qflag import cli, decomp, flags, hmat, hp1geom, liealg
+from qflag import chart, cli, decomp, flags, hmat, hp1geom, liealg
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-THRESHOLDS = sorted({(mod.__name__, name) for mod in (cli, decomp, flags, hmat, hp1geom, liealg)
+SECTION = README.split("## Numerical thresholds", 1)[1].split("\n## ", 1)[0]
+THRESHOLDS = sorted({(mod.__name__, name)
+                     for mod in (chart, cli, decomp, flags, hmat, hp1geom, liealg)
                      for name, value in vars(mod).items()
                      if name.isupper() and isinstance(value, float)})
 
@@ -22,8 +25,9 @@ def test_threshold_is_named_in_readme(module, name):
 
 
 # the `NAME = value` entries of README.md's "Numerical thresholds" section
-LISTED = re.findall(r"`([A-Z][A-Z0-9_]*) = ",
-                    README.split("## Numerical thresholds", 1)[1].split("\n## ", 1)[0])
+LISTED = re.findall(r"`([A-Z][A-Z0-9_]*) = ", SECTION)
+# its `DEFAULT_TOLERANCES["key"] = value` entries
+TOLERANCES = re.findall(r'`DEFAULT_TOLERANCES\["(\w+)"\] = ([^`]+)`', SECTION)
 
 
 def test_readme_lists_thresholds():
@@ -33,6 +37,21 @@ def test_readme_lists_thresholds():
 @pytest.mark.parametrize("name", LISTED)
 def test_readme_threshold_is_defined(name):
     assert name in {n for _, n in THRESHOLDS}, f"README.md lists {name}, which no module defines"
+
+
+@pytest.mark.parametrize("key", sorted(cli.DEFAULT_TOLERANCES))
+def test_tolerance_is_listed_in_readme(key):
+    assert key in dict(TOLERANCES), f"cli.DEFAULT_TOLERANCES[{key!r}] has no entry in README.md"
+
+
+@pytest.mark.parametrize("key, value", TOLERANCES, ids=[k for k, _ in TOLERANCES])
+def test_readme_tolerance_is_defined(key, value):
+    assert key in cli.DEFAULT_TOLERANCES, f"README.md lists the tolerance {key}, which cli lacks"
+    assert float(value) == cli.DEFAULT_TOLERANCES[key], f"README.md gives {key} as {value}"
+
+
+def test_readme_lists_tolerances():
+    assert TOLERANCES
 
 
 def names_read(source: str) -> set[str]:

@@ -7,10 +7,11 @@ from itertools import combinations
 
 import numpy as np
 
+from qflag.chart import Chart, ChartPoint
 from qflag.decomp import PIVOT_RTOL, BruhatForm
 from qflag.flags import leaf_point
 from qflag.hmat import SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, word_to_permutation
-from qflag.hp1geom import Chart, ChartPoint, coset_rep
+from qflag.hp1geom import coset_rep
 from qflag.liealg import PRUNE_TOL, DualVector, Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion, qnorm2, qprod
 
