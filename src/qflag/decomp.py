@@ -7,8 +7,9 @@ dressing action (G, K) -> K' defined by G K = K' R U, and leaf signatures
 (w, diagonal phases).
 
 The Bruhat form comes from row reduction of [G | I] alone: the reduced left
-half is U^{-1} G = D P_w V, from which D and V are read, and U is the LAPACK
-inverse of the reduced right half; leaf signatures and cells stop at the
+half is U^{-1} G = D P_w V, from which D and V are read, and U is the inverse
+of the reduced right half, unit upper triangular, taken by halves down to
+LAPACK's inverse of 8 x 8 blocks; leaf signatures and cells stop at the
 reduction.  Each elimination step places a scalar inverse explicitly on the
 left or right; the order matters because H is non-commutative.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hmat import (Permutation, QMatrix, SingularMatrixError, chi, pow2_scaled,
-                   require_square_finite, require_symplectic, unchi)
+                   require_square_finite, require_symplectic, times_chi, unchi)
 from .quat import Quaternion, qinv, qnorm2, qprod
 
 __all__ = [
@@ -73,7 +74,7 @@ class LeafSignature:
         return max((p - q).norm() for p, q in zip(self.phases, other.phases))
 
 
-def _row_reduce(g: QMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+def _row_reduce(g: QMatrix) -> tuple[np.ndarray, list[int], int]:
     """Row reduction of ``[2^-e G | I]`` for square finite G: the reduced
     ``(n, 2n, 4)`` array, the pivot row ``w_of[j]`` of each column j, and e.
     The pivot of column j is the bottom-most not-yet-assigned row with a
@@ -83,22 +84,22 @@ def _row_reduce(g: QMatrix) -> tuple[np.ndarray, np.ndarray, int]:
     scaled, e = pow2_scaled(g.data)
     a = np.zeros((n, 2 * n, 4))
     a[:, :n] = scaled
-    a[np.arange(n), n + np.arange(n), 0] = 1.0
+    a.reshape(-1)[4 * n::8 * n + 4] = 1.0  # the identity: a[i, n + i, 0]
     z = a.view(complex)  # (n, 2n, 2): the (z1, z2) pair of each entry
     rows = z.reshape(n, 4 * n)
     thresh = PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled))
     p_chi = np.empty((2, 2 * n, 2), dtype=complex)  # chi of the pivot row
-    w_of = np.empty(n, dtype=int)  # w_of[j] = pivot row of column j
-    free = np.ones(n, dtype=bool)  # rows that are no column's pivot yet
+    w_of = []  # w_of[j] = pivot row of column j
+    free = list(range(n))  # rows that are no column's pivot yet, top to bottom
 
     for j in range(n):
         norm2 = qnorm2(a[:, j])
         live = np.sqrt(norm2) > thresh
-        cand = (live & free).nonzero()[0]
-        if cand.size == 0:
+        piv = next((r for r in reversed(free) if live[r]), None)
+        if piv is None:
             raise SingularMatrixError("matrix is singular: no Bruhat pivot in column")
-        piv = w_of[j] = cand[-1]
-        free[piv] = False
+        w_of.append(piv)
+        free.remove(piv)
         if piv:
             # a_r -= (a_rj q^{-1}) a_piv above the pivot, for q = a_piv,j and
             # live rows r only: on pairs, a_rj times chi(q)^{-1} chi(a_piv),
@@ -128,15 +129,28 @@ def bruhat(g: QMatrix) -> BruhatForm:
     require_square_finite(g.data, "bruhat")
     a, w_of, e = _row_reduce(g)
     n = g.n_rows
-    cols = np.arange(n)
+    cols, w_of = np.arange(n), np.array(w_of)
     d = a[w_of, cols]
     v = qprod(qinv(d)[:, None], a[w_of, :n])
     v[~((cols[:, None] < cols) & (w_of[:, None] > w_of))] = 0.0
     v[cols, cols, 0] = 1.0
     dd = np.zeros((n, n, 4))
     dd[w_of, w_of] = _scaled_back(d, e, "bruhat")
-    u = unchi(np.linalg.inv(chi(a[:, n:])))
+    u = unchi(_unit_upper_inv(chi(a[:, n:])))
     return BruhatForm(U=QMatrix(u), D=QMatrix(dd), w=Permutation(w_of), V=QMatrix(v))
+
+
+def _unit_upper_inv(c: np.ndarray) -> np.ndarray:
+    """Inverse of a unit upper triangular ``[[A, B], [0, C]]`` of whole 2 x 2 blocks,
+    by halves, ``[[A^-1, -A^-1 B C^-1], [0, C^-1]]``, and by LAPACK at 16 rows or fewer."""
+    if len(c) <= 16:
+        return np.linalg.inv(c)
+    h = len(c) // 4 * 2  # split between quaternion rows
+    a_inv, c_inv = _unit_upper_inv(c[:h, :h]), _unit_upper_inv(c[h:, h:])
+    out = np.zeros_like(c)
+    out[:h, :h], out[h:, h:] = a_inv, c_inv
+    out[:h, h:] = -(a_inv @ c[:h, h:]) @ c_inv
+    return out
 
 
 def _scaled_back(x: np.ndarray, e: int, op: str) -> np.ndarray:
@@ -219,16 +233,15 @@ def dress(g: QMatrix, k: QMatrix) -> QMatrix:
     it re-projects onto the group manifold and keeps iterated orbits from drifting.
     """
     require_square_finite(g.data, "dress")
-    require_symplectic(k.data, "dress")
-    n = g.n_rows
+    c = require_symplectic(k.data, "dress")
     d = pow2_scaled(g.data)[0]  # the rule is scale-free, and no scaled square overflows
     lim = PIVOT_RTOL * np.linalg.norm(d)
-    diag = d[np.arange(n), np.arange(n)]
-    if np.any(diag[:, 0] <= 0) or np.any(np.sqrt(qnorm2(diag[:, 1:])) > lim):
+    diag = d.reshape(-1, 4)[::len(d) + 1]
+    if (diag[:, 0] <= 0).any() or (np.sqrt(qnorm2(diag[:, 1:])) > lim).any():
         raise ValueError("G must have positive real diagonal")
-    if np.any(np.tril(np.sqrt(qnorm2(d)), -1) > lim):
+    if any(any(row[:i]) for i, row in enumerate((np.sqrt(qnorm2(d)) > lim).tolist())):
         raise ValueError("G must be upper triangular")
-    return _iwasawa_k(QMatrix(d) @ k)[0]
+    return _iwasawa_k(times_chi(d, c))[0]
 
 
 def leaf_signature(k: QMatrix) -> LeafSignature:

@@ -89,10 +89,18 @@ def require_symplectic(data: np.ndarray, op: str) -> np.ndarray:
     require_square_finite(data, op)
     c = chi(data)
     r = c.conj().T @ c
-    r.flat[::len(r) + 1] -= 1.0
+    r.reshape(-1)[::len(r) + 1] -= 1.0
     if not math.sqrt(np.vdot(r, r).real) <= math.sqrt(2.0) * SYMPLECTIC_TOL:
         raise ValueError(f"{op} requires a symplectic matrix")
     return c
+
+
+def times_chi(a: np.ndarray, c: np.ndarray) -> "QMatrix":
+    """A B for an ``(n, m, 4)`` array A and ``c = chi(B)``: A's rows as pairs times c."""
+    if 2 * a.shape[1] != len(c):
+        raise ValueError("shape mismatch in quaternionic matmul")
+    top = np.ascontiguousarray(a).view(complex).reshape(len(a), -1) @ c
+    return QMatrix(top.view(float).reshape(len(a), -1, 4))
 
 
 def pow2_scaled(data: np.ndarray) -> tuple[np.ndarray, int]:
@@ -152,12 +160,7 @@ class QMatrix:
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.n_cols != other.n_rows:
-            raise ValueError("shape mismatch in quaternionic matmul")
-        # the (z1, z2) rows of the product: row 2i of chi(A) is row i of A as pairs
-        pairs = np.ascontiguousarray(self.data).view(complex).reshape(self.n_rows, -1)
-        top = pairs @ chi(other.data)
-        return QMatrix(top.view(float).reshape(self.n_rows, -1, 4))
+        return times_chi(self.data, chi(other.data))
 
     def _require_same_shape(self, other: "QMatrix") -> None:
         if self.data.shape != other.data.shape:  # numpy would broadcast a 1 x 1 or 1 x n

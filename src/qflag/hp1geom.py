@@ -168,6 +168,12 @@ def rank_at(p: ChartPoint) -> int:
 # Lie-derivative check of the multiplicative-action identity
 # ---------------------------------------------------------------------------
 
+_STEPS = np.vstack([np.zeros(4), np.eye(4), -np.eye(4)])  # c, c + e_m, c - e_m
+_ROW_R = np.eye(4, dtype=bool)[:, None, :, None]  # row r of the r-th copy of J
+_SIDE = np.array([-1.0, 1.0])  # f: the flow pushforward minus the action one
+_STEPS.flags.writeable = _ROW_R.flags.writeable = _SIDE.flags.writeable = False  # shared
+
+
 def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     """|LHS - RHS| for the identity L_{gamma(X)} xi = wedge^4 gamma(ad_X Lambda).
 
@@ -182,13 +188,11 @@ def lie_derivative_check(p: ChartPoint, x: Multivector) -> float:
     if p.chart is not Chart.SOUTH:
         raise ValueError("lie_derivative_check works on the South chart")
     xv, lam = x.as_vector(), lambda_element(2)
-    steps = np.vstack([np.zeros(4), np.eye(4), -np.eye(4)])  # c, c + e_m, c - e_m
-    jac = _jacobians(Chart.SOUTH, p.coord.to_array() + steps)
+    jac = _jacobians(Chart.SOUTH, p.coord.to_array() + _STEPS)
     dj = (jac[1:5] - jac[5:]) / 2.0  # (m, action/flow, 4, dim)
     # (m, r, action/flow, 4, dim): J with row r replaced by row r of d_m J
-    swapped = np.where(np.eye(4, dtype=bool)[:, None, :, None], dj[:, None], jac[0])
-    side = np.array([-1.0, 1.0])  # f: the flow pushforward minus the action one
-    f, grad_f = _pushforward(jac[0], lam) @ side, _pushforward(swapped, lam).sum(1) @ side
+    swapped = np.where(_ROW_R, dj[:, None], jac[0])
+    f, grad_f = _pushforward(jac[0], lam) @ _SIDE, _pushforward(swapped, lam).sum(1) @ _SIDE
     div_b = np.trace(dj[:, 1] @ xv)  # b = J_flow x, so d_m b = (d_m J_flow) x
     rhs = four_bracket(*(DualVector(2, row) for row in jac[0, 1])).coeffs @ xv
     return abs(float((jac[0, 1] @ xv) @ grad_f - f * div_b - rhs))

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
@@ -202,8 +203,8 @@ def _collect(idx: np.ndarray, val: np.ndarray, dim: int) -> tuple[np.ndarray, ..
 
 def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ...]:
     """Canonical keys, values and rows of grade-k coefficients over dim basis elements;
-    ValueError for a key that is not k indices in range(dim), a coefficient that
-    is a bool, not a real number or not finite, or a grade whose keys could reach 2**63."""
+    ValueError for a key that is not k indices in range(dim), a coefficient that is a
+    bool, not real or not finite as a float, or a grade whose keys could reach 2**63."""
     coeffs = coeffs or {}
     m = len(coeffs)
     idx = np.fromiter(chain.from_iterable(coeffs), dtype=float)
@@ -218,9 +219,12 @@ def _canonicalize(coeffs: dict | None, k: int, dim: int) -> tuple[np.ndarray, ..
     if bad:
         t = next(t for t, c in coeffs.items() if type(c) in bad)
         raise ValueError(f"key {t}: coefficient {coeffs[t]!r} is not a real number")
-    val = np.fromiter(coeffs.values(), dtype=float, count=m)
+    try:
+        val = np.fromiter(coeffs.values(), dtype=float, count=m)
+    except OverflowError:  # an int past the float range, refused below as inf is
+        val = np.array([np.inf])
     if not np.isfinite(val).all():  # NaN would be pruned and inf kept
-        t = next(t for t, c in coeffs.items() if not math.isfinite(c))
+        t = next(t for t, c in coeffs.items() if not abs(c) <= sys.float_info.max)
         raise ValueError(f"key {t}: coefficient {coeffs[t]} is not finite")
     return _collect(idx.astype(np.intp).reshape(m, max(k, 0)), val, dim)  # no terms at k < 0
 
@@ -245,7 +249,7 @@ class Multivector:
     and coefficients (see the module docstring); the constructor takes a dict
     from index tuples to coefficients and raises ValueError for a key that is
     not ``grade`` basis indices, a coefficient that is a bool, not a real number or
-    not finite, or a grade whose keys could reach 2**63.
+    not finite as a float, or a grade whose keys could reach 2**63.
     ``coeffs`` is a dict of the terms built on first read; it may be written,
     and from then on every operation reads the terms back from it."""
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from qflag.decomp import (
     PIVOT_RTOL,
+    _row_reduce,
     bruhat,
     dieudonne_det,
     dress,
@@ -18,7 +19,9 @@ from qflag.hmat import (
     Permutation,
     QMatrix,
     SingularMatrixError,
+    chi,
     random_symplectic,
+    unchi,
 )
 from qflag.quat import Quaternion
 
@@ -37,6 +40,7 @@ from util import (
     random_unit_upper,
     real_rep_ddet,
     reconstruct,
+    row_reduce_oracle,
 )
 
 
@@ -156,6 +160,54 @@ def test_bruhat_pivot_threshold(factor):
         assert form.w == Permutation(range(2))
         assert frob(form.V - QMatrix.identity(2)) == 0.0  # V_id = {I}
         assert frob(reconstruct(form) - g) <= eps
+
+
+def _row_reduce_samples(kind):
+    rng = np.random.default_rng(80)
+    if kind == "random":
+        for n in (1, 2, 3, 4, 8, 16, 32):
+            for _ in range(3):
+                yield random_invertible(n, rng)
+    elif kind == "cells":
+        for n in (3, 4):
+            for ol in permutations(range(n)):
+                yield random_bruhat_factors(n, rng, w=Permutation(ol))[-1]
+                yield Permutation(ol).matrix()
+    elif kind == "leaves":
+        for ol in permutations(range(3)):
+            word = Permutation(ol).reduced_word()
+            params = [Quaternion.from_array(x) for x in rng.normal(size=(len(word), 4))]
+            yield leaf_point(word, params, 3).matrix
+    else:  # the matrices of test_bruhat_pivot_threshold
+        for factor in (0.99, 1.01):
+            g = QMatrix.identity(2)
+            g.data[1, 0, 0] = factor * PIVOT_RTOL * np.sqrt(2.0)
+            yield g
+
+
+@pytest.mark.parametrize("kind", ["random", "cells", "leaves", "threshold"])
+def test_row_reduce_is_bitwise_the_oracle(kind):
+    # the oracle's loop gives every BLAS call the same operands in the same order,
+    # so the reduction must match it byte for byte, signed zeros included
+    for g in _row_reduce_samples(kind):
+        a, w_of, e = _row_reduce(g)
+        ref_a, ref_w, ref_e = row_reduce_oracle(g)
+        assert a.shape == ref_a.shape and a.tobytes() == ref_a.tobytes()
+        assert np.array_equal(w_of, ref_w) and e == ref_e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_bruhat_u_is_the_inverse_of_the_reduced_right_half(n):
+    # LAPACK's inverse itself at n <= 8 (16 complex rows); the block inverse above
+    rng = np.random.default_rng(90 + n)
+    g = random_invertible(n, rng)
+    lapack = unchi(np.linalg.inv(chi(_row_reduce(g)[0][:, n:])))
+    u = bruhat(g).U.data
+    if n <= 8:
+        assert u.tobytes() == lapack.tobytes()
+    else:
+        assert np.linalg.norm(u - lapack) <= 1e-12 * np.linalg.norm(lapack)
+    assert is_unit_upper(QMatrix(u), tol=0.0)
 
 
 def test_bruhat_dimension_bookkeeping():
@@ -410,6 +462,24 @@ def test_dress_rule_is_scale_free(scale):
             else:
                 k = dress(g.scale(scale), QMatrix.identity(2))
                 assert frob(k - QMatrix.identity(2)) <= 1e-9
+    # the same edge at every strictly lower position and every imaginary part of
+    # the diagonal of an upper triangular G with quaternion entries above it
+    for n in (3, 4):
+        base = QMatrix.identity(n)
+        for i, j in zip(*np.triu_indices(n, 1)):
+            base.data[i, j] = (0.8, -0.3, 0.2 * i, 0.1 * j)
+        lower = [((i, j, 0), "upper triangular") for i in range(n) for j in range(i)]
+        imag = [((i, i, c), "real diagonal") for i in range(n) for c in (1, 2, 3)]
+        for f, refused in [(1.0 - 1e-6, False), (1.0 + 1e-6, True)]:
+            for at, match in lower + imag:
+                g = QMatrix(base.data.copy())
+                g.data[at] = f * PIVOT_RTOL * frob(base)
+                if refused:
+                    with pytest.raises(ValueError, match=match):
+                        dress(g.scale(scale), QMatrix.identity(n))
+                else:
+                    k = dress(g.scale(scale), QMatrix.identity(n))
+                    assert frob(k - QMatrix.identity(n)) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])

@@ -13,6 +13,7 @@ from qflag.hmat import (
     Permutation,
     QMatrix,
     SingularMatrixError,
+    chi,
     expm,
     random_sp_algebra,
     random_symplectic,
@@ -22,8 +23,8 @@ from qflag.hmat import (
 from qflag.liealg import ad_group_matrix
 from qflag.quat import Quaternion
 
-from util import (ONE, I, J, embed_sp2, exp_pure_oracle, expm_series_oracle, from_rows,
-                  gauss_jordan_inverse, is_symplectic, random_invertible, real_rep,
+from util import (ONE, I, J, chi_oracle, embed_sp2, exp_pure_oracle, expm_series_oracle,
+                  from_rows, gauss_jordan_inverse, is_symplectic, random_invertible, real_rep,
                   real_rep_inverse, reduced_word_oracle, symplectic_residual, transposition,
                   word_to_permutation_oracle)
 
@@ -50,6 +51,17 @@ def test_matmul_matches_the_real_rep_oracle(n):
     assert np.array_equal(real_rep(QMatrix.identity(n)), np.eye(4 * n))
     err = np.abs(real_rep(a @ b) - real_rep(a) @ real_rep(b)).max()
     assert err <= 1e-14 * frob(a) * frob(b)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 5), (4, 3, 2), (2, 3, 3, 3)])
+def test_chi_is_bitwise_the_block_construction(shape):
+    # about a third of the components are signed zeros, which a complex multiply
+    # by -1 would flip; chi must place each one as the block formula does
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    d = rng.normal(size=(*shape, 4))
+    d[rng.random(d.shape) < 0.2] = 0.0
+    d[rng.random(d.shape) < 0.2] = -0.0
+    assert chi(d).tobytes() == chi_oracle(d).tobytes()
 
 
 def test_conj_transpose_involution_and_antihomomorphism():

@@ -410,7 +410,11 @@ def test_multivector_json_round_trip():
     *((lambda bad=bad: Multivector(2, 2, {(1, 2): 1.0, (0, 3): bad}),
        r"key \(0, 3\): coefficient .* is not a real number")
       for bad in (True, np.True_, "1.5", 1 + 2j, None)),
-], ids=["nan", "inf", "bool", "numpy-bool", "string", "complex", "none"])
+    # an int past the float range is refused as inf is, naming its key
+    *((lambda big=big: Multivector(2, 1, {(1,): 1.0, (0,): big}), r"key \(0,\): .* not finite")
+      for big in (10 ** 400, -10 ** 400)),
+], ids=["nan", "inf", "bool", "numpy-bool", "string", "complex", "none", "int-past-float",
+        "negative-int-past-float"])
 def test_multivector_refuses_non_finite_and_non_integral_input(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -10,7 +10,8 @@ import numpy as np
 from qflag.chart import Chart, ChartPoint
 from qflag.decomp import PIVOT_RTOL, BruhatForm
 from qflag.flags import leaf_point
-from qflag.hmat import SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, word_to_permutation
+from qflag.hmat import (SYMPLECTIC_TOL, Permutation, QMatrix, SingularMatrixError, pow2_scaled,
+                        word_to_permutation)
 from qflag.hp1geom import coset_rep
 from qflag.liealg import PRUNE_TOL, DualVector, Multivector, lambda_element, sp_basis
 from qflag.quat import Quaternion, qnorm2, qprod
@@ -430,7 +431,8 @@ def schouten_oracle(p: Multivector, q: Multivector) -> Multivector:
 # modified Gram-Schmidt Iwasawa factorization that the LAPACK kernels on the
 # complex adjoint replaced, and the Bruhat loop of row and column operations
 # that row reduction of [G | I] replaced.  They use their own Hamilton product,
-# so they share no arithmetic with the library's kernels.
+# so they share no arithmetic with the library's kernels.  The one exception is
+# the per-column row reduction, kept to pin the library's arithmetic bit for bit.
 # ---------------------------------------------------------------------------
 
 def hamilton(a, b):
@@ -443,6 +445,21 @@ def hamilton(a, b):
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     ], axis=-1)
+
+
+def chi_oracle(d: np.ndarray) -> np.ndarray:
+    """Complex adjoint of a ``(..., rows, cols, 4)`` array, one 2 x 2 block
+    ``[[z1, z2], [-conj(z2), conj(z1)]]`` at a time from the four components
+    ``q = a + b i + c j + d k``, ``z1 = a + b i``, ``z2 = c + d i``, so each
+    signed zero lands where the block's formula puts it."""
+    *lead, rows, cols, _ = d.shape
+    out = np.empty((*lead, 2 * rows, 2 * cols), dtype=complex)
+    for pos in np.ndindex(*lead, rows, cols):
+        *at, i, j = pos
+        a, b, c, dd = (float(x) for x in d[pos])
+        out[(*at, slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2))] = [
+            [complex(a, b), complex(c, dd)], [complex(-c, dd), complex(a, -b)]]
+    return out
 
 
 def real_rep(m: QMatrix) -> np.ndarray:
@@ -594,6 +611,40 @@ def bruhat_oracle(g: QMatrix) -> BruhatForm:
     d = QMatrix.zeros(n, n)
     d.data[w_of, w_of] = a[w_of, np.arange(n)]
     return BruhatForm(U=QMatrix(u_acc), D=d, w=Permutation(w_of), V=QMatrix(v_acc))
+
+
+def row_reduce_oracle(g: QMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """The Bruhat row reduction of ``[2^-e G | I]`` one column at a time, with the
+    pivot found by ``nonzero`` over a boolean mask of free rows and the identity
+    placed by index arrays: the reduced ``(n, 2n, 4)`` array, the pivot row of
+    each column, and e.  The same arithmetic, in the same order, as the library's
+    reduction, which must match it bit for bit."""
+    n = g.n_rows
+    scaled, e = pow2_scaled(g.data)
+    a = np.zeros((n, 2 * n, 4))
+    a[:, :n] = scaled
+    a[np.arange(n), n + np.arange(n), 0] = 1.0
+    z = a.view(complex)
+    rows = z.reshape(n, 4 * n)
+    thresh = PIVOT_RTOL * np.sqrt(np.sum(scaled * scaled))
+    p_chi = np.empty((2, 2 * n, 2), dtype=complex)
+    w_of = np.empty(n, dtype=int)
+    free = np.ones(n, dtype=bool)
+    for j in range(n):
+        norm2 = qnorm2(a[:, j])
+        live = np.sqrt(norm2) > thresh
+        cand = (live & free).nonzero()[0]
+        if cand.size == 0:
+            raise SingularMatrixError("oracle: no Bruhat pivot in column")
+        piv = w_of[j] = cand[-1]
+        free[piv] = False
+        if piv:
+            p_chi[0] = z[piv]
+            np.conj(z[piv, :, ::-1], out=p_chi[1])
+            p_chi[1, :, 0] *= -1.0
+            q_inv = p_chi[:, j].T.conj() / norm2[piv]
+            rows[:piv] -= (z[:piv, j] * live[:piv, None]) @ (q_inv @ p_chi.reshape(2, 4 * n))
+    return a, w_of, e
 
 
 def random_multivector(n, grade, rng, nterms=4):
